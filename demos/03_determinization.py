@@ -11,9 +11,8 @@ while preserving the set of outputs for every document.
 from vptenum import engine
 from vptenum.engine import AmbiguityError
 from vptenum.formats import parse_vpt, serialize_vpt
-from vptenum.nested import tokenize
+from vptenum.nested import tokenize, well_nested_words
 from vptenum.vpt import io_determinize, is_io_deterministic, oracle_enumerate
-from vptenum.vpa import well_nested_words
 
 MACHINE = """\
 states: q0 q1

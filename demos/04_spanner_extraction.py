@@ -2,16 +2,17 @@
 
 The grammar in data/element.vpeg picks one bracketed element and marks
 its body as the span x; every element yields one mapping.  Under the
-hood the grammar is compiled to an acceptor over capture markers, the
-markers are fused onto ordinary transitions as transducer outputs, and
-the streaming engine enumerates the annotated runs; span endpoints are
-then decoded from the marker positions.
+hood the grammar is compiled to an acceptor (a transducer without
+outputs) that reads capture markers as letters, the markers are fused
+onto ordinary transitions as outputs, and the streaming engine
+enumerates the annotated runs; span endpoints are then decoded from the
+marker positions.
 """
 
 from pathlib import Path
 
 from vptenum.nested import tokenize
-from vptenum.spanner import evaluate_spanner, evpa_to_vpt, parse_vpeg, to_evpa
+from vptenum.spanner import compile_vpeg, evaluate_spanner, parse_vpeg
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,7 +23,7 @@ def main() -> None:
     print(f"productions: {len(vpeg.productions)}")
     print()
 
-    vpt = evpa_to_vpt(to_evpa(vpeg), vpeg.variables)
+    vpt = compile_vpeg(vpeg)
     print(
         f"compiled transducer: {len(vpt.states)} states, "
         f"{len(vpt.opens) + len(vpt.closes) + len(vpt.neutrals)} transitions"

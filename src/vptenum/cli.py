@@ -16,13 +16,13 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 
 from vptenum import engine, formats, spanner
 from vptenum.ecs import EMPTY
 from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator
 from vptenum.nested import StructuredAlphabet, Token, TokenKind, TokenizeError, tokenize
-from vptenum.vpa import ResourceCapError
-from vptenum.vpt import Vpt, is_io_deterministic, io_determinize, oracle_enumerate
+from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, io_determinize, oracle_enumerate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,12 +46,17 @@ def render_word(word) -> str:
     return " ".join(f"{sym}@{pos}" for sym, pos in word)
 
 
+@contextmanager
 def _document(path: str, alphabet: StructuredAlphabet):
-    """Token stream for a document path; '-' reads stdin incrementally."""
+    """Token stream for a document path; '-' reads stdin incrementally.
+
+    A file is closed when the block ends; stdin is left open.
+    """
     if path == "-":
-        return tokenize(sys.stdin, alphabet)
-    handle = open(path, "r", encoding="utf-8")
-    return tokenize(handle, alphabet)
+        yield tokenize(sys.stdin, alphabet)
+        return
+    with open(path, "r", encoding="utf-8") as handle:
+        yield tokenize(handle, alphabet)
 
 
 def _load_vpt(path: str) -> Vpt:
@@ -108,8 +113,8 @@ def _write_stats(args, stats: engine.EngineStats, enum: Enumerator | None) -> No
 def cmd_run(args) -> int:
     vpt = _load_vpt(args.transducer)
     vpt = engine.resolve_mode(vpt, _mode_of(args))
-    doc = _document(args.document, vpt.alphabet)
-    result = engine.preprocess(vpt, doc, checkpoints=args.checkpoint)
+    with _document(args.document, vpt.alphabet) as doc:
+        result = engine.preprocess(vpt, doc, checkpoints=args.checkpoint)
     if args.checkpoint:
         for k, depth, handle in result.checkpoints:
             accepting = "yes" if depth == 0 and handle != EMPTY else "no"
@@ -132,7 +137,8 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     vpt = _load_vpt(args.transducer)
-    doc = list(_document(args.document, vpt.alphabet))
+    with _document(args.document, vpt.alphabet) as doc:
+        doc = list(doc)
     reference = oracle_enumerate(vpt, doc, max_configs=args.max_configs)
     for word in sorted(reference, key=lambda w: (len(w), w)):
         print(render_word(word))
@@ -158,18 +164,13 @@ def cmd_oracle(args) -> int:
 def cmd_spanner(args) -> int:
     with open(args.grammar, "r", encoding="utf-8") as fh:
         vpeg = spanner.parse_vpeg(fh.read())
-    doc_alphabet = StructuredAlphabet(
-        opens=vpeg.alphabet.opens,
-        closes=vpeg.alphabet.closes,
-        neutrals=vpeg.alphabet.neutrals,
-    )
-    doc = _document(args.document, doc_alphabet)
     emitted = 0
-    for mapping in spanner.evaluate_spanner(vpeg, doc):
-        print(mapping.render())
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
+    with _document(args.document, vpeg.alphabet) as doc:
+        for mapping in spanner.evaluate_spanner(vpeg, doc):
+            print(mapping.render())
+            emitted += 1
+            if args.limit is not None and emitted >= args.limit:
+                break
     return EXIT_OK
 
 

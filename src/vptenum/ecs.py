@@ -28,8 +28,6 @@ transducers, and the test suite checks them with a shadow oracle.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 # node labels
 UNION = 0
 PRODUCT = 1
@@ -44,8 +42,6 @@ EPS_OTHER = 3  # contains epsilon in some other shape (gadget internals only)
 
 # the empty-set sentinel: absorbed by union, absorbing for prod
 EMPTY = -1
-
-_LABEL_NAMES = {UNION: "∪", PRODUCT: "⊙", SYMBOL: "sym", EPSILON: "ε"}
 
 
 class EcsArena:
@@ -71,10 +67,6 @@ class EcsArena:
         self.eps_leaf_reach: list[bool] = []
 
     def __len__(self) -> int:
-        return len(self.labels)
-
-    @property
-    def node_count(self) -> int:
         return len(self.labels)
 
     # -- creation ----------------------------------------------------
@@ -122,18 +114,6 @@ class EcsArena:
         return self._new(EPSILON, EMPTY, EMPTY, None)
 
     # -- inspection --------------------------------------------------
-
-    def label(self, v: int) -> int:
-        return self.labels[v]
-
-    def left(self, v: int) -> int:
-        return self.lefts[v]
-
-    def right(self, v: int) -> int:
-        return self.rights[v]
-
-    def payload(self, v: int) -> tuple | None:
-        return self.payloads[v]
 
     def output_depth(self, v: int) -> int:
         """Left union-depth: 0 on leaves and products, 1 + depth(left) on unions."""
@@ -290,26 +270,6 @@ class EcsArena:
             return out
 
         return walk(v)
-
-    def iter_nodes(self) -> Iterator[int]:
-        return iter(range(len(self.labels)))
-
-    def to_dot(self) -> str:
-        """DOT export: dashed edge to the left child, solid to the right."""
-        lines = ["digraph ecs {"]
-        for v in range(len(self.labels)):
-            lab = self.labels[v]
-            if lab == SYMBOL:
-                sym, pos = self.payloads[v]
-                text = f"{sym}@{pos}"
-            else:
-                text = _LABEL_NAMES[lab]
-            lines.append(f'  n{v} [label="{v}: {text}"];')
-            if lab in (UNION, PRODUCT):
-                lines.append(f"  n{v} -> n{self.lefts[v]} [style=dashed];")
-                lines.append(f"  n{v} -> n{self.rights[v]};")
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def new_arena() -> EcsArena:

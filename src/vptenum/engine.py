@@ -205,7 +205,7 @@ def preprocess(
     are folded into a handle, recorded as (position, depth, handle).
     """
     state = EngineState.initial(vpt)
-    oidx, cidx, nidx = vpt.open_index(), vpt.close_index(), vpt.neutral_index()
+    oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
     stats = EngineStats()
     trace_log: list | None = [] if trace else None
     checkpoint_log: list | None = [] if checkpoints else None
@@ -246,6 +246,19 @@ def preprocess(
         trace=trace_log,
         checkpoints=checkpoint_log,
     )
+
+
+def accepts(vpt: Vpt, tokens) -> bool:
+    """Whether an output-free vpt accepts the document, however
+    nondeterministic it is.
+
+    Without outputs every table handle is the single epsilon leaf or
+    EMPTY, so no union can join overlapping languages and the
+    unambiguity contract of ``preprocess`` cannot be broken; the pair
+    table is then the plain (origin, current) subset simulation.
+    Raises NestingError on documents that are not well nested.
+    """
+    return preprocess(vpt, tokens).root != EMPTY
 
 
 def resolve_mode(vpt: Vpt, mode: str) -> Vpt:

@@ -210,7 +210,6 @@ class Enumerator:
         self.gaps: list[tuple[int, int]] = []
         self.tree_sizes: list[tuple[int, int]] = []
         self._last_emit_steps = 0
-        self.current_tree: OutputTree | None = None
 
     def _tick(self) -> None:
         self.steps += 1
@@ -237,7 +236,6 @@ class Enumerator:
                     break
             if tree is None:
                 return
-            self.current_tree = tree
             printer = _stepped_print(arena, tree)
             while True:
                 try:

@@ -1,4 +1,4 @@
-"""Line-oriented text format for acceptors and transducers.
+"""Line-oriented text format for transducers.
 
 Header lines declare the component sets, transition lines carry one
 transition each:
@@ -7,24 +7,23 @@ transition each:
     initial: q0
     final: q1
     stack: X
-    outputs: o            # transducers only
+    outputs: o
     open a q0 -> q1 push X out o
     close a q1 pop X -> q1 out -
     neutral c q1 -> q1 out o
 
-``out -`` marks an emission-free step; acceptor files drop the
-``outputs:`` header and the ``out`` field. Comments are lines whose
-first nonblank character is ``#`` (symbols may legally contain ``#``,
-so there are no trailing comments). The letter classes are inferred
-from the transition lines; open and close lines share the bracket
-letter (that sharing is the pairing convention), but a bracket letter
-may not double as a neutral.
+``out -`` marks an emission-free step; a machine without outputs (an
+acceptor) omits the ``outputs:`` header and writes ``out -`` on every
+transition line. Comments are lines whose first nonblank character is
+``#`` (symbols may legally contain ``#``, so there are no trailing
+comments). The letter classes are inferred from the transition lines;
+open and close lines share the bracket letter (that sharing is the
+pairing convention), but a bracket letter may not double as a neutral.
 """
 
 from __future__ import annotations
 
 from vptenum.nested import StructuredAlphabet
-from vptenum.vpa import Vpa
 from vptenum.vpt import Vpt
 
 
@@ -35,7 +34,7 @@ class FormatError(ValueError):
 _HEADERS = ("states", "initial", "final", "stack", "outputs")
 
 
-def _parse_lines(text: str, with_outputs: bool):
+def _parse_lines(text: str):
     headers: dict[str, list[str]] = {}
     opens, closes, neutrals = [], [], []
 
@@ -51,39 +50,22 @@ def _parse_lines(text: str, with_outputs: bool):
         if parts[0].endswith(":") and head in _HEADERS:
             if head in headers:
                 fail(lineno, f"duplicate {head}: header")
-            if head == "outputs" and not with_outputs:
-                fail(lineno, "outputs: header in an acceptor file")
             headers[head] = parts[1:]
             continue
         if parts[0] == "open":
-            want = 9 if with_outputs else 7
-            if len(parts) != want or parts[3] != "->" or parts[5] != "push":
+            if len(parts) != 9 or parts[3] != "->" or parts[5] != "push" or parts[7] != "out":
                 fail(lineno, f"malformed open transition: {line!r}")
-            out = None
-            if with_outputs:
-                if parts[7] != "out":
-                    fail(lineno, f"malformed open transition: {line!r}")
-                out = None if parts[8] == "-" else parts[8]
+            out = None if parts[8] == "-" else parts[8]
             opens.append((lineno, parts[1], parts[2], out, parts[4], parts[6]))
         elif parts[0] == "close":
-            want = 9 if with_outputs else 7
-            if len(parts) != want or parts[3] != "pop" or parts[5] != "->":
+            if len(parts) != 9 or parts[3] != "pop" or parts[5] != "->" or parts[7] != "out":
                 fail(lineno, f"malformed close transition: {line!r}")
-            out = None
-            if with_outputs:
-                if parts[7] != "out":
-                    fail(lineno, f"malformed close transition: {line!r}")
-                out = None if parts[8] == "-" else parts[8]
+            out = None if parts[8] == "-" else parts[8]
             closes.append((lineno, parts[1], parts[2], out, parts[4], parts[6]))
         elif parts[0] == "neutral":
-            want = 7 if with_outputs else 5
-            if len(parts) != want or parts[3] != "->":
+            if len(parts) != 7 or parts[3] != "->" or parts[5] != "out":
                 fail(lineno, f"malformed neutral transition: {line!r}")
-            out = None
-            if with_outputs:
-                if parts[5] != "out":
-                    fail(lineno, f"malformed neutral transition: {line!r}")
-                out = None if parts[6] == "-" else parts[6]
+            out = None if parts[6] == "-" else parts[6]
             neutrals.append((lineno, parts[1], parts[2], out, parts[4]))
         else:
             fail(lineno, f"unrecognized line: {line!r}")
@@ -131,9 +113,7 @@ def _parse_lines(text: str, with_outputs: bool):
 
 
 def parse_vpt(text: str) -> Vpt:
-    states, alphabet, stack, outputs, opens, closes, neutrals, initial, final = _parse_lines(
-        text, with_outputs=True
-    )
+    states, alphabet, stack, outputs, opens, closes, neutrals, initial, final = _parse_lines(text)
     return Vpt(
         states=states,
         alphabet=alphabet,
@@ -142,22 +122,6 @@ def parse_vpt(text: str) -> Vpt:
         opens=frozenset((q, a, out, q2, x) for _, a, q, out, q2, x in opens),
         closes=frozenset((q, a, out, x, q2) for _, a, q, out, x, q2 in closes),
         neutrals=frozenset((q, a, out, q2) for _, a, q, out, q2 in neutrals),
-        initial=initial,
-        final=final,
-    )
-
-
-def parse_vpa(text: str) -> Vpa:
-    states, alphabet, stack, _outputs, opens, closes, neutrals, initial, final = _parse_lines(
-        text, with_outputs=False
-    )
-    return Vpa(
-        states=states,
-        alphabet=alphabet,
-        stack_symbols=stack,
-        opens=frozenset((q, a, q2, x) for _, a, q, _out, q2, x in opens),
-        closes=frozenset((q, a, x, q2) for _, a, q, _out, x, q2 in closes),
-        neutrals=frozenset((q, a, q2) for _, a, q, _out, q2 in neutrals),
         initial=initial,
         final=final,
     )
@@ -177,7 +141,7 @@ def serialize_vpt(vpt: Vpt) -> str:
     _check_symbols(
         vpt.states,
         vpt.stack_symbols,
-        (o for o in vpt.output_symbols),
+        vpt.output_symbols,
         vpt.alphabet.opens,
         vpt.alphabet.closes,
         vpt.alphabet.neutrals,
@@ -187,35 +151,13 @@ def serialize_vpt(vpt: Vpt) -> str:
         "initial: " + " ".join(sorted(vpt.initial)),
         "final: " + " ".join(sorted(vpt.final)),
         "stack: " + " ".join(sorted(vpt.stack_symbols)),
-        "outputs: " + " ".join(sorted(vpt.output_symbols)),
     ]
+    if vpt.output_symbols:
+        lines.append("outputs: " + " ".join(sorted(vpt.output_symbols)))
     for q, a, out, q2, x in sorted(vpt.opens, key=repr):
         lines.append(f"open {a} {q} -> {q2} push {x} out {out or '-'}")
     for q, a, out, x, q2 in sorted(vpt.closes, key=repr):
         lines.append(f"close {a} {q} pop {x} -> {q2} out {out or '-'}")
     for q, a, out, q2 in sorted(vpt.neutrals, key=repr):
         lines.append(f"neutral {a} {q} -> {q2} out {out or '-'}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_vpa(vpa: Vpa) -> str:
-    _check_symbols(
-        vpa.states,
-        vpa.stack_symbols,
-        vpa.alphabet.opens,
-        vpa.alphabet.closes,
-        vpa.alphabet.neutrals,
-    )
-    lines = [
-        "states: " + " ".join(sorted(vpa.states)),
-        "initial: " + " ".join(sorted(vpa.initial)),
-        "final: " + " ".join(sorted(vpa.final)),
-        "stack: " + " ".join(sorted(vpa.stack_symbols)),
-    ]
-    for q, a, q2, x in sorted(vpa.opens, key=repr):
-        lines.append(f"open {a} {q} -> {q2} push {x}")
-    for q, a, x, q2 in sorted(vpa.closes, key=repr):
-        lines.append(f"close {a} {q} pop {x} -> {q2}")
-    for q, a, q2 in sorted(vpa.neutrals, key=repr):
-        lines.append(f"neutral {a} {q} -> {q2}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product as _cartesian
 from typing import Iterable, Iterator, Union
 
 
@@ -158,6 +159,40 @@ def validate_nestedness(tokens: Iterable[Token]) -> bool:
                 return False
             depth -= 1
     return depth == 0
+
+
+def well_nested_words(alphabet: StructuredAlphabet, max_len: int) -> list[tuple[Token, ...]]:
+    """Every well-nested token sequence of length at most max_len."""
+    opens = sorted(alphabet.opens)
+    closes = sorted(alphabet.closes)
+    neutrals = sorted(alphabet.neutrals)
+    memo: dict[int, list[tuple[Token, ...]]] = {0: [()]}
+
+    def of_len(n: int) -> list[tuple[Token, ...]]:
+        if n in memo:
+            return memo[n]
+        words: list[tuple[Token, ...]] = []
+        for c in neutrals:
+            head = (Token(TokenKind.NEUTRAL, c),)
+            for rest in of_len(n - 1):
+                words.append(head + rest)
+        for m in range(0, n - 1):
+            for a, b in _cartesian(opens, closes):
+                for inner in of_len(m):
+                    bracketed = (
+                        (Token(TokenKind.OPEN, a),)
+                        + inner
+                        + (Token(TokenKind.CLOSE, b),)
+                    )
+                    for rest in of_len(n - 2 - m):
+                        words.append(bracketed + rest)
+        memo[n] = words
+        return words
+
+    all_words: list[tuple[Token, ...]] = []
+    for n in range(max_len + 1):
+        all_words.extend(of_len(n))
+    return all_words
 
 
 def _unmatched_open_positions(tokens: list[Token], upto: int) -> list[int]:

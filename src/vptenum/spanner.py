@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from vptenum.nested import Span, StructuredAlphabet, Token, TokenKind
-from vptenum.vpa import Vpa, ResourceCapError
 from vptenum import engine
-from vptenum.vpt import Vpt, is_io_deterministic
+from vptenum.enumtree import DEFAULT_SMOOTHING
+from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic
 
 END_MARKER = "#"
 
@@ -210,8 +210,9 @@ def nullable_set(vpeg: Vpeg, *, ops: list | None = None) -> frozenset:
     return frozenset(nullable)
 
 
-def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpa:
-    """Acceptor for the grammar's ref-words; markers ride as neutrals.
+def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpt:
+    """Acceptor (output-free Vpt) for the grammar's ref-words; markers
+    ride as neutrals.
 
     States are the nonterminals. A chain production becomes one neutral
     transition; a bracket production pushes its own stack symbol on the
@@ -229,16 +230,16 @@ def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpa:
     for i, p in enumerate(vpeg.productions):
         steps += 1
         if isinstance(p, ChainProduction):
-            neutrals.add((p.head, p.sym, p.tail))
+            neutrals.add((p.head, p.sym, None, p.tail))
             if p.is_marker:
                 marker_letters.add(p.sym)
         elif isinstance(p, NestProduction):
             z = f"z{i}"
             stack_symbols.add(z)
-            opens.add((p.head, p.letter, p.inner, z))
+            opens.add((p.head, p.letter, None, p.inner, z))
             for w in finals:
                 steps += 1
-                closes.add((w, p.letter, z, p.tail))
+                closes.add((w, p.letter, None, z, p.tail))
     if ops is not None:
         ops.append(steps)
     alphabet = StructuredAlphabet(
@@ -246,10 +247,11 @@ def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpa:
         closes=vpeg.alphabet.closes,
         neutrals=vpeg.alphabet.neutrals | marker_letters,
     )
-    return Vpa(
+    return Vpt(
         states=vpeg.nonterminals,
         alphabet=alphabet,
         stack_symbols=frozenset(stack_symbols) or frozenset({"z"}),
+        output_symbols=frozenset(),
         opens=frozenset(opens),
         closes=frozenset(closes),
         neutrals=frozenset(neutrals),
@@ -258,22 +260,22 @@ def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpa:
     )
 
 
-def _marker_edges(evpa: Vpa, variables) -> list[tuple[str, str, str]]:
+def _marker_edges(evpa: Vpt, variables) -> list[tuple[str, str, str]]:
     markers = {open_marker(x) for x in variables} | {close_marker(x) for x in variables}
-    return [(q, a, q2) for q, a, q2 in evpa.neutrals if a in markers]
+    return [(q, a, q2) for q, a, _, q2 in evpa.neutrals if a in markers]
 
 
-def _well_nested_pairs(vpa: Vpa) -> set:
+def _well_nested_pairs(vpa: Vpt) -> set:
     """All (p, q) with q reachable from p by one complete well-nested
     ref-word factor (the empty factor included)."""
     pairs = {(q, q) for q in vpa.states}
-    for q, _, q2 in vpa.neutrals:
+    for q, _, _, q2 in vpa.neutrals:
         pairs.add((q, q2))
     opens_by_sym: dict = {}
-    for q, a, q2, x in vpa.opens:
+    for q, _, _, q2, x in vpa.opens:
         opens_by_sym.setdefault(x, []).append((q, q2))
     closes_by_sym: dict = {}
-    for q, a, x, q2 in vpa.closes:
+    for q, _, _, x, q2 in vpa.closes:
         closes_by_sym.setdefault(x, []).append((q, q2))
     changed = True
     while changed:
@@ -298,7 +300,7 @@ def _well_nested_pairs(vpa: Vpa) -> set:
     return pairs
 
 
-def check_functional(evpa: Vpa, variables) -> None:
+def check_functional(evpa: Vpt, variables) -> None:
     """Reject unless every accepted ref-word opens and closes every
     variable exactly once, start before end.
 
@@ -339,21 +341,22 @@ def check_functional(evpa: Vpa, variables) -> None:
 
     states = frozenset((q, vec) for q in evpa.states for vec in vecs)
     neutrals = set()
-    for q, a, q2 in evpa.neutrals:
+    for q, a, _, q2 in evpa.neutrals:
         for vec in vecs:
-            neutrals.add(((q, vec), a, (q2, bump(vec, a))))
+            neutrals.add(((q, vec), a, None, (q2, bump(vec, a))))
     opens = set()
-    for q, a, q2, x in evpa.opens:
+    for q, a, _, q2, x in evpa.opens:
         for vec in vecs:
-            opens.add(((q, vec), a, (q2, vec), x))
+            opens.add(((q, vec), a, None, (q2, vec), x))
     closes = set()
-    for q, a, x, q2 in evpa.closes:
+    for q, a, _, x, q2 in evpa.closes:
         for vec in vecs:
-            closes.add(((q, vec), a, x, (q2, vec)))
-    product = Vpa(
+            closes.add(((q, vec), a, None, x, (q2, vec)))
+    product = Vpt(
         states=states,
         alphabet=evpa.alphabet,
         stack_symbols=evpa.stack_symbols,
+        output_symbols=frozenset(),
         opens=frozenset(opens),
         closes=frozenset(closes),
         neutrals=frozenset(neutrals),
@@ -376,7 +379,7 @@ def check_functional(evpa: Vpa, variables) -> None:
                 )
 
 
-def evpa_to_vpt(evpa: Vpa, variables, max_vpaths: int = 100_000) -> Vpt:
+def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000) -> Vpt:
     """Fuse marker chains into the following letter transition.
 
     Marker transitions must form an acyclic graph over states (else a
@@ -438,18 +441,18 @@ def evpa_to_vpt(evpa: Vpa, variables, max_vpaths: int = 100_000) -> Vpt:
         final += "_"
     opens, closes, neutrals = set(), set(), set()
     outputs = set()
-    for q, a, q2, x in evpa.opens:
+    for q, a, _, q2, x in evpa.opens:
         opens.add((q, a, None, q2, x))
         for start, fused in ending_at.get(q, ()):
             outputs.add(fused)
             opens.add((start, a, fused, q2, x))
-    for q, a, x, q2 in evpa.closes:
+    for q, a, _, x, q2 in evpa.closes:
         closes.add((q, a, None, x, q2))
         for start, fused in ending_at.get(q, ()):
             outputs.add(fused)
             closes.add((start, a, fused, x, q2))
     marker_letters = {a for _, a, _ in edges}
-    for q, a, q2 in evpa.neutrals:
+    for q, a, _, q2 in evpa.neutrals:
         if a in marker_letters:
             continue
         neutrals.add((q, a, None, q2))
@@ -520,7 +523,9 @@ def compile_vpeg(vpeg: Vpeg) -> Vpt:
     return evpa_to_vpt(evpa, vpeg.variables)
 
 
-def evaluate_spanner(vpeg: Vpeg, tokens, smoothing: int = 4) -> Iterator[SpanMapping]:
+def evaluate_spanner(
+    vpeg: Vpeg, tokens, smoothing: int = DEFAULT_SMOOTHING
+) -> Iterator[SpanMapping]:
     """Stream the grammar's span assignments over the document.
 
     The document gets the synthetic end marker appended. Structurally

@@ -10,15 +10,20 @@ empty output word is a single possible result, not one per run length.
 relation is a partial function of (state, letter, output symbol). The
 deterministic states are sets of state pairs (level origin, current
 state) and the stack symbols are sets of (origin, pushed, target)
-triples, mirroring the acceptor construction but keyed by output.
+triples, keyed by output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from vptenum.nested import StructuredAlphabet, Token, TokenKind
-from vptenum.vpa import ResourceCapError
+from vptenum.nested import StructuredAlphabet, TokenKind
+
+
+class ResourceCapError(RuntimeError):
+    """An exhaustive check outgrew its configured budget."""
+
 
 OutputWord = tuple  # tuple of (symbol, position) pairs
 
@@ -31,6 +36,9 @@ class Vpt:
       opens:    set of (q, a, out, q2, x)   push x
       closes:   set of (q, a, out, x, q2)   pop x
       neutrals: set of (q, a, out, q2)
+
+    An acceptor is a transducer that never emits: empty
+    ``output_symbols`` and out=None on every transition.
     """
 
     states: frozenset
@@ -76,18 +84,23 @@ class Vpt:
         if not self.initial <= self.states or not self.final <= self.states:
             raise ValueError("initial and final states must be declared states")
 
+    # indices are built once per machine; as non-fields they stay out
+    # of equality and hashing
+    @cached_property
     def open_index(self) -> dict:
         idx: dict = {}
         for q, a, out, q2, x in self.opens:
             idx.setdefault((q, a), []).append((out, q2, x))
         return idx
 
+    @cached_property
     def close_index(self) -> dict:
         idx: dict = {}
         for q, a, out, x, q2 in self.closes:
             idx.setdefault((q, a, x), []).append((out, q2))
         return idx
 
+    @cached_property
     def neutral_index(self) -> dict:
         idx: dict = {}
         for q, a, out, q2 in self.neutrals:
@@ -127,7 +140,7 @@ def enumerate_runs(vpt: Vpt, tokens, max_runs: int | None = None) -> list[Run]:
     Raises ResourceCapError past max_runs.
     """
     toks = list(tokens)
-    oidx, cidx, nidx = vpt.open_index(), vpt.close_index(), vpt.neutral_index()
+    oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
     runs: list[Run] = []
     work = [(0, q, (), (q,), (), ()) for q in sorted(vpt.initial, key=repr)]
     while work:
@@ -161,7 +174,7 @@ def oracle_enumerate(vpt: Vpt, tokens, max_configs: int = 5_000_000) -> frozense
     max_configs configurations; it never silently truncates.
     """
     toks = list(tokens)
-    oidx, cidx, nidx = vpt.open_index(), vpt.close_index(), vpt.neutral_index()
+    oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
     results: set[OutputWord] = set()
     visited = 0
     work = [(0, q, (), ()) for q in vpt.initial]
@@ -228,9 +241,9 @@ def _det_tables(vpt: Vpt, max_states: int):
     summary_entries maps each summary (stack symbol) to the level
     entries it can open into.
     """
-    oidx = vpt.open_index()
-    cidx = vpt.close_index()
-    nidx = vpt.neutral_index()
+    oidx = vpt.open_index
+    cidx = vpt.close_index
+    nidx = vpt.neutral_index
     open_keys = sorted({(a, out) for _, a, out, _, _ in vpt.opens}, key=repr)
     close_keys = sorted({(a, out) for _, a, out, _, _ in vpt.closes}, key=repr)
     neutral_keys = sorted({(a, out) for _, a, out, _ in vpt.neutrals}, key=repr)

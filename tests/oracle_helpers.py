@@ -19,7 +19,6 @@ from vptenum.spanner import (
     close_marker,
     open_marker,
 )
-from vptenum.vpa import Vpa
 from vptenum.vpt import Vpt
 
 
@@ -417,7 +416,8 @@ def random_nondet_vpt(rng: random.Random, n_states: int = 4, n_trans: int = 12) 
     )
 
 
-def random_vpa(rng: random.Random, n_states: int = 5, n_trans: int = 12) -> Vpa:
+def random_vpa(rng: random.Random, n_states: int = 5, n_trans: int = 12) -> Vpt:
+    """Random acceptor: an output-free, usually nondeterministic Vpt."""
     states = [f"q{i}" for i in range(n_states)]
     alphabet = StructuredAlphabet(
         opens=frozenset({"a"}), closes=frozenset({"a"}), neutrals=frozenset({"c"})
@@ -428,15 +428,16 @@ def random_vpa(rng: random.Random, n_states: int = 5, n_trans: int = 12) -> Vpa:
         kind = rng.choice(("open", "close", "neutral"))
         q, q2 = rng.choice(states), rng.choice(states)
         if kind == "open":
-            opens.add((q, "a", q2, rng.choice(stack)))
+            opens.add((q, "a", None, q2, rng.choice(stack)))
         elif kind == "close":
-            closes.add((q, "a", rng.choice(stack), q2))
+            closes.add((q, "a", None, rng.choice(stack), q2))
         else:
-            neutrals.add((q, "c", q2))
-    return Vpa(
+            neutrals.add((q, "c", None, q2))
+    return Vpt(
         states=frozenset(states),
         alphabet=alphabet,
         stack_symbols=frozenset(stack),
+        output_symbols=frozenset(),
         opens=frozenset(opens),
         closes=frozenset(closes),
         neutrals=frozenset(neutrals),
@@ -825,7 +826,7 @@ def random_functional_vpeg(rng: random.Random, n_vars: int = 2, ambiguity_window
         evpa_to_vpt,
         to_evpa,
     )
-    from vptenum.vpa import ResourceCapError
+    from vptenum.vpt import ResourceCapError
 
     for _ in range(20_000):
         vpeg = random_tiny_vpeg(rng, n_vars)

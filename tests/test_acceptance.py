@@ -28,11 +28,10 @@ from oracle_helpers import (
 )
 from vptenum import engine
 from vptenum.cli import _bench_doc, _bench_vpt
-from vptenum.engine import EngineStats
+from vptenum.engine import EngineStats, accepts
 from vptenum.enumtree import Enumerator
-from vptenum.nested import StructuredAlphabet
+from vptenum.nested import StructuredAlphabet, well_nested_words
 from vptenum.spanner import evaluate_spanner, to_evpa
-from vptenum.vpa import accepts, determinize, well_nested_words
 from vptenum.vpt import io_determinize, oracle_enumerate
 
 DET_ALPH = StructuredAlphabet(
@@ -236,9 +235,9 @@ def test_criterion_6_determinization():
     rng = random.Random(606)
     for _ in range(100):
         vpa = random_vpa(rng)
-        det = determinize(vpa)
+        det = io_determinize(vpa)
         for word in words:
-            assert accepts(vpa, word) == det.accepts(word)
+            assert accepts(vpa, word) == accepts(det, word)
     for _ in range(100):
         vpt = random_nondet_vpt(rng, n_states=3, n_trans=8)
         det = io_determinize(vpt)

@@ -2,11 +2,14 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vptenum
 from vptenum import engine
 from vptenum.cli import (
     EXIT_CAP,
@@ -412,21 +415,46 @@ class TestRenderWord:
         assert render_word((("o", 1), ("p", 12))) == "o@1 p@12"
 
 
+def run_module(*args):
+    """``python -m vptenum ...`` against this checkout, installed or not."""
+    src = str(Path(vptenum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
 def test_console_script_entry_point(tmp_path):
+    # the [project.scripts] entry and `python -m vptenum` both call
+    # cli.main; a text check, since tomllib needs Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]", 1)[1]
+    assert 'vptenum = "vptenum.cli:main"' in scripts.split("\n[", 1)[0]
     t = tmp_path / "m.vpt"
     t.write_text(CHOICE_VPT, encoding="utf-8")
     d = tmp_path / "d.txt"
     d.write_text("<r b r>", encoding="utf-8")
-    proc = subprocess.run(
-        ["vptenum", "run", "-t", str(t), "-d", str(d)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_module("-m", "vptenum", "run", "-t", str(t), "-d", str(d))
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert lines[0] == "#" and lines[-1] == "#"
     assert sorted(lines[1:-1]) == ["u@2", "v@2"]
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "spanner"])
+def test_document_file_closed(files, command):
+    if command == "spanner":
+        # --limit stops the enumeration before the results run out
+        doc = files("d.txt", "<a c a> <a c a>")
+        argv = ["-g", files("g.vpeg", GRAMMAR), "-d", doc, "--limit", "1"]
+    else:
+        argv = ["-t", files("m.vpt", CHOICE_VPT), "-d", files("d.txt", "<r b b r>")]
+        if command == "run":
+            argv += ["--limit", "1"]
+    proc = run_module("-X", "dev", "-m", "vptenum", command, *argv)
+    assert proc.returncode == 0
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_broken_pipe_exits_quietly():

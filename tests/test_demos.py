@@ -1,0 +1,24 @@
+"""Smoke test: the quick demos run to completion against this checkout.
+
+``02_constant_delay.py`` is left out: it takes seconds, and acceptance
+criterion 3 covers the same ground.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("prefix", ["01_", "03_", "04_"])
+def test_demo_runs(prefix):
+    (script,) = (ROOT / "demos").glob(f"{prefix}*.py")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

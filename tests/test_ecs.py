@@ -30,9 +30,9 @@ class TestLeaves:
     def test_add(self):
         a = EcsArena()
         v = a.add(("o", 1))
-        assert a.node_count == 1
-        assert a.label(v) == SYMBOL
-        assert a.payload(v) == ("o", 1)
+        assert len(a) == 1
+        assert a.labels[v] == SYMBOL
+        assert a.payloads[v] == ("o", 1)
         assert lang(a, v) == {w(("o", 1))}
         assert a.output_depth(v) == 0
         assert a.eps_case(v) == NO_EPS
@@ -41,8 +41,8 @@ class TestLeaves:
     def test_epsilon(self):
         a = EcsArena()
         v = a.epsilon_node()
-        assert a.node_count == 1
-        assert a.label(v) == EPSILON
+        assert len(a) == 1
+        assert a.labels[v] == EPSILON
         assert lang(a, v) == {()}
         assert a.eps_case(v) == IS_EPS
         assert a.is_safe(v)
@@ -58,8 +58,8 @@ class TestUnionGadgets:
         x = a.add(("o", 1))
         y = a.add(("p", 1))
         u = a.union(x, y)
-        assert a.node_count == 3
-        assert a.label(u) == UNION
+        assert len(a) == 3
+        assert a.labels[u] == UNION
         assert lang(a, u) == {w(("o", 1)), w(("p", 1))}
         assert a.output_depth(u) == 1
         assert a.is_safe(u)
@@ -70,27 +70,27 @@ class TestUnionGadgets:
         leaves = [a.add((s, 1)) for s in "opqr"]
         u1 = a.union(leaves[0], leaves[1])
         u2 = a.union(leaves[2], leaves[3])
-        assert a.node_count == 6
+        assert len(a) == 6
         top = a.union(u1, u2)
-        assert a.node_count == 9, "deep-deep union is the 3-node gadget"
+        assert len(a) == 9, "deep-deep union is the 3-node gadget"
         assert lang(a, top) == {w((s, 1)) for s in "opqr"}
         assert a.is_safe(top)
-        for v in range(a.node_count):
+        for v in range(len(a)):
             assert a.output_depth(v) <= 2
 
     def test_shallow_deep_orientations(self):
         a = EcsArena()
         x = a.add(("o", 1))
         u = a.union(a.add(("p", 1)), a.add(("q", 1)))
-        before = a.node_count
+        before = len(a)
         left_shallow = a.union(x, u)
-        assert a.node_count == before + 1
+        assert len(a) == before + 1
         assert a.output_depth(left_shallow) == 1
         assert a.is_safe(left_shallow)
         y = a.add(("r", 1))
-        before = a.node_count
+        before = len(a)
         right_shallow = a.union(u, y)
-        assert a.node_count == before + 1
+        assert len(a) == before + 1
         assert a.is_safe(right_shallow)
         assert lang(a, right_shallow) == {w(("p", 1)), w(("q", 1)), w(("r", 1))}
 
@@ -99,7 +99,7 @@ class TestUnionGadgets:
         x = a.add(("o", 1))
         assert a.union(x, EMPTY) == x
         assert a.union(EMPTY, x) == x
-        assert a.node_count == 1
+        assert len(a) == 1
 
     def test_epsilon_cases(self):
         a = EcsArena()
@@ -137,8 +137,8 @@ class TestProdGadgets:
         x = a.add(("o", 1))
         y = a.add(("p", 2))
         p = a.prod(x, y)
-        assert a.node_count == 3
-        assert a.label(p) == PRODUCT
+        assert len(a) == 3
+        assert a.labels[p] == PRODUCT
         assert lang(a, p) == {w(("o", 1), ("p", 2))}
         assert a.is_safe(p)
 
@@ -147,7 +147,7 @@ class TestProdGadgets:
         x = a.add(("o", 1))
         assert a.prod(x, EMPTY) == EMPTY
         assert a.prod(EMPTY, x) == EMPTY
-        assert a.node_count == 1
+        assert len(a) == 1
 
     def test_epsilon_identity(self):
         a = EcsArena()
@@ -155,15 +155,15 @@ class TestProdGadgets:
         x = a.add(("o", 1))
         assert a.prod(e, x) == x
         assert a.prod(x, e) == x
-        assert a.node_count == 2
+        assert len(a) == 2
 
     def test_one_sided_eps_union(self):
         a = EcsArena()
         x = a.add(("o", 1))
         ey = a.union(a.epsilon_node(), a.add(("p", 2)))
-        before = a.node_count
+        before = len(a)
         p = a.prod(x, ey)
-        assert a.node_count - before == 2
+        assert len(a) - before == 2
         assert lang(a, p) == {w(("o", 1)), w(("o", 1), ("p", 2))}
         assert a.eps_case(p) == NO_EPS
         assert a.is_safe(p)
@@ -176,9 +176,9 @@ class TestProdGadgets:
         e = a.epsilon_node()
         ex = a.union(e, a.add(("o", 1)))
         ey = a.union(e, a.add(("q", 2)))
-        before = a.node_count
+        before = len(a)
         p = a.prod(ex, ey)
-        assert a.node_count - before == 5
+        assert len(a) - before == 5
         assert lang(a, p) == {
             (),
             w(("o", 1)),
@@ -187,7 +187,7 @@ class TestProdGadgets:
         }
         assert a.eps_case(p) == EPS_UNION
         assert a.is_safe(p)
-        for v in range(a.node_count):
+        for v in range(len(a)):
             assert a.output_depth(v) <= 2
 
     def test_both_eps_union_deep_left(self):
@@ -197,9 +197,9 @@ class TestProdGadgets:
         inner = a.union(a.add(("s", 1)), a.add(("t", 1)))
         ex = a.union(e, inner)
         ey = a.union(e, a.add(("y", 2)))
-        before = a.node_count
+        before = len(a)
         p = a.prod(ex, ey)
-        assert a.node_count - before == 5
+        assert len(a) - before == 5
         assert lang(a, p) == {
             (),
             w(("s", 1)),
@@ -209,7 +209,7 @@ class TestProdGadgets:
             w(("t", 1), ("y", 2)),
         }
         assert a.is_safe(p)
-        for v in range(a.node_count):
+        for v in range(len(a)):
             assert a.output_depth(v) <= 2
 
 

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from vptenum.ecs import EMPTY
+from vptenum.ecs import EMPTY, EPSILON
 from vptenum.engine import (
     AmbiguityError,
     EngineState,
     EngineStats,
     NestingError,
     SymbolStats,
+    accepts,
     evaluate,
     if_prod,
     open_step,
@@ -23,9 +24,12 @@ from oracle_helpers import (
     brackets,
     check_state_invariants,
     random_det_vpt,
+    random_vpa,
     random_well_nested,
+    tok_close,
+    tok_open,
 )
-from test_vpt import ALPH, choice_vpt, marker_vpt
+from test_vpt import ALPH, choice_vpt, dyck_vpa, marker_vpt, single_bracket_vpa
 
 
 def lang(arena, v):
@@ -66,7 +70,7 @@ class TestSteps:
     def test_open_step_hand_example(self):
         m = three_state_marker()
         state = EngineState.initial(m)
-        open_step(state, m.open_index(), "a", 1, SymbolStats())
+        open_step(state, m.open_index, "a", 1, SymbolStats())
         assert set(state.table) == {("q1", "q1")}
         assert lang(state.arena, state.table[("q1", "q1")]) == {()}
         assert len(state.frames) == 1
@@ -220,3 +224,40 @@ class TestEvaluate:
         assert len(stats.per_symbol) == len(doc)
         totals = stats.totals()
         assert totals.visits > 0
+
+
+class TestAccepts:
+    def test_single_bracket(self):
+        m = single_bracket_vpa()
+        assert accepts(m, brackets("()"))
+        assert not accepts(m, brackets(""))
+        assert not accepts(m, brackets("(.)"))
+        assert not accepts(m, brackets("(())"))
+        assert not accepts(m, brackets("()()"))
+
+    def test_dyck(self):
+        m = dyck_vpa()
+        for text in ["", ".", "()", "(.)", "(())", "()()", "((.).)"]:
+            assert accepts(m, brackets(text)), text
+
+    def test_unbalanced_raises(self):
+        m = dyck_vpa()
+        with pytest.raises(NestingError, match="unbalanced close at position 1"):
+            accepts(m, [tok_close("a")])
+        with pytest.raises(NestingError, match="unbalanced open at position 1"):
+            accepts(m, [tok_open("a")])
+
+    def test_nondeterministic_acceptors_stay_on_the_epsilon_leaf(self):
+        # without outputs the arena never grows past the epsilon leaf,
+        # which is why accepts may run any nondeterministic acceptor
+        rng = random.Random(44)
+        for _ in range(50):
+            m = random_vpa(rng)
+            assert m.open_index is m.open_index
+            for _ in range(6):
+                doc = random_well_nested(rng, m.alphabet, rng.randint(0, 10))
+                res = preprocess(m, doc)
+                assert len(res.arena) == 1
+                assert res.arena.labels[0] == EPSILON
+                assert res.root in (EMPTY, 0)
+                assert accepts(m, doc) == bool(oracle_enumerate(m, doc))

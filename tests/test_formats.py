@@ -5,16 +5,10 @@ import random
 import pytest
 
 from oracle_helpers import random_det_vpt, random_vpa
-from vptenum.formats import (
-    FormatError,
-    parse_vpa,
-    parse_vpt,
-    serialize_vpa,
-    serialize_vpt,
-)
+from vptenum.formats import FormatError, parse_vpt, serialize_vpt
 from vptenum.spanner import compile_vpeg, parse_vpeg
-from vptenum.vpa import Vpa
 from vptenum.nested import StructuredAlphabet
+from vptenum.vpt import Vpt
 
 VPT_TEXT = """\
 states: q0 q1 qf
@@ -26,15 +20,16 @@ open a q0 -> q1 push X out o
 close a q1 pop X -> qf out -
 """
 
+# an acceptor: no outputs: header, out - on every transition line
 VPA_TEXT = """\
 states: q0 q1
 initial: q0
 final: q1
 stack: X
-open a q0 -> q0 push X
-close a q0 pop X -> q1
-close a q1 pop X -> q1
-neutral c q0 -> q0
+open a q0 -> q0 push X out -
+close a q0 pop X -> q1 out -
+close a q1 pop X -> q1 out -
+neutral c q0 -> q0 out -
 """
 
 
@@ -53,10 +48,11 @@ class TestParse:
         assert vpt.alphabet.closes == {"a"}
 
     def test_vpa_fields(self):
-        vpa = parse_vpa(VPA_TEXT)
-        assert vpa.opens == {("q0", "a", "q0", "X")}
-        assert vpa.closes == {("q0", "a", "X", "q1"), ("q1", "a", "X", "q1")}
-        assert vpa.neutrals == {("q0", "c", "q0")}
+        vpa = parse_vpt(VPA_TEXT)
+        assert vpa.output_symbols == frozenset()
+        assert vpa.opens == {("q0", "a", None, "q0", "X")}
+        assert vpa.closes == {("q0", "a", None, "X", "q1"), ("q1", "a", None, "X", "q1")}
+        assert vpa.neutrals == {("q0", "c", None, "q0")}
 
     def test_comments_and_blank_lines(self):
         text = "# a machine\n\n" + VPT_TEXT + "\n   # trailing note\n"
@@ -65,14 +61,14 @@ class TestParse:
     def test_hash_inside_symbol_is_not_a_comment(self):
         text = (
             "states: q0 q1\ninitial: q0\nfinal: q1\n"
-            "neutral a#b q0 -> q1\n"
+            "neutral a#b q0 -> q1 out -\n"
         )
-        vpa = parse_vpa(text)
-        assert vpa.neutrals == {("q0", "a#b", "q1")}
+        vpa = parse_vpt(text)
+        assert vpa.neutrals == {("q0", "a#b", None, "q1")}
 
     def test_stack_header_optional_without_brackets(self):
-        text = "states: q0\ninitial: q0\nfinal: q0\nneutral c q0 -> q0\n"
-        vpa = parse_vpa(text)
+        text = "states: q0\ninitial: q0\nfinal: q0\nneutral c q0 -> q0 out -\n"
+        vpa = parse_vpt(text)
         assert vpa.stack_symbols == frozenset()
 
     def test_missing_required_headers(self):
@@ -83,20 +79,16 @@ class TestParse:
                 if not line.startswith(missing)
             )
             with pytest.raises(FormatError, match=f"missing {missing}: header"):
-                parse_vpa(text)
+                parse_vpt(text)
 
     def test_duplicate_header(self):
         with pytest.raises(FormatError, match="line 2: duplicate states: header"):
-            parse_vpa("states: q0\nstates: q0\ninitial: q0\nfinal: q0\n")
-
-    def test_outputs_header_rejected_in_acceptor(self):
-        with pytest.raises(FormatError, match="line 4: outputs: header in an acceptor"):
-            parse_vpa("states: q0\ninitial: q0\nfinal: q0\noutputs: o\n")
+            parse_vpt("states: q0\nstates: q0\ninitial: q0\nfinal: q0\n")
 
     def test_malformed_open(self):
-        bad = "states: q0\ninitial: q0\nfinal: q0\nstack: X\nopen a q0 -> q0 push\n"
+        bad = "states: q0\ninitial: q0\nfinal: q0\nstack: X\nopen a q0 -> q0 push out -\n"
         with pytest.raises(FormatError, match="line 5: malformed open transition"):
-            parse_vpa(bad)
+            parse_vpt(bad)
 
     def test_malformed_close_keyword(self):
         bad = (
@@ -113,17 +105,17 @@ class TestParse:
 
     def test_unrecognized_line(self):
         with pytest.raises(FormatError, match="line 2: unrecognized line"):
-            parse_vpa("states: q0\nhop a q0 q0\ninitial: q0\nfinal: q0\n")
+            parse_vpt("states: q0\nhop a q0 q0\ninitial: q0\nfinal: q0\n")
 
     def test_undeclared_state(self):
-        bad = "states: q0\ninitial: q0\nfinal: q0\nneutral c q0 -> q9\n"
+        bad = "states: q0\ninitial: q0\nfinal: q0\nneutral c q0 -> q9 out -\n"
         with pytest.raises(FormatError, match="line 4: undeclared state"):
-            parse_vpa(bad)
+            parse_vpt(bad)
 
     def test_undeclared_stack_symbol(self):
-        bad = "states: q0\ninitial: q0\nfinal: q0\nopen a q0 -> q0 push Y\n"
+        bad = "states: q0\ninitial: q0\nfinal: q0\nopen a q0 -> q0 push Y out -\n"
         with pytest.raises(FormatError, match="line 4: undeclared stack symbol 'Y'"):
-            parse_vpa(bad)
+            parse_vpt(bad)
 
     def test_undeclared_output(self):
         bad = (
@@ -136,14 +128,14 @@ class TestParse:
     def test_bracket_letter_reused_as_neutral(self):
         bad = (
             "states: q0\ninitial: q0\nfinal: q0\nstack: X\n"
-            "open a q0 -> q0 push X\nneutral a q0 -> q0\n"
+            "open a q0 -> q0 push X out -\nneutral a q0 -> q0 out -\n"
         )
         with pytest.raises(FormatError, match="both as bracket and neutral: a"):
-            parse_vpa(bad)
+            parse_vpt(bad)
 
     def test_shared_open_close_letter_is_the_pairing(self):
         # <a ... a> uses one letter for both faces of the bracket
-        vpa = parse_vpa(VPA_TEXT)
+        vpa = parse_vpt(VPA_TEXT)
         assert vpa.alphabet.opens == vpa.alphabet.closes == {"a"}
 
 
@@ -152,7 +144,7 @@ class TestSerialize:
         assert serialize_vpt(parse_vpt(VPT_TEXT)) == VPT_TEXT
 
     def test_golden_vpa(self):
-        assert serialize_vpa(parse_vpa(VPA_TEXT)) == VPA_TEXT
+        assert serialize_vpt(parse_vpt(VPA_TEXT)) == VPA_TEXT
 
     def test_vpt_round_trip_random(self):
         rng = random.Random(3)
@@ -176,7 +168,7 @@ class TestSerialize:
         rng = random.Random(4)
         for _ in range(25):
             vpa = random_vpa(rng)
-            back = parse_vpa(serialize_vpa(vpa))
+            back = parse_vpt(serialize_vpt(vpa))
             assert back.opens == vpa.opens
             assert back.closes == vpa.closes
             assert back.neutrals == vpa.neutrals
@@ -195,12 +187,13 @@ class TestSerialize:
             serialize_vpt(vpt)
 
     def test_tuple_state_cannot_serialize(self):
-        vpa = Vpa(
+        vpa = Vpt(
             states=frozenset({("q", 0)}),
             alphabet=StructuredAlphabet(
                 opens=frozenset(), closes=frozenset(), neutrals=frozenset()
             ),
             stack_symbols=frozenset(),
+            output_symbols=frozenset(),
             opens=frozenset(),
             closes=frozenset(),
             neutrals=frozenset(),
@@ -208,15 +201,16 @@ class TestSerialize:
             final=frozenset({("q", 0)}),
         )
         with pytest.raises(FormatError, match="not a plain word"):
-            serialize_vpa(vpa)
+            serialize_vpt(vpa)
 
     def test_space_in_symbol_cannot_serialize(self):
-        vpa = Vpa(
+        vpa = Vpt(
             states=frozenset({"q 0"}),
             alphabet=StructuredAlphabet(
                 opens=frozenset(), closes=frozenset(), neutrals=frozenset()
             ),
             stack_symbols=frozenset(),
+            output_symbols=frozenset(),
             opens=frozenset(),
             closes=frozenset(),
             neutrals=frozenset(),
@@ -224,4 +218,4 @@ class TestSerialize:
             final=frozenset({"q 0"}),
         )
         with pytest.raises(FormatError, match="not a plain word"):
-            serialize_vpa(vpa)
+            serialize_vpt(vpa)

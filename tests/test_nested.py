@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 
 import pytest
@@ -16,15 +17,26 @@ from vptenum.nested import (
     token_of_word,
     tokenize,
     validate_nestedness,
+    well_nested_words,
 )
 
-from oracle_helpers import brackets, currlevel_by_scan, lowerlevel_by_scan, random_well_nested
+from oracle_helpers import (
+    brackets,
+    currlevel_by_scan,
+    is_well_nested,
+    lowerlevel_by_scan,
+    random_well_nested,
+    tok_close,
+    tok_neutral,
+    tok_open,
+)
 
 ALPH = StructuredAlphabet(
     opens=frozenset({"a", "b"}),
     closes=frozenset({"a", "b"}),
     neutrals=frozenset({"c", "item"}),
 )
+PAIR_ALPH = StructuredAlphabet(frozenset({"a"}), frozenset({"a"}), frozenset({"c"}))
 
 
 class TestTokenize:
@@ -147,6 +159,27 @@ def bracket_strings(draw):
     # generates well-nested shorthand by construction
     parts = draw(st.lists(st.sampled_from([".", "()", "(.)", "(())"]), max_size=6))
     return "".join(parts)
+
+
+class TestWellNestedWords:
+    def test_small_counts_match_bruteforce(self):
+        # Motzkin counts for 1 bracket pair + 1 neutral
+        words = well_nested_words(PAIR_ALPH, 6)
+        by_len: dict[int, int] = {}
+        for w in words:
+            by_len[len(w)] = by_len.get(len(w), 0) + 1
+        assert by_len == {0: 1, 1: 1, 2: 2, 3: 4, 4: 9, 5: 21, 6: 51}
+        # cross-check length 4 exhaustively
+        pool = [tok_open("a"), tok_close("a"), tok_neutral("c")]
+        brute = {
+            seq
+            for seq in itertools.product(pool, repeat=4)
+            if is_well_nested(list(seq))
+        }
+        assert {w for w in words if len(w) == 4} == brute
+
+    def test_total_up_to_eight(self):
+        assert len(well_nested_words(PAIR_ALPH, 8)) == 539
 
 
 class TestProperties:

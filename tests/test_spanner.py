@@ -16,7 +16,8 @@ from oracle_helpers import (
     tok_neutral,
     tok_open,
 )
-from vptenum.nested import Span
+from vptenum.engine import accepts
+from vptenum.nested import Span, well_nested_words
 from vptenum.spanner import (
     END_MARKER,
     ChainProduction,
@@ -37,8 +38,7 @@ from vptenum.spanner import (
     parse_vpeg,
     to_evpa,
 )
-from vptenum.vpa import ResourceCapError, accepts, well_nested_words
-from vptenum.vpt import is_io_deterministic
+from vptenum.vpt import ResourceCapError, is_io_deterministic
 
 # Captures the content of exactly one top-level element of the document,
 # one mapping per element; used throughout as the worked example.

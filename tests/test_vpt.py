@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from vptenum.nested import StructuredAlphabet
-from vptenum.vpa import ResourceCapError, well_nested_words
+from vptenum.engine import accepts
+from vptenum.nested import StructuredAlphabet, well_nested_words
 from vptenum.vpt import (
+    ResourceCapError,
     Run,
     Vpt,
     enumerate_runs,
@@ -14,7 +15,7 @@ from vptenum.vpt import (
     out_of_run,
 )
 
-from oracle_helpers import brackets, random_det_vpt, random_nondet_vpt, tok_neutral
+from oracle_helpers import brackets, random_det_vpt, random_nondet_vpt, random_vpa, tok_neutral
 
 ALPH = StructuredAlphabet(frozenset({"a"}), frozenset({"a"}), frozenset({"c"}))
 
@@ -49,7 +50,69 @@ def choice_vpt() -> Vpt:
     )
 
 
+def single_bracket_vpa() -> Vpt:
+    # acceptor for exactly "<a a>"
+    return Vpt(
+        states=frozenset({"q0", "q1", "qf"}),
+        alphabet=ALPH,
+        stack_symbols=frozenset({"X"}),
+        output_symbols=frozenset(),
+        opens=frozenset({("q0", "a", None, "q1", "X")}),
+        closes=frozenset({("q1", "a", None, "X", "qf")}),
+        neutrals=frozenset(),
+        initial=frozenset({"q0"}),
+        final=frozenset({"qf"}),
+    )
+
+
+def dyck_vpa() -> Vpt:
+    # acceptor for all well-nested words over <a a> c, one state
+    return Vpt(
+        states=frozenset({"q"}),
+        alphabet=ALPH,
+        stack_symbols=frozenset({"X"}),
+        output_symbols=frozenset(),
+        opens=frozenset({("q", "a", None, "q", "X")}),
+        closes=frozenset({("q", "a", None, "X", "q")}),
+        neutrals=frozenset({("q", "c", None, "q")}),
+        initial=frozenset({"q"}),
+        final=frozenset({"q"}),
+    )
+
+
+def same_language(m1: Vpt, m2: Vpt, max_len: int) -> bool:
+    return all(accepts(m1, w) == accepts(m2, w) for w in well_nested_words(ALPH, max_len))
+
+
 class TestValidation:
+    def test_rejects_unknown_state(self):
+        with pytest.raises(ValueError):
+            Vpt(
+                states=frozenset({"q0"}),
+                alphabet=ALPH,
+                stack_symbols=frozenset({"X"}),
+                output_symbols=frozenset(),
+                opens=frozenset({("q0", "a", None, "missing", "X")}),
+                closes=frozenset(),
+                neutrals=frozenset(),
+                initial=frozenset({"q0"}),
+                final=frozenset({"q0"}),
+            )
+
+    def test_rejects_unknown_letter(self):
+        with pytest.raises(ValueError):
+            Vpt(
+                states=frozenset({"q0"}),
+                alphabet=ALPH,
+                stack_symbols=frozenset({"X"}),
+                output_symbols=frozenset(),
+                opens=frozenset(),
+                closes=frozenset(),
+                neutrals=frozenset({("q0", "zzz", None, "q0")}),
+                initial=frozenset({"q0"}),
+                final=frozenset({"q0"}),
+            )
+
     def test_rejects_unknown_output(self):
         with pytest.raises(ValueError):
             Vpt(
@@ -82,6 +145,30 @@ class TestRuns:
         (run,) = enumerate_runs(marker_vpt(), brackets("()"))
         assert run.pushed == ("X", None)
         assert run.states == ("q", "q", "q")
+
+    def test_counts_all_survivors(self):
+        # two parallel neutral transitions: runs double per letter
+        m = Vpt(
+            states=frozenset({"q", "r"}),
+            alphabet=ALPH,
+            stack_symbols=frozenset({"X"}),
+            output_symbols=frozenset(),
+            opens=frozenset(),
+            closes=frozenset(),
+            neutrals=frozenset((q, "c", None, q2) for q in "qr" for q2 in "qr"),
+            initial=frozenset({"q"}),
+            final=frozenset({"q"}),
+        )
+        runs = enumerate_runs(m, [tok_neutral("c")] * 3)
+        assert len(runs) == 8
+        for run in runs:
+            assert len(run.states) == 4
+            assert run.states[0] == "q"
+
+    def test_run_cap(self):
+        m = dyck_vpa()
+        with pytest.raises(ResourceCapError):
+            enumerate_runs(m, brackets("." * 3), max_runs=0)
 
 
 class TestOracle:
@@ -189,3 +276,39 @@ class TestIoDeterminize:
         assert got == {()}
         d = io_determinize(marker_vpt())
         assert oracle_enumerate(d, [tok_neutral("c")] * 3) == {()}
+
+
+class TestAcceptorDeterminize:
+    def test_hand_example(self):
+        d = io_determinize(single_bracket_vpa())
+        assert accepts(d, brackets("()"))
+        assert not accepts(d, brackets("(.)"))
+        assert not accepts(d, brackets(""))
+
+    def test_nondeterministic_union(self):
+        # L = {<a a>} from one branch, {<a c a>} from the other
+        m = Vpt(
+            states=frozenset({"q0", "p1", "p2", "r1", "qf"}),
+            alphabet=ALPH,
+            stack_symbols=frozenset({"X", "Y"}),
+            output_symbols=frozenset(),
+            opens=frozenset({("q0", "a", None, "p1", "X"), ("q0", "a", None, "r1", "Y")}),
+            closes=frozenset({("p1", "a", None, "X", "qf"), ("p2", "a", None, "Y", "qf")}),
+            neutrals=frozenset({("r1", "c", None, "p2")}),
+            initial=frozenset({"q0"}),
+            final=frozenset({"qf"}),
+        )
+        d = io_determinize(m)
+        assert accepts(d, brackets("()"))
+        assert accepts(d, brackets("(.)"))
+        assert not accepts(d, brackets("(..)"))
+        assert same_language(m, d, 6)
+
+    def test_random_language_equality(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            m = random_vpa(rng)
+            assert same_language(m, io_determinize(m), 6)
+
+    def test_language_check_detects_difference(self):
+        assert not same_language(single_bracket_vpa(), dyck_vpa(), 4)
