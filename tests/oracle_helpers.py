@@ -96,6 +96,21 @@ class ShadowEcs:
         return len({a + b for a in l1 for b in l2}) == len(l1) * len(l2)
 
 
+def union_of_unions(n: int) -> tuple[EcsArena, int]:
+    """Arena built by acc = union(acc, union(add(x_i), add(y_i))), n times.
+
+    x_i is ("x", 2i) and y_i is ("y", 2i + 1). Each round goes through
+    the arena's three-node union-of-unions gadget, so the union region
+    above a leaf grows with n while every left union depth stays at
+    most 2.
+    """
+    arena = EcsArena()
+    acc = EMPTY
+    for i in range(n):
+        acc = arena.union(acc, arena.union(arena.add(("x", 2 * i)), arena.add(("y", 2 * i + 1))))
+    return arena, acc
+
+
 def check_node_shape(arena: EcsArena, v: int) -> None:
     """2-boundedness of v under the library's depth bookkeeping recomputed
     from scratch (no trust in the cached columns)."""

@@ -25,6 +25,7 @@ from oracle_helpers import (
     random_vpa,
     random_vpeg,
     random_well_nested,
+    union_of_unions,
 )
 from vptenum import engine
 from vptenum.cli import _bench_doc, _bench_vpt
@@ -180,7 +181,20 @@ def test_criterion_3_output_linear_delay():
     spread = max(worst.values()) / min(worst.values())
     assert spread < 2.0, f"delay constant varies {spread:.2f}x across lengths"
     per_len = ", ".join(f"10^{len(str(n)) - 1}: {r:.1f}" for n, r in worst.items())
-    return f"max steps per emitted symbol {{{per_len}}}, spread {spread:.2f}x"
+    # second axis: arena history, through the union-of-unions gadget
+    worst_uu: dict[int, float] = {}
+    for n in (16, 256, 2048):
+        arena, root = union_of_unions(n)
+        enum = Enumerator(arena, root, instrument=True)
+        assert sum(1 for _ in enum) == 2 * n
+        worst_uu[n] = max(gap / max(1, out_len) for gap, out_len in enum.gaps)
+    spread_uu = max(worst_uu.values()) / min(worst_uu.values())
+    assert spread_uu < 2.0, f"delay constant varies {spread_uu:.2f}x across arena histories"
+    per_n = ", ".join(f"n={n}: {r:.1f}" for n, r in worst_uu.items())
+    return (
+        f"max steps per emitted symbol {{{per_len}}}, spread {spread:.2f}x; "
+        f"union-of-unions {{{per_n}}}, spread {spread_uu:.2f}x"
+    )
 
 
 @criterion(4, "one pass and update time")

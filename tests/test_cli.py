@@ -159,7 +159,8 @@ class TestRun:
             capsys, ["run", "-t", t, "-d", d, "--stats", "--stats-out", str(stats)]
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(stats.open()))
+        with stats.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == [
             "record",
             "index",
@@ -360,7 +361,8 @@ class TestBench:
         )
         assert code == EXIT_OK
         assert out == []
-        rows = list(csv.reader(dest.open()))
+        with dest.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == [
             "record",
             "length",

@@ -1,15 +1,9 @@
 import random
 
 from vptenum.ecs import EMPTY, EcsArena
-from vptenum.enumtree import (
-    Enumerator,
-    build_tree,
-    enumerate_words,
-    next_tree,
-    print_tree,
-)
+from vptenum.enumtree import Enumerator, enumerate_words
 
-from oracle_helpers import ShadowEcs
+from oracle_helpers import ShadowEcs, union_of_unions
 
 
 def payload(i):
@@ -20,10 +14,9 @@ class TestTreeWalk:
     def test_single_leaf(self):
         a = EcsArena()
         v = a.add(payload(1))
-        t = build_tree(a, v)
-        assert print_tree(a, t) == (payload(1),)
-        assert t.size() == 1
-        assert next_tree(a, t) is None
+        en = Enumerator(a, v, instrument=True)
+        assert list(en) == [(payload(1),)]
+        assert en.tree_sizes == [(1, 1)]
 
     def test_product_order_left_major(self):
         a = EcsArena()
@@ -50,17 +43,34 @@ class TestTreeWalk:
             (payload(4),),
         ]
 
-    def test_manual_next_tree_matches_iterator(self):
+    def test_instrumented_enumerator_matches_enumerate_words(self):
         a = EcsArena()
         u = a.union(a.add(payload(1)), a.add(payload(2)))
         v = a.prod(u, a.union(a.add(payload(3)), a.add(payload(4))))
-        got = []
-        t = build_tree(a, v)
-        while t is not None:
-            got.append(print_tree(a, t))
-            t = next_tree(a, t)
+        en = Enumerator(a, v, smoothing=1, instrument=True)
+        got = list(en)
         assert got == list(enumerate_words(a, v))
         assert len(got) == 4
+        # one product over two leaves per word
+        assert en.tree_sizes == [(3, 2)] * 4
+
+
+class TestUnionOfUnions:
+    def test_order_frozen(self):
+        a, v = union_of_unions(4)
+        assert [w[0][1] for w in enumerate_words(a, v)] == [0, 6, 4, 2, 1, 3, 5, 7]
+
+    def test_skeleton_and_delay_independent_of_history(self):
+        n = 2048
+        a, v = union_of_unions(n)
+        en = Enumerator(a, v, smoothing=4, instrument=True)
+        words = list(en)
+        assert len(words) == 2 * n
+        assert sorted(w[0][1] for w in words) == list(range(2 * n))
+        for size, plen in en.tree_sizes:
+            assert size <= 4 * max(1, plen)
+        for steps_between, wlen in en.gaps:
+            assert steps_between <= 4 * wlen + 8
 
 
 class TestEpsilonDispatch:
