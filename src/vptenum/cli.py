@@ -17,6 +17,7 @@ import csv
 import os
 import sys
 from contextlib import contextmanager
+from itertools import repeat
 
 from vptenum import engine, formats, spanner
 from vptenum.ecs import EMPTY
@@ -114,7 +115,7 @@ def cmd_run(args) -> int:
     vpt = _load_vpt(args.transducer)
     vpt = engine.resolve_mode(vpt, _mode_of(args))
     with _document(args.document, vpt.alphabet) as doc:
-        result = engine.preprocess(vpt, doc, checkpoints=args.checkpoint)
+        result = engine.preprocess(vpt, doc, checkpoints=args.checkpoint, per_symbol=args.stats)
     if args.checkpoint:
         for k, depth, handle in result.checkpoints:
             accepting = "yes" if depth == 0 and handle != EMPTY else "no"
@@ -210,10 +211,8 @@ def _bench_doc(length: int, choices: int):
     if length < choices + 2:
         raise ValueError(f"bench length {length} too short for {choices} choices")
     yield Token(TokenKind.OPEN, "r")
-    for _ in range(choices):
-        yield Token(TokenKind.NEUTRAL, "b")
-    for _ in range(length - choices - 2):
-        yield Token(TokenKind.NEUTRAL, "c")
+    yield from repeat(Token(TokenKind.NEUTRAL, "b"), choices)
+    yield from repeat(Token(TokenKind.NEUTRAL, "c"), length - choices - 2)
     yield Token(TokenKind.CLOSE, "r")
 
 
@@ -227,7 +226,7 @@ def cmd_bench(args) -> int:
             ["record", "length", "index", "visits", "scans", "ecs_calls", "nodes_added", "delay_steps", "output_len"]
         )
         for length in lengths:
-            result = engine.preprocess(vpt, _bench_doc(length, args.choices))
+            result = engine.preprocess(vpt, _bench_doc(length, args.choices), per_symbol=True)
             for k, sym in enumerate(result.stats.per_symbol, start=1):
                 writer.writerow(
                     ["symbol", length, k, sym.visits, sym.scans, sym.ecs_calls, sym.nodes_added, "", ""]

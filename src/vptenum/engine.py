@@ -23,7 +23,9 @@ from vptenum import ecs
 from vptenum.ecs import EMPTY, EcsArena
 from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator, OutputWord
 from vptenum.nested import TokenKind
-from vptenum.vpt import Vpt, is_io_deterministic, io_determinize
+from vptenum.vpt import NO_MOVES, Vpt, is_io_deterministic, io_determinize
+
+OPEN, NEUTRAL = TokenKind.OPEN, TokenKind.NEUTRAL
 
 
 class NestingError(ValueError):
@@ -36,26 +38,32 @@ class AmbiguityError(ValueError):
 
 @dataclass
 class SymbolStats:
+    """Unit-step counters: one token's, or (as EngineStats) the pass's."""
+
     visits: int = 0  # (table entry, transition) matches processed
     scans: int = 0  # table entries inspected without a match
     ecs_calls: int = 0
     nodes_added: int = 0
 
+    def add(self, other: "SymbolStats") -> None:
+        self.visits += other.visits
+        self.scans += other.scans
+        self.ecs_calls += other.ecs_calls
+        self.nodes_added += other.nodes_added
+
 
 @dataclass
-class EngineStats:
+class EngineStats(SymbolStats):
+    """Running totals of the whole pass, finalization included, in O(1)
+    memory. ``per_symbol`` holds one record per token only when
+    ``preprocess`` was asked for them."""
+
     pulls: int = 0
     per_symbol: list[SymbolStats] = field(default_factory=list)
     finalize: SymbolStats = field(default_factory=SymbolStats)
 
     def totals(self) -> SymbolStats:
-        t = SymbolStats()
-        for s in self.per_symbol + [self.finalize]:
-            t.visits += s.visits
-            t.scans += s.scans
-            t.ecs_calls += s.ecs_calls
-            t.nodes_added += s.nodes_added
-        return t
+        return SymbolStats(self.visits, self.scans, self.ecs_calls, self.nodes_added)
 
 
 @dataclass
@@ -76,54 +84,47 @@ class EngineState:
         return cls(arena=arena, table=table, frames=[], open_positions=[], epsilon=eps)
 
 
-def if_prod(arena: EcsArena, v: int, out, k: int, stats: SymbolStats | None = None):
-    """Append (out, k) to every word in v; identity when out is empty.
-
-    The sentinel passes through: extending no word still leaves no word.
-    """
-    if out is None or v == EMPTY:
-        return v
-    before = len(arena.labels)
-    leaf = arena.add((out, k))
-    result = arena.prod(v, leaf)
-    if stats is not None:
-        stats.ecs_calls += 2
-        stats.nodes_added += len(arena.labels) - before
-    return result
+# Each step takes its letter's row of the transition index and returns
+# its (visits, scans, arena calls). A visit extends the entry's handle
+# by the move's output, if any, with a fresh symbol leaf (2 calls) and
+# unions it into the new entry (1 call; a vacant entry just takes it,
+# as a union with EMPTY would). Table handles are never EMPTY.
 
 
-def _union_into(state: EngineState, table: dict, key, v: int, stats: SymbolStats):
-    before = len(state.arena.labels)
-    table[key] = state.arena.union(table.get(key, EMPTY), v)
-    stats.ecs_calls += 1
-    stats.nodes_added += len(state.arena.labels) - before
-
-
-def open_step(state: EngineState, vpt_index: dict, name: str, k: int, stats: SymbolStats) -> None:
+def open_step(state: EngineState, moves, k: int) -> tuple[int, int, int]:
     """Consume an open letter: stash the level summary, seed a new level."""
+    arena = state.arena
+    eps = state.epsilon
+    visits = scans = calls = 0
     summary: dict = {}
     seed: dict = {}
     for (p, p2), handle in state.table.items():
-        rules = vpt_index.get((p2, name))
+        rules = moves.get(p2)
         if not rules:
-            stats.scans += 1
+            scans += 1
             continue
         for out, q2, x in rules:
-            stats.visits += 1
-            v = if_prod(state.arena, handle, out, k, stats)
-            _union_into(state, summary, (p, x, q2), v, stats)
-            seed[(q2, q2)] = state.epsilon
+            visits += 1
+            calls += 1 if out is None else 3
+            v = handle if out is None else arena.prod(handle, arena.add((out, k)))
+            key = (p, x, q2)
+            old = summary.get(key)
+            summary[key] = v if old is None else arena.union(old, v)
+            seed[(q2, q2)] = eps
     state.frames.append(summary)
     state.open_positions.append(k)
     state.table = seed
+    return visits, scans, calls
 
 
-def close_step(state: EngineState, vpt_index: dict, name: str, k: int, stats: SymbolStats) -> None:
+def close_step(state: EngineState, moves, k: int) -> tuple[int, int, int]:
     """Consume a close letter: fold the finished level into the saved one."""
     if not state.frames:
         raise NestingError(f"unbalanced close at position {k}")
     summary = state.frames.pop()
     state.open_positions.pop()
+    arena = state.arena
+    visits = scans = calls = 0
     by_first: dict = {}
     for (p2, q2), handle in state.table.items():
         by_first.setdefault(p2, []).append((q2, handle))
@@ -131,50 +132,59 @@ def close_step(state: EngineState, vpt_index: dict, name: str, k: int, stats: Sy
     for (p, x, p2), upper in summary.items():
         inner = by_first.get(p2)
         if not inner:
-            stats.scans += 1
+            scans += 1
             continue
         for q2, lower in inner:
-            rules = vpt_index.get((q2, name, x))
+            rules = moves.get((q2, x))
             if not rules:
-                stats.scans += 1
+                scans += 1
                 continue
             for out, q3 in rules:
-                stats.visits += 1
-                before = len(state.arena.labels)
-                v = state.arena.prod(upper, lower)
-                stats.ecs_calls += 1
-                stats.nodes_added += len(state.arena.labels) - before
-                v = if_prod(state.arena, v, out, k, stats)
-                _union_into(state, nxt, (p, q3), v, stats)
+                visits += 1
+                calls += 2 if out is None else 4
+                v = arena.prod(upper, lower)
+                if out is not None:
+                    v = arena.prod(v, arena.add((out, k)))
+                key = (p, q3)
+                old = nxt.get(key)
+                nxt[key] = v if old is None else arena.union(old, v)
     state.table = nxt
+    return visits, scans, calls
 
 
-def neutral_step(state: EngineState, vpt_index: dict, name: str, k: int, stats: SymbolStats) -> None:
+def neutral_step(state: EngineState, moves, k: int) -> tuple[int, int, int]:
     """Consume a neutral letter: extend the level in place, stack untouched."""
+    arena = state.arena
+    visits = scans = calls = 0
     nxt: dict = {}
     for (p, q), handle in state.table.items():
-        rules = vpt_index.get((q, name))
+        rules = moves.get(q)
         if not rules:
-            stats.scans += 1
+            scans += 1
             continue
         for out, q2 in rules:
-            stats.visits += 1
-            v = if_prod(state.arena, handle, out, k, stats)
-            _union_into(state, nxt, (p, q2), v, stats)
+            visits += 1
+            calls += 1 if out is None else 3
+            v = handle if out is None else arena.prod(handle, arena.add((out, k)))
+            key = (p, q2)
+            old = nxt.get(key)
+            nxt[key] = v if old is None else arena.union(old, v)
     state.table = nxt
+    return visits, scans, calls
 
 
 def _finalize(state: EngineState, vpt: Vpt, stats: SymbolStats) -> int:
+    arena = state.arena
+    before = len(arena.labels)
     root = EMPTY
     for (p, q), handle in state.table.items():
         if p in vpt.initial and q in vpt.final:
             stats.visits += 1
-            before = len(state.arena.labels)
-            root = state.arena.union(root, handle)
+            root = arena.union(root, handle)
             stats.ecs_calls += 1
-            stats.nodes_added += len(state.arena.labels) - before
         else:
             stats.scans += 1
+    stats.nodes_added += len(arena.labels) - before
     return root
 
 
@@ -193,51 +203,57 @@ def preprocess(
     tokens,
     trace: bool = False,
     checkpoints: bool = False,
+    per_symbol: bool = False,
 ) -> PreprocessResult:
     """Run the single pass and return the collected result handle.
 
     The caller vouches that vpt admits at most one accepting run per
     (document, output) pair; ``evaluate`` enforces that contract.
 
-    With ``trace``, snapshots (table copy, list of frame copies) are
+    The result's stats always hold the pass's running totals; with
+    ``per_symbol`` they also list one SymbolStats per token. With
+    ``trace``, snapshots (table copy, list of frame copies) are
     recorded before the first token and after every token. With
     ``checkpoints``, after each token the accepting entries seen so far
     are folded into a handle, recorded as (position, depth, handle).
     """
     state = EngineState.initial(vpt)
     oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
+    labels = state.arena.labels
     stats = EngineStats()
     trace_log: list | None = [] if trace else None
     checkpoint_log: list | None = [] if checkpoints else None
     if trace_log is not None:
         trace_log.append((dict(state.table), [dict(f) for f in state.frames]))
 
-    it = iter(tokens)
     k = 0
-    while True:
-        stats.pulls += 1
-        try:
-            tok = next(it)
-        except StopIteration:
-            break
+    for tok in tokens:
         k += 1
-        sym = SymbolStats()
-        if tok.kind == TokenKind.OPEN:
-            open_step(state, oidx, tok.name, k, sym)
-        elif tok.kind == TokenKind.CLOSE:
-            close_step(state, cidx, tok.name, k, sym)
+        before = len(labels)
+        kind = tok.kind
+        if kind is NEUTRAL:
+            visits, scans, calls = neutral_step(state, nidx.get(tok.name, NO_MOVES), k)
+        elif kind is OPEN:
+            visits, scans, calls = open_step(state, oidx.get(tok.name, NO_MOVES), k)
         else:
-            neutral_step(state, nidx, tok.name, k, sym)
-        stats.per_symbol.append(sym)
+            visits, scans, calls = close_step(state, cidx.get(tok.name, NO_MOVES), k)
+        nodes = len(labels) - before
+        stats.visits += visits
+        stats.scans += scans
+        stats.ecs_calls += calls
+        stats.nodes_added += nodes
+        if per_symbol:
+            stats.per_symbol.append(SymbolStats(visits, scans, calls, nodes))
         if trace_log is not None:
             trace_log.append((dict(state.table), [dict(f) for f in state.frames]))
         if checkpoint_log is not None:
-            probe = SymbolStats()
-            handle = _finalize(state, vpt, probe)
+            handle = _finalize(state, vpt, SymbolStats())
             checkpoint_log.append((k, len(state.frames), handle))
+    stats.pulls = k + 1  # one pull per token plus the one that found the end
     if state.frames:
         raise NestingError(f"unbalanced open at position {state.open_positions[0]}")
     root = _finalize(state, vpt, stats.finalize)
+    stats.add(stats.finalize)
     return PreprocessResult(
         arena=state.arena,
         root=root,
@@ -293,9 +309,7 @@ def evaluate(
 ) -> Iterator[OutputWord]:
     """Evaluate vpt on the document and stream the distinct results."""
     vpt = resolve_mode(vpt, mode)
-    result = preprocess(vpt, tokens)
+    result = preprocess(vpt, tokens, per_symbol=stats_out is not None)
     if stats_out is not None:
-        stats_out.pulls = result.stats.pulls
-        stats_out.per_symbol = result.stats.per_symbol
-        stats_out.finalize = result.stats.finalize
+        vars(stats_out).update(vars(result.stats))
     return iter(Enumerator(result.arena, result.root, smoothing=smoothing))

@@ -13,9 +13,10 @@ apart, so the same base name may appear in more than one class.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product as _cartesian
+from itertools import chain, islice, product as _cartesian
 from typing import Iterable, Iterator, Union
 
 
@@ -73,20 +74,21 @@ class Span:
 TextSource = Union[str, Iterable[str]]
 
 
-def _chars(source: TextSource) -> Iterator[str]:
+BLOCK_CHARS = 8192
+
+
+def _blocks(source: TextSource) -> Iterator[str]:
+    """The source as text blocks, read one at a time."""
     if isinstance(source, str):
-        yield from source
+        for i in range(0, len(source), BLOCK_CHARS):
+            yield source[i : i + BLOCK_CHARS]
         return
     read = getattr(source, "read", None)
     if read is not None:
-        while True:
-            chunk = read(8192)
-            if not chunk:
-                return
-            yield from chunk
+        while block := read(BLOCK_CHARS):
+            yield block
         return
-    for chunk in source:
-        yield from chunk
+    yield from source
 
 
 def token_of_word(word: str, alphabet: StructuredAlphabet) -> Token:
@@ -109,31 +111,71 @@ def token_of_word(word: str, alphabet: StructuredAlphabet) -> Token:
     return Token(kind, name)
 
 
+class _WordTokens(dict):
+    """Word -> Token, filled on first sight; bounded by the alphabet
+    because an unknown word raises instead of being stored."""
+
+    def __init__(self, alphabet: StructuredAlphabet):
+        self.alphabet = alphabet
+
+    def __missing__(self, word: str) -> Token:
+        tok = self[word] = token_of_word(word, self.alphabet)
+        return tok
+
+
+_WORD = re.compile(r"\S+")  # \s is exactly str.isspace, as in str.split
+
+
 def tokenize(text: TextSource, alphabet: StructuredAlphabet) -> Iterator[Token]:
     """Pull-based tokenizer: whitespace-separated tokens, ``#`` comments.
 
-    Tokens are produced one at a time and the total length is never
-    inspected in advance, so the stream may be unbounded (e.g. stdin).
-    Generator exhaustion is the end-of-input signal.
+    The source is read in blocks of at most BLOCK_CHARS characters,
+    each split with ``str.split``; tokens come out before the next
+    block is read, so the stream may be unbounded (e.g. stdin). Only a
+    partial token and an in-comment flag carry over from one block to
+    the next. A comment starts at a ``#`` that begins a token and ends
+    at the next ``"\n"``; no other line break ends it. Generator
+    exhaustion is the end-of-input signal.
+
+    Errors name the 1-based token index and line:col of the bad token.
     """
-    buf: list[str] = []
+    tokens = _WordTokens(alphabet)
+    carry = ""  # a token that may continue in the next block
     in_comment = False
-    for ch in _chars(text):
-        if in_comment:
-            if ch == "\n":
+    count = 0  # tokens produced before the current line piece
+    line = 1
+    col0 = 0  # characters of the current line read so far
+    # a final separator flushes the token carried at the end of input
+    for block in chain(_blocks(text), [" "]):
+        pieces = block.split("\n")
+        last = len(pieces) - 1
+        for i, piece in enumerate(pieces):
+            if i:
                 in_comment = False
-            continue
-        if ch == "#" and not buf:
-            in_comment = True
-            continue
-        if ch.isspace():
-            if buf:
-                yield token_of_word("".join(buf), alphabet)
-                buf.clear()
-            continue
-        buf.append(ch)
-    if buf:
-        yield token_of_word("".join(buf), alphabet)
+                line += 1
+                col0 = 0
+            if in_comment:
+                continue
+            start = col0 - len(carry)
+            col0 += len(piece)
+            piece = carry + piece
+            carry = ""
+            words = piece.split()
+            if "#" in piece:
+                for j, word in enumerate(words):
+                    if word[0] == "#":
+                        del words[j:]
+                        in_comment = True
+                        break
+            if i == last and not in_comment and piece and not piece[-1].isspace():
+                carry = words.pop()
+            try:
+                yield from map(tokens.__getitem__, words)
+            except TokenizeError as exc:
+                j = next(j for j, word in enumerate(words) if word not in tokens)
+                col = start + next(islice(_WORD.finditer(piece), j, None)).start() + 1
+                raise TokenizeError(f"{exc} at token {count + j + 1}, line {line}:{col}") from None
+            count += len(words)
 
 
 def serialize_token(token: Token) -> str:
@@ -193,38 +235,3 @@ def well_nested_words(alphabet: StructuredAlphabet, max_len: int) -> list[tuple[
     for n in range(max_len + 1):
         all_words.extend(of_len(n))
     return all_words
-
-
-def _unmatched_open_positions(tokens: list[Token], upto: int) -> list[int]:
-    # positions (1-based) of opens in tokens[0:upto] with no matching close
-    stack: list[int] = []
-    for idx in range(upto):
-        tok = tokens[idx]
-        if tok.kind is TokenKind.OPEN:
-            stack.append(idx + 1)
-        elif tok.kind is TokenKind.CLOSE:
-            if not stack:
-                raise ValueError(f"unbalanced close at position {idx + 1}")
-            stack.pop()
-    return stack
-
-
-def currlevel(tokens: list[Token], k: int) -> Span:
-    """Longest well-nested span ending at position k.
-
-    Equals <j,k> where j-1 is the deepest open of the prefix that is
-    still unmatched at k, or j = 1 when the prefix balances.
-    """
-    if not 1 <= k <= len(tokens) + 1:
-        raise ValueError(f"position {k} out of range")
-    stack = _unmatched_open_positions(tokens, k - 1)
-    j = stack[-1] + 1 if stack else 1
-    return Span(j, k)
-
-
-def lowerlevel(tokens: list[Token], k: int) -> Span | None:
-    """The level just below currlevel(k), or None at the root level."""
-    j = currlevel(tokens, k).start
-    if j == 1:
-        return None
-    return currlevel(tokens, j - 1)

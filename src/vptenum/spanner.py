@@ -18,6 +18,7 @@ into) yields one output word per span assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from vptenum.nested import Span, StructuredAlphabet, Token, TokenKind
@@ -528,23 +529,24 @@ def evaluate_spanner(
 ) -> Iterator[SpanMapping]:
     """Stream the grammar's span assignments over the document.
 
-    The document gets the synthetic end marker appended. Structurally
-    deterministic compilations run as-is; anything else goes through
-    determinization first, which also squeezes out duplicate results
-    that grammar-level ambiguity would produce.
+    The document is checked token by token as the pass pulls it and
+    gets the synthetic end marker appended. Structurally deterministic
+    compilations run as-is; anything else goes through determinization
+    first, which also squeezes out duplicate results that grammar-level
+    ambiguity would produce.
     """
     vpt = compile_vpeg(vpeg)
-    doc = [_retag(tok, vpt.alphabet) for tok in tokens]
-    doc.append(Token(TokenKind.NEUTRAL, END_MARKER))
+    doc = chain(_in_alphabet(tokens, vpt.alphabet), [Token(TokenKind.NEUTRAL, END_MARKER)])
     mode = "check" if is_io_deterministic(vpt) else "determinize"
     for word in engine.evaluate(vpt, doc, mode=mode, smoothing=smoothing):
         yield decode_mapping(word, vpeg.variables)
 
 
-def _retag(tok: Token, alphabet: StructuredAlphabet) -> Token:
-    """Check a document token against the grammar's alphabet."""
-    if tok.name == END_MARKER or not alphabet.kind_of(tok.name, tok.kind):
-        raise GrammarError(
-            f"document symbol {tok.name!r} not in grammar alphabet"
-        )
-    return tok
+def _in_alphabet(tokens, alphabet: StructuredAlphabet) -> Iterator[Token]:
+    """The document tokens, each checked against the grammar's alphabet."""
+    for tok in tokens:
+        if tok.name == END_MARKER or not alphabet.kind_of(tok.name, tok.kind):
+            raise GrammarError(
+                f"document symbol {tok.name!r} not in grammar alphabet"
+            )
+        yield tok

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from vptenum.nested import StructuredAlphabet, TokenKind
 
@@ -26,6 +27,8 @@ class ResourceCapError(RuntimeError):
 
 
 OutputWord = tuple  # tuple of (symbol, position) pairs
+
+NO_MOVES = MappingProxyType({})  # the index row of a letter without transitions
 
 
 @dataclass(frozen=True)
@@ -84,86 +87,30 @@ class Vpt:
         if not self.initial <= self.states or not self.final <= self.states:
             raise ValueError("initial and final states must be declared states")
 
-    # indices are built once per machine; as non-fields they stay out
-    # of equality and hashing
+    # indices are built once per machine and keyed by letter first, so
+    # the pass looks a letter up once per token: open_index[a][q],
+    # close_index[a][(q, x)] and neutral_index[a][q] list the moves; as
+    # non-fields they stay out of equality and hashing
     @cached_property
     def open_index(self) -> dict:
         idx: dict = {}
         for q, a, out, q2, x in self.opens:
-            idx.setdefault((q, a), []).append((out, q2, x))
+            idx.setdefault(a, {}).setdefault(q, []).append((out, q2, x))
         return idx
 
     @cached_property
     def close_index(self) -> dict:
         idx: dict = {}
         for q, a, out, x, q2 in self.closes:
-            idx.setdefault((q, a, x), []).append((out, q2))
+            idx.setdefault(a, {}).setdefault((q, x), []).append((out, q2))
         return idx
 
     @cached_property
     def neutral_index(self) -> dict:
         idx: dict = {}
         for q, a, out, q2 in self.neutrals:
-            idx.setdefault((q, a), []).append((out, q2))
+            idx.setdefault(a, {}).setdefault(q, []).append((out, q2))
         return idx
-
-
-@dataclass(frozen=True)
-class Run:
-    """A complete run: n+1 states, per-position emission (None when
-    silent) and per-position pushed stack symbol (None off opens)."""
-
-    states: tuple
-    outputs: tuple
-    pushed: tuple
-
-
-def out_of_run(run: Run, start: int = 1, end: int | None = None) -> OutputWord:
-    """Positional output of run positions start..end (1-based, inclusive).
-
-    A silent step contributes nothing, so a fully silent stretch gives
-    the empty word rather than a word of placeholders.
-    """
-    if end is None:
-        end = len(run.outputs)
-    return tuple(
-        (out, i)
-        for i in range(start, end + 1)
-        if (out := run.outputs[i - 1]) is not None
-    )
-
-
-def enumerate_runs(vpt: Vpt, tokens, max_runs: int | None = None) -> list[Run]:
-    """All runs over the whole token sequence from initial states.
-
-    Runs only need to survive to the end; acceptance is not required.
-    Raises ResourceCapError past max_runs.
-    """
-    toks = list(tokens)
-    oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
-    runs: list[Run] = []
-    work = [(0, q, (), (q,), (), ()) for q in sorted(vpt.initial, key=repr)]
-    while work:
-        i, q, stack, seen, outs, pushed = work.pop()
-        if i == len(toks):
-            runs.append(Run(seen, outs, pushed))
-            if max_runs is not None and len(runs) > max_runs:
-                raise ResourceCapError(f"run enumeration exceeded {max_runs} runs")
-            continue
-        tok = toks[i]
-        if tok.kind == TokenKind.OPEN:
-            for out, q2, x in oidx.get((q, tok.name), ()):
-                work.append((i + 1, q2, stack + (x,), seen + (q2,), outs + (out,), pushed + (x,)))
-        elif tok.kind == TokenKind.CLOSE:
-            if not stack:
-                continue
-            x = stack[-1]
-            for out, q2 in cidx.get((q, tok.name, x), ()):
-                work.append((i + 1, q2, stack[:-1], seen + (q2,), outs + (out,), pushed + (None,)))
-        else:
-            for out, q2 in nidx.get((q, tok.name), ()):
-                work.append((i + 1, q2, stack, seen + (q2,), outs + (out,), pushed + (None,)))
-    return runs
 
 
 def oracle_enumerate(vpt: Vpt, tokens, max_configs: int = 5_000_000) -> frozenset:
@@ -190,16 +137,16 @@ def oracle_enumerate(vpt: Vpt, tokens, max_configs: int = 5_000_000) -> frozense
         tok = toks[i]
         k = i + 1
         if tok.kind == TokenKind.OPEN:
-            for o, q2, x in oidx.get((q, tok.name), ()):
+            for o, q2, x in oidx.get(tok.name, NO_MOVES).get(q, ()):
                 work.append((k, q2, stack + (x,), out if o is None else out + ((o, k),)))
         elif tok.kind == TokenKind.CLOSE:
             if not stack:
                 continue
             x = stack[-1]
-            for o, q2 in cidx.get((q, tok.name, x), ()):
+            for o, q2 in cidx.get(tok.name, NO_MOVES).get((q, x), ()):
                 work.append((k, q2, stack[:-1], out if o is None else out + ((o, k),)))
         else:
-            for o, q2 in nidx.get((q, tok.name), ()):
+            for o, q2 in nidx.get(tok.name, NO_MOVES).get(q, ()):
                 work.append((k, q2, stack, out if o is None else out + ((o, k),)))
     return frozenset(results)
 
@@ -251,7 +198,7 @@ def _det_tables(vpt: Vpt, max_states: int):
     def d_open(S, a, out):
         summary, seed = set(), set()
         for p, p2 in S:
-            for o, q2, x in oidx.get((p2, a), ()):
+            for o, q2, x in oidx[a].get(p2, ()):
                 if o == out:
                     summary.add((p, x, q2))
                     seed.add((q2, q2))
@@ -264,7 +211,7 @@ def _det_tables(vpt: Vpt, max_states: int):
         nxt = set()
         for p, x, p2 in summary:
             for q2 in by_first.get(p2, ()):
-                for o, q3 in cidx.get((q2, a, x), ()):
+                for o, q3 in cidx[a].get((q2, x), ()):
                     if o == out:
                         nxt.add((p, q3))
         return frozenset(nxt)
@@ -272,7 +219,7 @@ def _det_tables(vpt: Vpt, max_states: int):
     def d_neutral(S, a, out):
         nxt = set()
         for p, q in S:
-            for o, q2 in nidx.get((q, a), ()):
+            for o, q2 in nidx[a].get(q, ()):
                 if o == out:
                     nxt.add((p, q2))
         return frozenset(nxt)

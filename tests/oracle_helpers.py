@@ -8,9 +8,17 @@ function against itself.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from vptenum.ecs import EcsArena, EMPTY
-from vptenum.nested import Span, StructuredAlphabet, Token, TokenKind
+from vptenum.nested import (
+    Span,
+    StructuredAlphabet,
+    Token,
+    TokenizeError,
+    TokenKind,
+    token_of_word,
+)
 from vptenum.spanner import (
     ChainProduction,
     EpsProduction,
@@ -19,7 +27,7 @@ from vptenum.spanner import (
     close_marker,
     open_marker,
 )
-from vptenum.vpt import Vpt
+from vptenum.vpt import NO_MOVES, OutputWord, ResourceCapError, Vpt
 
 
 # ---------------------------------------------------------------- spans
@@ -49,6 +57,103 @@ def lowerlevel_by_scan(tokens, k: int) -> Span | None:
     if j == 1:
         return None
     return currlevel_by_scan(tokens, j - 1)
+
+
+def _unmatched_open_positions(tokens: list[Token], upto: int) -> list[int]:
+    # positions (1-based) of opens in tokens[0:upto] with no matching close
+    stack: list[int] = []
+    for idx in range(upto):
+        tok = tokens[idx]
+        if tok.kind is TokenKind.OPEN:
+            stack.append(idx + 1)
+        elif tok.kind is TokenKind.CLOSE:
+            if not stack:
+                raise ValueError(f"unbalanced close at position {idx + 1}")
+            stack.pop()
+    return stack
+
+
+def currlevel(tokens: list[Token], k: int) -> Span:
+    """Longest well-nested span ending at position k, by a stack.
+
+    Equals <j,k> where j-1 is the deepest open of the prefix that is
+    still unmatched at k, or j = 1 when the prefix balances.
+    """
+    if not 1 <= k <= len(tokens) + 1:
+        raise ValueError(f"position {k} out of range")
+    stack = _unmatched_open_positions(tokens, k - 1)
+    j = stack[-1] + 1 if stack else 1
+    return Span(j, k)
+
+
+def lowerlevel(tokens: list[Token], k: int) -> Span | None:
+    """The level just below currlevel(k), or None at the root level."""
+    j = currlevel(tokens, k).start
+    if j == 1:
+        return None
+    return currlevel(tokens, j - 1)
+
+
+# ------------------------------------------------------------ tokenizer
+
+def _chars(source):
+    if isinstance(source, str):
+        yield from source
+        return
+    read = getattr(source, "read", None)
+    if read is not None:
+        while True:
+            chunk = read(8192)
+            if not chunk:
+                return
+            yield from chunk
+        return
+    for chunk in source:
+        yield from chunk
+
+
+def tokenize_by_chars(text, alphabet: StructuredAlphabet):
+    """Character-loop reference for ``nested.tokenize``, same errors.
+
+    A ``#`` with no token in progress starts a comment that runs to the
+    next ``"\n"``; every other ``str.isspace`` character ends a token.
+    """
+    buf: list[str] = []
+    in_comment = False
+    count = 0
+    line, col = 1, 0
+    where = (1, 1)
+
+    def token():
+        try:
+            return token_of_word("".join(buf), alphabet)
+        except TokenizeError as exc:
+            raise TokenizeError(
+                f"{exc} at token {count + 1}, line {where[0]}:{where[1]}"
+            ) from None
+
+    for ch in _chars(text):
+        col += 1
+        if ch == "\n":
+            line, col = line + 1, 0
+        if in_comment:
+            if ch == "\n":
+                in_comment = False
+            continue
+        if ch == "#" and not buf:
+            in_comment = True
+            continue
+        if ch.isspace():
+            if buf:
+                yield token()
+                count += 1
+                buf.clear()
+            continue
+        if not buf:
+            where = (line, col)
+        buf.append(ch)
+    if buf:
+        yield token()
 
 
 # ------------------------------------------------- shadow model for ECS
@@ -461,6 +566,66 @@ def random_vpa(rng: random.Random, n_states: int = 5, n_trans: int = 12) -> Vpt:
     )
 
 
+# ------------------------------------------------ runs by brute force
+
+@dataclass(frozen=True)
+class Run:
+    """A complete run: n+1 states, per-position emission (None when
+    silent) and per-position pushed stack symbol (None off opens)."""
+
+    states: tuple
+    outputs: tuple
+    pushed: tuple
+
+
+def out_of_run(run: Run, start: int = 1, end: int | None = None) -> OutputWord:
+    """Positional output of run positions start..end (1-based, inclusive).
+
+    A silent step contributes nothing, so a fully silent stretch gives
+    the empty word rather than a word of placeholders.
+    """
+    if end is None:
+        end = len(run.outputs)
+    return tuple(
+        (out, i)
+        for i in range(start, end + 1)
+        if (out := run.outputs[i - 1]) is not None
+    )
+
+
+def enumerate_runs(vpt: Vpt, tokens, max_runs: int | None = None) -> list[Run]:
+    """All runs over the whole token sequence from initial states.
+
+    Runs only need to survive to the end; acceptance is not required.
+    Raises ResourceCapError past max_runs.
+    """
+    toks = list(tokens)
+    oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
+    runs: list[Run] = []
+    work = [(0, q, (), (q,), (), ()) for q in sorted(vpt.initial, key=repr)]
+    while work:
+        i, q, stack, seen, outs, pushed = work.pop()
+        if i == len(toks):
+            runs.append(Run(seen, outs, pushed))
+            if max_runs is not None and len(runs) > max_runs:
+                raise ResourceCapError(f"run enumeration exceeded {max_runs} runs")
+            continue
+        tok = toks[i]
+        if tok.kind == TokenKind.OPEN:
+            for out, q2, x in oidx.get(tok.name, NO_MOVES).get(q, ()):
+                work.append((i + 1, q2, stack + (x,), seen + (q2,), outs + (out,), pushed + (x,)))
+        elif tok.kind == TokenKind.CLOSE:
+            if not stack:
+                continue
+            x = stack[-1]
+            for out, q2 in cidx.get(tok.name, NO_MOVES).get((q, x), ()):
+                work.append((i + 1, q2, stack[:-1], seen + (q2,), outs + (out,), pushed + (None,)))
+        else:
+            for out, q2 in nidx.get(tok.name, NO_MOVES).get(q, ()):
+                work.append((i + 1, q2, stack, seen + (q2,), outs + (out,), pushed + (None,)))
+    return runs
+
+
 # ------------------------------------------- engine table invariants
 
 def table_languages(arena, table: dict) -> dict:
@@ -488,15 +653,13 @@ def check_state_invariants(vpt: Vpt, tokens) -> None:
     Assumes an I/O-deterministic vpt so entries are duplicate-free.
     """
     from vptenum.engine import preprocess
-    from vptenum.nested import currlevel, lowerlevel
-    from vptenum.vpt import enumerate_runs as vpt_runs, out_of_run
 
     toks = list(tokens)
     res = preprocess(vpt, toks, trace=True)
     arena = res.arena
     for k in range(1, len(toks) + 2):
         table, frames = res.trace[k - 1]
-        runs = vpt_runs(vpt, toks[: k - 1])
+        runs = enumerate_runs(vpt, toks[: k - 1])
         j = currlevel(toks, k).start
         expect_s: dict = {}
         for run in runs:
@@ -513,7 +676,7 @@ def check_state_invariants(vpt: Vpt, tokens) -> None:
         assert frames, f"missing stack frame at position {k}"
         i = low.start
         expect_t: dict = {}
-        for run in vpt_runs(vpt, toks[: j - 1]):
+        for run in enumerate_runs(vpt, toks[: j - 1]):
             key = (run.states[i - 1], run.pushed[j - 2], run.states[j - 1])
             expect_t.setdefault(key, set()).add(out_of_run(run, i, j - 1))
         got_t = table_languages(arena, frames[-1])

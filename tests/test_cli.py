@@ -236,6 +236,14 @@ class TestRun:
         code, _, err = run_main(capsys, ["run", "-t", t, "-d", d])
         assert code == EXIT_INPUT
 
+    def test_bad_token_position_on_stderr(self, capsys, files):
+        t = files("m.vpt", CHOICE_VPT)
+        d = files("d.txt", "<r b\nc\n  c <b r>\n")
+        code, out, err = run_main(capsys, ["run", "-t", t, "-d", d])
+        assert code == EXIT_INPUT
+        assert out == []
+        assert err == ["vptenum: error: unknown open symbol 'b' at token 5, line 3:5"]
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_main(
             capsys,

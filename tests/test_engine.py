@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from vptenum.cli import _bench_doc, _bench_vpt
 from vptenum.ecs import EMPTY, EPSILON
 from vptenum.engine import (
     AmbiguityError,
@@ -11,7 +13,7 @@ from vptenum.engine import (
     SymbolStats,
     accepts,
     evaluate,
-    if_prod,
+    neutral_step,
     open_step,
     preprocess,
     resolve_mode,
@@ -52,25 +54,35 @@ def three_state_marker() -> Vpt:
 
 
 class TestIfProd:
+    """The output extension inlined in every step, seen through neutral_step."""
+
+    def step(self, out):
+        m = marker_vpt()
+        state = EngineState.initial(m)
+        (q,) = m.initial
+        neutral_step(state, {q: [(out, q)]}, 3)
+        return state, state.table[(q, q)]
+
     def test_silent_is_identity(self):
-        state = EngineState.initial(marker_vpt())
-        assert if_prod(state.arena, state.epsilon, None, 3) == state.epsilon
+        state, v = self.step(None)
+        assert v == state.epsilon
 
     def test_extends_epsilon(self):
-        state = EngineState.initial(marker_vpt())
-        v = if_prod(state.arena, state.epsilon, "o", 3)
+        state, v = self.step("o")
         assert lang(state.arena, v) == {(("o", 3),)}
 
     def test_sentinel_passes_through(self):
+        # an entry without a move leaves no entry, never a stored EMPTY
         state = EngineState.initial(marker_vpt())
-        assert if_prod(state.arena, EMPTY, "o", 3) == EMPTY
+        neutral_step(state, {}, 3)
+        assert state.table == {}
 
 
 class TestSteps:
     def test_open_step_hand_example(self):
         m = three_state_marker()
         state = EngineState.initial(m)
-        open_step(state, m.open_index, "a", 1, SymbolStats())
+        open_step(state, m.open_index["a"], 1)
         assert set(state.table) == {("q1", "q1")}
         assert lang(state.arena, state.table[("q1", "q1")]) == {()}
         assert len(state.frames) == 1
@@ -224,6 +236,46 @@ class TestEvaluate:
         assert len(stats.per_symbol) == len(doc)
         totals = stats.totals()
         assert totals.visits > 0
+
+
+def _arena_nodes(arena):
+    return (arena.labels, arena.lefts, arena.rights, arena.payloads)
+
+
+class TestStats:
+    def test_per_symbol_records_only_on_request(self):
+        rng = random.Random(55)
+        for _ in range(60):
+            m = random_det_vpt(rng)
+            doc = random_well_nested(rng, m.alphabet, rng.randint(0, 12))
+            plain = preprocess(m, doc)
+            recorded = preprocess(m, doc, per_symbol=True)
+            assert plain.stats.per_symbol == []
+            assert len(recorded.stats.per_symbol) == len(doc)
+            summed = SymbolStats()
+            for sym in recorded.stats.per_symbol + [recorded.stats.finalize]:
+                summed.add(sym)
+            assert plain.stats.totals() == summed == recorded.stats.totals()
+            assert plain.stats.finalize == recorded.stats.finalize
+            assert plain.stats.pulls == recorded.stats.pulls == len(doc) + 1
+            assert summed.nodes_added == len(plain.arena) - 1  # all but the epsilon seed
+            assert _arena_nodes(plain.arena) == _arena_nodes(recorded.arena)
+            assert plain.root == recorded.root
+
+    def test_retained_memory_does_not_grow_with_length(self):
+        # a default pass keeps O(1) counters, not a record per token
+        vpt = _bench_vpt()
+        kept = {}
+        for n in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                result = preprocess(vpt, _bench_doc(n, 40))
+                kept[n], _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.length == n
+            del result
+        assert abs(kept[400_000] - kept[100_000]) < 64 * 1024, kept
 
 
 class TestAccepts:

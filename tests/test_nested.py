@@ -2,6 +2,8 @@ import io
 import itertools
 import random
 
+from vptenum import nested
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,8 +13,6 @@ from vptenum.nested import (
     Token,
     TokenKind,
     TokenizeError,
-    currlevel,
-    lowerlevel,
     serialize,
     token_of_word,
     tokenize,
@@ -22,13 +22,16 @@ from vptenum.nested import (
 
 from oracle_helpers import (
     brackets,
+    currlevel,
     currlevel_by_scan,
     is_well_nested,
+    lowerlevel,
     lowerlevel_by_scan,
     random_well_nested,
     tok_close,
     tok_neutral,
     tok_open,
+    tokenize_by_chars,
 )
 
 ALPH = StructuredAlphabet(
@@ -82,6 +85,107 @@ class TestTokenize:
     def test_round_trip(self):
         text = "<a <b c b> c a> item"
         assert serialize(tokenize(text, ALPH)) == text
+
+    def test_unknown_symbol_position(self):
+        with pytest.raises(
+            TokenizeError, match=r"^unknown neutral symbol 'q' at token 4, line 2:3$"
+        ):
+            list(tokenize("<a c\nc q a>", ALPH))
+
+    def test_malformed_token_on_line_3(self):
+        text = "<a c # a comment <b>\n\titem\n  c <b> a>\n"
+        with pytest.raises(TokenizeError, match=r"^malformed token '<b>' at token 5, line 3:5$"):
+            list(tokenize(text, ALPH))
+
+    def test_position_of_a_token_split_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(nested, "BLOCK_CHARS", 4)
+        with pytest.raises(TokenizeError, match=r"^unknown neutral symbol 'itex' at token 3, line 2:4$"):
+            list(tokenize("<a c\n   itex a>", ALPH))
+
+    def test_comment_ends_only_at_newline(self):
+        # \r, \x0b, \x1c, \x85 and \u2028 split tokens but do not end a comment
+        for brk in ("\r", "\x0b", "\x1c", "\x85", "\u2028"):
+            text = f"<a # q{brk}q\nc{brk}a>"
+            assert serialize(tokenize(text, ALPH)) == "<a c a>"
+
+    def test_mid_token_hash_is_part_of_the_token(self):
+        with pytest.raises(TokenizeError, match=r"'c#d' at token 2, line 1:4"):
+            list(tokenize("<a c#d a>", ALPH))
+
+
+# fragments for random documents: words, bad words, comment starts,
+# and the separators that split tokens (\n alone ends a comment)
+_WORDS = ["<a", "a>", "<b", "b>", "c", "item"]
+_BAD = ["q", "<>", "<a>", "<", ">", "<zz", "zz>", "a#b", "c#"]
+_COMMENTS = ["#", "# note <a", "#c", "##"]
+_SPACES = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\u2003", "\u2028", "\x85", ""]
+
+
+def _random_text(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.7:
+            parts.append(rng.choice(_WORDS))
+        elif roll < 0.8:
+            parts.append(rng.choice(_BAD))
+        else:
+            parts.append(rng.choice(_COMMENTS))
+        parts.append(rng.choice(_SPACES))
+    return "".join(parts)
+
+
+def _outcome(source):
+    try:
+        return list(tokenize(source, ALPH))
+    except TokenizeError as exc:
+        return ("error", str(exc))
+
+
+def _reference(text):
+    try:
+        return list(tokenize_by_chars(text, ALPH))
+    except TokenizeError as exc:
+        return ("error", str(exc))
+
+
+class TestTokenizeAgainstCharLoop:
+    """The block tokenizer against the character loop it replaced."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, nested.BLOCK_CHARS])
+    def test_random_texts(self, block, monkeypatch):
+        monkeypatch.setattr(nested, "BLOCK_CHARS", block)
+        rng = random.Random(2010_06037 + block)
+        for _ in range(300):
+            text = _random_text(rng)
+            want = _reference(text)
+            assert _outcome(text) == want, repr(text)
+            assert _outcome(io.StringIO(text)) == want, repr(text)
+            for cut in range(len(text) + 1):
+                chunks = iter([text[:cut], text[cut:]])
+                assert _outcome(chunks) == want, (repr(text), cut)
+
+    def test_reference_errors_carry_positions(self):
+        assert _reference("c\n\r\n  <b> c") == (
+            "error",
+            "malformed token '<b>' at token 2, line 3:3",
+        )
+
+    def test_lazy_over_chunks(self):
+        pulled = []
+
+        def chunks():
+            for chunk in ["<a c ", "c a>", "q"]:
+                pulled.append(chunk)
+                yield chunk
+
+        stream = tokenize(chunks(), ALPH)
+        assert next(stream) == tok_open("a")
+        assert pulled == ["<a c "]
+        assert next(stream) == tok_neutral("c")
+        assert pulled == ["<a c "]
+        with pytest.raises(TokenizeError, match="'a>q' at token 4"):
+            list(stream)
 
 
 class TestNestedness:

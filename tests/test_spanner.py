@@ -16,7 +16,7 @@ from oracle_helpers import (
     tok_neutral,
     tok_open,
 )
-from vptenum.engine import accepts
+from vptenum.engine import NestingError, accepts
 from vptenum.nested import Span, well_nested_words
 from vptenum.spanner import (
     END_MARKER,
@@ -396,6 +396,21 @@ class TestEvaluateSpanner:
         g = parse_vpeg(ELEMENT_GRAMMAR)
         with pytest.raises(GrammarError, match="'z' not in grammar alphabet"):
             list(evaluate_spanner(g, [tok_neutral("z")]))
+
+    def test_document_checked_as_it_is_pulled(self):
+        # no copy of the document first: the pass meets the stray close
+        # before the foreign symbol behind it is read
+        g = parse_vpeg(ELEMENT_GRAMMAR)
+        pulled = []
+
+        def doc():
+            for tok in [tok_close("a"), tok_neutral("z")]:
+                pulled.append(tok)
+                yield tok
+
+        with pytest.raises(NestingError, match="unbalanced close at position 1"):
+            list(evaluate_spanner(g, doc()))
+        assert pulled == [tok_close("a")]
 
     def test_end_marker_symbol_rejected_in_document(self):
         g = parse_vpeg(ELEMENT_GRAMMAR)

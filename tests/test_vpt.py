@@ -6,16 +6,22 @@ from vptenum.engine import accepts
 from vptenum.nested import StructuredAlphabet, well_nested_words
 from vptenum.vpt import (
     ResourceCapError,
-    Run,
     Vpt,
-    enumerate_runs,
     io_determinize,
     is_io_deterministic,
     oracle_enumerate,
-    out_of_run,
 )
 
-from oracle_helpers import brackets, random_det_vpt, random_nondet_vpt, random_vpa, tok_neutral
+from oracle_helpers import (
+    Run,
+    brackets,
+    enumerate_runs,
+    out_of_run,
+    random_det_vpt,
+    random_nondet_vpt,
+    random_vpa,
+    tok_neutral,
+)
 
 ALPH = StructuredAlphabet(frozenset({"a"}), frozenset({"a"}), frozenset({"c"}))
 
