@@ -1,8 +1,13 @@
 #!/bin/sh
 # Tour of the vptenum command line: run, oracle, spanner, determinize,
-# bench.  Requires the package to be installed (pip install -e .).
+# bench.  Runs this checkout's package as a module with $PYTHON
+# (default python3); no install needed.
 set -eu
 cd "$(dirname "$0")"
+PYTHONPATH="$(cd .. && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
+
+vptenum() { "${PYTHON:-python3}" -m vptenum "$@"; }
 
 doc=$(mktemp)
 machine=$(mktemp)

@@ -123,10 +123,11 @@ def cmd_run(args) -> int:
     enum = Enumerator(
         result.arena, result.root, smoothing=args.smoothing, instrument=args.stats
     )
+    write = sys.stdout.write  # one call per result line
     print("#")
     emitted = 0
     for word in enum:
-        print(render_word(word))
+        write(render_word(word) + "\n")
         emitted += 1
         if args.limit is not None and emitted >= args.limit:
             break
@@ -165,10 +166,11 @@ def cmd_oracle(args) -> int:
 def cmd_spanner(args) -> int:
     with open(args.grammar, "r", encoding="utf-8") as fh:
         vpeg = spanner.parse_vpeg(fh.read())
+    write = sys.stdout.write  # one call per result line
     emitted = 0
     with _document(args.document, vpeg.alphabet) as doc:
         for mapping in spanner.evaluate_spanner(vpeg, doc):
-            print(mapping.render())
+            write(mapping.render() + "\n")
             emitted += 1
             if args.limit is not None and emitted >= args.limit:
                 break

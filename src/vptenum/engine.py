@@ -23,7 +23,7 @@ from vptenum import ecs
 from vptenum.ecs import EMPTY, EcsArena
 from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator, OutputWord
 from vptenum.nested import TokenKind
-from vptenum.vpt import NO_MOVES, Vpt, is_io_deterministic, io_determinize
+from vptenum.vpt import NO_MOVES, Vpt, is_io_deterministic, io_determinize, stable_key
 
 OPEN, NEUTRAL = TokenKind.OPEN, TokenKind.NEUTRAL
 
@@ -80,7 +80,7 @@ class EngineState:
     def initial(cls, vpt: Vpt) -> "EngineState":
         arena = ecs.new_arena()
         eps = arena.epsilon_node()
-        table = {(q, q): eps for q in vpt.initial}
+        table = {(q, q): eps for q in sorted(vpt.initial, key=stable_key)}
         return cls(arena=arena, table=table, frames=[], open_positions=[], epsilon=eps)
 
 

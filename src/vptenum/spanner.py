@@ -18,6 +18,7 @@ into) yields one output word per span assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
@@ -483,39 +484,118 @@ def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000) -> Vpt:
     )
 
 
-@dataclass(frozen=True)
+class SpanLayout:
+    """How the spans of one variable set are decoded and printed.
+
+    The variables are sorted once: the start marker of the i-th fills
+    slot 2i of a result's bounds, its end marker slot 2i+1. Each output
+    symbol (a set of markers) compiles to the tuple of slots it fills,
+    the first time it is seen, so decoding a result costs one slot
+    write per marker plus one check per variable. The print format is
+    fixed here too, with `%` in a name escaped so it prints literally.
+    """
+
+    __slots__ = ("variables", "width", "template", "_starts", "_marker_slots", "_slots")
+
+    def __init__(self, variables):
+        xs = tuple(sorted(variables))
+        self.variables = xs
+        self.width = 2 * len(xs)
+        self._starts = tuple(range(0, self.width, 2))
+        self.template = " ".join(x.replace("%", "%%") + "=[%d,%d)" for x in xs)
+        self._marker_slots = {}
+        for i, x in enumerate(xs):
+            self._marker_slots[open_marker(x)] = 2 * i
+            self._marker_slots[close_marker(x)] = 2 * i + 1
+        self._slots: dict = {}
+
+    def compile(self, out) -> tuple:
+        """The slots one output symbol fills; markers of other variables
+        fill none."""
+        marker_slots = self._marker_slots
+        slots = self._slots[out] = tuple(sorted(marker_slots[m] for m in out if m in marker_slots))
+        return slots
+
+    def decode(self, output_word) -> "SpanMapping":
+        """Read span ends off a (marker set, position) word.
+
+        A start marker at position k begins the span at k; an end marker
+        at position k ends it exclusively at k, so a pair at the same
+        position is the empty span. Each variable must start once and
+        end once, in that order.
+        """
+        bounds = [None] * self.width
+        slots = self._slots
+        for out, pos in output_word:
+            try:
+                targets = slots[out]
+            except KeyError:
+                targets = self.compile(out)
+            for s in targets:
+                if bounds[s] is not None:
+                    raise NotFunctionalError(
+                        f"duplicate capture for variable {self.variables[s >> 1]!r}"
+                    )
+                bounds[s] = pos
+        if None in bounds:
+            self._reject(bounds)
+        for i in self._starts:
+            if not 1 <= bounds[i] <= bounds[i + 1]:
+                self._reject(bounds)
+        return SpanMapping(self, tuple(bounds))
+
+    def _reject(self, bounds: list) -> None:
+        """Raise for the first variable, in sorted order, whose span is bad."""
+        for i, x in enumerate(self.variables):
+            start, end = bounds[2 * i], bounds[2 * i + 1]
+            if start is None or end is None:
+                raise NotFunctionalError(f"missing capture for variable {x!r}")
+            if start > end:
+                raise NotFunctionalError(f"span of variable {x!r} ends before it starts")
+            Span(start, end)  # raises for a position before the document
+
+
 class SpanMapping:
-    spans: tuple  # sorted tuple of (variable, Span)
+    """One result: the layout it was decoded with and its bounds, the
+    start and end of each variable's span in the layout's order."""
+
+    __slots__ = ("layout", "bounds")
+
+    def __init__(self, layout: SpanLayout, bounds: tuple):
+        self.layout = layout
+        self.bounds = bounds
+
+    @property
+    def spans(self) -> tuple:
+        """Sorted tuple of (variable, Span)."""
+        b = self.bounds
+        return tuple(
+            (x, Span(b[2 * i], b[2 * i + 1])) for i, x in enumerate(self.layout.variables)
+        )
 
     def render(self) -> str:
-        return " ".join(f"{x}=[{s.start},{s.end})" for x, s in self.spans)
+        return self.layout.template % self.bounds
+
+    def __eq__(self, other):
+        if not isinstance(other, SpanMapping):
+            return NotImplemented
+        return self.bounds == other.bounds and self.layout.variables == other.layout.variables
+
+    def __hash__(self):
+        return hash((self.layout.variables, self.bounds))
+
+    def __repr__(self):
+        return f"SpanMapping({self.spans!r})"
+
+
+@lru_cache(maxsize=64)
+def _layout(variables: frozenset) -> SpanLayout:
+    return SpanLayout(variables)
 
 
 def decode_mapping(output_word, variables) -> SpanMapping:
-    """Read span ends off a (marker set, position) word.
-
-    A start marker at position k begins the span at k; an end marker at
-    position k ends it exclusively at k, so a pair at the same position
-    is the empty span. Each variable must start once and end once.
-    """
-    starts: dict = {}
-    ends: dict = {}
-    for capset, pos in output_word:
-        for marker in capset:
-            kind_open = marker[0] == "⊢"
-            var = marker[1:]
-            target = starts if kind_open else ends
-            if var in target:
-                raise NotFunctionalError(f"duplicate capture for variable {var!r}")
-            target[var] = pos
-    spans = []
-    for x in sorted(variables):
-        if x not in starts or x not in ends:
-            raise NotFunctionalError(f"missing capture for variable {x!r}")
-        if starts[x] > ends[x]:
-            raise NotFunctionalError(f"span of variable {x!r} ends before it starts")
-        spans.append((x, Span(starts[x], ends[x])))
-    return SpanMapping(tuple(spans))
+    """Decode one output word through the variable set's cached layout."""
+    return _layout(frozenset(variables)).decode(output_word)
 
 
 def compile_vpeg(vpeg: Vpeg) -> Vpt:
@@ -536,10 +616,14 @@ def evaluate_spanner(
     ambiguity would produce.
     """
     vpt = compile_vpeg(vpeg)
+    layout = SpanLayout(vpeg.variables)
+    for out in vpt.output_symbols:  # determinization keeps them
+        layout.compile(out)
+    decode = layout.decode
     doc = chain(_in_alphabet(tokens, vpt.alphabet), [Token(TokenKind.NEUTRAL, END_MARKER)])
     mode = "check" if is_io_deterministic(vpt) else "determinize"
     for word in engine.evaluate(vpt, doc, mode=mode, smoothing=smoothing):
-        yield decode_mapping(word, vpeg.variables)
+        yield decode(word)
 
 
 def _in_alphabet(tokens, alphabet: StructuredAlphabet) -> Iterator[Token]:

@@ -89,28 +89,66 @@ class Vpt:
 
     # indices are built once per machine and keyed by letter first, so
     # the pass looks a letter up once per token: open_index[a][q],
-    # close_index[a][(q, x)] and neutral_index[a][q] list the moves; as
-    # non-fields they stay out of equality and hashing
+    # close_index[a][(q, x)] and neutral_index[a][q] list the moves, in
+    # stable order so that the order of the results does not depend on
+    # the process; as non-fields they stay out of equality and hashing
     @cached_property
     def open_index(self) -> dict:
         idx: dict = {}
         for q, a, out, q2, x in self.opens:
             idx.setdefault(a, {}).setdefault(q, []).append((out, q2, x))
-        return idx
+        return _stable_rows(idx)
 
     @cached_property
     def close_index(self) -> dict:
         idx: dict = {}
         for q, a, out, x, q2 in self.closes:
             idx.setdefault(a, {}).setdefault((q, x), []).append((out, q2))
-        return idx
+        return _stable_rows(idx)
 
     @cached_property
     def neutral_index(self) -> dict:
         idx: dict = {}
         for q, a, out, q2 in self.neutrals:
             idx.setdefault(a, {}).setdefault(q, []).append((out, q2))
-        return idx
+        return _stable_rows(idx)
+
+
+def stable_key(value) -> tuple:
+    """A sort key that does not depend on hashing.
+
+    Iterating a frozenset follows the hash seed, and `hash(None)` is an
+    address. Here a string is its own key, a tuple is keyed member by
+    member, a frozenset by its members' sorted keys and anything else by
+    its repr, so states, letters, outputs and stack symbols of any of
+    these shapes sort the same way in every process.
+    """
+    if isinstance(value, str):
+        return (0, value)
+    if isinstance(value, tuple):
+        return (2, tuple(map(stable_key, value)))
+    if isinstance(value, frozenset):
+        return (3, tuple(sorted(map(stable_key, value))))
+    return (1, repr(value))
+
+
+def _stable_rows(idx: dict) -> dict:
+    """Sort every index row of two or more moves part by part in
+    stable_key order; each distinct output, state or stack symbol is
+    keyed once."""
+    keys: dict = {}
+
+    def key_of(part):
+        key = keys.get(part)
+        if key is None:
+            key = keys[part] = stable_key(part)
+        return key
+
+    for row in idx.values():
+        for moves in row.values():
+            if len(moves) > 1:
+                moves.sort(key=lambda move: tuple(map(key_of, move)))
+    return idx
 
 
 def oracle_enumerate(vpt: Vpt, tokens, max_configs: int = 5_000_000) -> frozenset:

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, exit codes, output framing."""
 
+import contextlib
 import csv
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -22,6 +24,8 @@ from vptenum.cli import (
     render_word,
 )
 from vptenum.formats import parse_vpt
+from vptenum.nested import tokenize
+from vptenum.spanner import evaluate_spanner, parse_vpeg
 from vptenum.vpt import is_io_deterministic
 
 # one bracket pair, two outputs per b, silent c padding
@@ -425,13 +429,18 @@ class TestRenderWord:
         assert render_word((("o", 1), ("p", 12))) == "o@1 p@12"
 
 
-def run_module(*args):
-    """``python -m vptenum ...`` against this checkout, installed or not."""
+def module_env(**env_vars) -> dict:
+    """The environment with env_vars added and this checkout importable."""
     src = str(Path(vptenum.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*args, text=True, **env_vars):
+    """``python -m vptenum ...`` against this checkout, installed or not."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, *args], capture_output=True, text=text, timeout=60, env=module_env(**env_vars)
     )
 
 
@@ -475,6 +484,87 @@ def test_broken_pipe_exits_quietly():
     )
     for _ in range(2):
         proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert err == b""
+
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+
+
+def demo_argv(command, files, document):
+    """Arguments that run a demos/data machine or grammar on a document."""
+    doc = files("d.txt", document)
+    if command == "run":
+        return ["run", "-t", str(DEMO_DATA / "choice.vpt"), "-d", doc]
+    return ["spanner", "-g", str(DEMO_DATA / "element.vpeg"), "-d", doc]
+
+
+@pytest.mark.parametrize(
+    "command, document, results",
+    [("run", "<r b c b b r>", 8), ("spanner", "<a c c a> <a c a> <a a> <a c c c a>", 4)],
+)
+def test_output_order_independent_of_hash_seed(files, command, document, results):
+    # no setarch and no fixed seed: the order of the printed results
+    # must not depend on set iteration or on hash(None)
+    argv = demo_argv(command, files, document)
+    outputs = set()
+    for seed in range(5):
+        proc = run_module("-m", "vptenum", *argv, PYTHONHASHSEED=str(seed))
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    assert len(out.splitlines()) == results + (2 if command == "run" else 0)
+
+
+def printed(lines) -> bytes:
+    """What print() writes for the lines."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        for line in lines:
+            print(line)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+def test_run_prints_the_bytes_of_print(files, limit):
+    # the result order is the same in every process, so the library's
+    # results here, printed with print(), are the subprocess's bytes
+    argv = demo_argv("run", files, "<r b c b b r>")
+    vpt = parse_vpt((DEMO_DATA / "choice.vpt").read_text(encoding="utf-8"))
+    words = engine.evaluate(vpt, tokenize("<r b c b b r>", vpt.alphabet))
+    want = printed(["#", *map(render_word, itertools.islice(words, limit)), "#"])
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    assert run_module("-m", "vptenum", *argv, text=False).stdout == want
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+def test_spanner_prints_the_bytes_of_print(files, limit):
+    document = "<a c c a> <a c a> <a a> <a c c c a>"
+    argv = demo_argv("spanner", files, document)
+    vpeg = parse_vpeg((DEMO_DATA / "element.vpeg").read_text(encoding="utf-8"))
+    mappings = evaluate_spanner(vpeg, tokenize(document, vpeg.alphabet))
+    want = printed(m.render() for m in itertools.islice(mappings, limit))
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    assert run_module("-m", "vptenum", *argv, text=False).stdout == want
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [("run", "<r " + "b " * 12 + "r>"), ("spanner", "<a c a> " * 12_000)],
+)
+def test_broken_pipe_on_result_lines(files, command, document):
+    # far more output than a pipe holds; the reader leaves after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vptenum", *demo_argv(command, files, document)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(),
+    )
+    proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_OK

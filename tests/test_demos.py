@@ -18,3 +18,17 @@ def test_demo_runs(prefix):
         [sys.executable, str(script)], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_tour_runs_from_a_checkout():
+    env = dict(os.environ, PYTHON=sys.executable)
+    proc = subprocess.run(
+        ["sh", str(ROOT / "demos" / "05_cli_tour.sh")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "engine and oracle agree" in proc.stdout
+    assert "x=[2,4)" in proc.stdout

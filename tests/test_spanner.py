@@ -25,6 +25,7 @@ from vptenum.spanner import (
     GrammarError,
     NestProduction,
     NotFunctionalError,
+    SpanLayout,
     SpanMapping,
     Vpeg,
     check_functional,
@@ -38,7 +39,7 @@ from vptenum.spanner import (
     parse_vpeg,
     to_evpa,
 )
-from vptenum.vpt import ResourceCapError, is_io_deterministic
+from vptenum.vpt import ResourceCapError, is_io_deterministic, oracle_enumerate
 
 # Captures the content of exactly one top-level element of the document,
 # one mapping per element; used throughout as the worked example.
@@ -355,6 +356,67 @@ class TestDecodeMapping:
             decode_mapping(word, {"x"})
 
 
+class TestSpanLayout:
+    def test_names_with_format_characters_print_literally(self):
+        g = parse_vpeg(
+            "var p%d q{0}\nstart S\nS -> (p%d A\nA -> c B\nB -> p%d) C\n"
+            "C -> (q{0} D\nD -> c E\nE -> q{0}) F\nF -> eps"
+        )
+        doc = [tok_neutral("c"), tok_neutral("c")]
+        assert renders(g, doc) == ["p%d=[1,2) q{0}=[2,3)"]
+        word = (
+            (frozenset({open_marker("p%d")}), 1),
+            (frozenset({close_marker("p%d"), open_marker("q{0}")}), 2),
+            (frozenset({close_marker("q{0}")}), 3),
+        )
+        assert decode_mapping(word, g.variables).render() == "p%d=[1,2) q{0}=[2,3)"
+
+    def test_fused_close_and_open_fill_two_slots_at_one_position(self):
+        # x) and (y sit between the two c's, so both markers fuse into
+        # the second c's transition: one output symbol, two slots
+        g = parse_vpeg(
+            "var x y\nstart S\nS -> (x A\nA -> c B\nB -> x) C\n"
+            "C -> (y D\nD -> c E\nE -> y) F\nF -> eps"
+        )
+        fused = frozenset({close_marker("x"), open_marker("y")})
+        assert fused in compile_vpeg(g).output_symbols
+        assert SpanLayout(["y", "x"]).compile(fused) == (1, 2)
+        mappings = list(evaluate_spanner(g, [tok_neutral("c"), tok_neutral("c")]))
+        assert [m.render() for m in mappings] == ["x=[1,2) y=[2,3)"]
+        assert mappings[0].spans == (("x", Span(1, 2)), ("y", Span(2, 3)))
+        assert mappings[0].bounds == (1, 2, 2, 3)
+
+    def test_equal_by_value_across_layouts(self):
+        word = ((frozenset({open_marker("x")}), 2), (frozenset({close_marker("x")}), 4))
+        a = decode_mapping(word, {"x"})
+        b = SpanLayout(["x"]).decode(word)
+        assert a == b and hash(a) == hash(b)
+        later = ((frozenset({open_marker("x")}), 2), (frozenset({close_marker("x")}), 5))
+        assert a != SpanLayout(["x"]).decode(later)
+        assert len({a, b, decode_mapping(later, {"x"})}) == 2
+
+    def test_first_bad_variable_in_sorted_order_is_reported(self):
+        # x ends before it starts and y is missing: x is checked first
+        word = (
+            (frozenset({close_marker("x"), open_marker("y")}), 1),
+            (frozenset({open_marker("x")}), 3),
+        )
+        with pytest.raises(NotFunctionalError, match="'x' ends before it starts"):
+            decode_mapping(word, {"x", "y"})
+
+    def test_position_before_the_document_rejected(self):
+        word = ((frozenset({open_marker("x")}), 0), (frozenset({close_marker("x")}), 1))
+        with pytest.raises(ValueError, match="invalid span"):
+            decode_mapping(word, {"x"})
+
+    def test_markers_of_other_variables_fill_no_slot(self):
+        word = (
+            (frozenset({open_marker("x"), open_marker("z")}), 2),
+            (frozenset({close_marker("x")}), 4),
+        )
+        assert decode_mapping(word, {"x"}).render() == "x=[2,4)"
+
+
 # ----------------------------------------------------------- evaluation
 
 
@@ -453,3 +515,25 @@ class TestEvaluateSpanner:
                 for m in got:
                     for _, s in m.spans:
                         assert 1 <= s.start <= s.end <= len(doc) + 1
+
+    def test_renders_match_decoded_oracle_words(self):
+        # the streamed mappings and the brute-force output words of the
+        # compiled transducer, decoded one by one, print the same lines
+        rng = random.Random(43)
+        end = tok_neutral(END_MARKER)
+        for i in range(12):
+            if i % 3 == 0:
+                g = random_vpeg(rng, rng.randint(1, 2))
+            else:
+                g = random_functional_vpeg(rng, rng.choice([0, 1, 2]))
+            vpt = compile_vpeg(g)
+            docs = [random_doc_for_vpeg(rng, g, 10) for _ in range(5)]
+            docs += [random_well_nested(rng, g.alphabet, rng.randint(0, 10)) for _ in range(3)]
+            for doc in (d for d in docs if d is not None):
+                got = [m.render() for m in evaluate_spanner(g, doc)]
+                want = {
+                    decode_mapping(w, g.variables).render()
+                    for w in oracle_enumerate(vpt, list(doc) + [end])
+                }
+                assert len(got) == len(set(got))
+                assert set(got) == want

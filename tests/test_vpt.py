@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vptenum.engine import accepts
+from vptenum.engine import EngineState, accepts
 from vptenum.nested import StructuredAlphabet, well_nested_words
 from vptenum.vpt import (
     ResourceCapError,
@@ -10,6 +10,7 @@ from vptenum.vpt import (
     io_determinize,
     is_io_deterministic,
     oracle_enumerate,
+    stable_key,
 )
 
 from oracle_helpers import (
@@ -198,6 +199,38 @@ class TestOracle:
     def test_config_cap(self):
         with pytest.raises(ResourceCapError):
             oracle_enumerate(choice_vpt(), brackets("(" + "." * 10 + ")"), max_configs=5)
+
+
+class TestStableOrder:
+    def test_index_rows_in_stable_key_order(self):
+        # None, strings and marker sets side by side in one row; tuple
+        # states in another
+        sets = [frozenset({"⊣x", "⊢y"}), frozenset({"⊢x"})]
+        alph = StructuredAlphabet(frozenset({"a"}), frozenset({"a"}), frozenset({"c"}))
+        m = Vpt(
+            states=frozenset({"q", ("q", 1), ("q", 0)}),
+            alphabet=alph,
+            stack_symbols=frozenset({"X", "Y"}),
+            output_symbols=frozenset({"o", *sets}),
+            opens=frozenset(
+                {("q", "a", out, q2, x) for out in (None, "o", *sets) for q2 in ("q", ("q", 1)) for x in "YX"}
+            ),
+            closes=frozenset(),
+            neutrals=frozenset({("q", "c", None, ("q", 1)), ("q", "c", None, ("q", 0))}),
+            initial=frozenset({"q", ("q", 0)}),
+            final=frozenset({"q"}),
+        )
+        row = m.open_index["a"]["q"]
+        assert row == sorted(row, key=stable_key)
+        assert [out for out, _, _ in row[::4]] == ["o", None, frozenset({"⊢x"}), sets[0]]
+        assert row[:4] == [("o", "q", "X"), ("o", "q", "Y"), ("o", ("q", 1), "X"), ("o", ("q", 1), "Y")]
+        assert m.neutral_index["c"]["q"] == [(None, ("q", 0)), (None, ("q", 1))]
+        assert list(EngineState.initial(m).table) == [("q", "q"), (("q", 0), ("q", 0))]
+
+    def test_key_of_a_set_is_the_sorted_keys_of_its_members(self):
+        a = frozenset({"⊢x", "⊣x", ("q", None)})
+        assert stable_key(a) == (3, tuple(sorted(stable_key(v) for v in a)))
+        assert stable_key(("q", None)) == (2, ((0, "q"), (1, "None")))
 
 
 class TestIoDeterminism:
