@@ -28,6 +28,7 @@ from vptenum.enumtree import DEFAULT_SMOOTHING
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic
 
 END_MARKER = "#"
+OPEN, CLOSE = TokenKind.OPEN, TokenKind.CLOSE
 
 
 class GrammarError(ValueError):
@@ -627,9 +628,15 @@ def evaluate_spanner(
 
 
 def _in_alphabet(tokens, alphabet: StructuredAlphabet) -> Iterator[Token]:
-    """The document tokens, each checked against the grammar's alphabet."""
+    """The document tokens, each checked against the grammar's alphabet;
+    the end marker is never a document symbol."""
+    opens = alphabet.opens - {END_MARKER}
+    closes = alphabet.closes - {END_MARKER}
+    neutrals = alphabet.neutrals - {END_MARKER}
     for tok in tokens:
-        if tok.name == END_MARKER or not alphabet.kind_of(tok.name, tok.kind):
+        kind = tok.kind
+        letters = opens if kind is OPEN else closes if kind is CLOSE else neutrals
+        if tok.name not in letters:
             raise GrammarError(
                 f"document symbol {tok.name!r} not in grammar alphabet"
             )

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 
 from vptenum.ecs import EcsArena, EMPTY
+from vptenum.engine import EngineStats, NestingError, PreprocessResult, SymbolStats
 from vptenum.nested import (
     Span,
     StructuredAlphabet,
@@ -27,7 +28,7 @@ from vptenum.spanner import (
     close_marker,
     open_marker,
 )
-from vptenum.vpt import NO_MOVES, OutputWord, ResourceCapError, Vpt
+from vptenum.vpt import NO_MOVES, OutputWord, ResourceCapError, Vpt, stable_key
 
 
 # ---------------------------------------------------------------- spans
@@ -683,6 +684,189 @@ def check_state_invariants(vpt: Vpt, tokens) -> None:
         assert got_t == {key: frozenset(v) for key, v in expect_t.items()}, (
             f"stack frame off at position {k}"
         )
+
+
+# ------------------------------- the dict-keyed pass, kept as reference
+
+@dataclass
+class ReferenceState:
+    """The pass state of the dict-keyed pass: a {key: handle} pair
+    table and a list of {key: handle} frames."""
+
+    arena: EcsArena
+    table: dict
+    frames: list
+    open_positions: list
+    epsilon: int
+
+    @classmethod
+    def initial(cls, vpt: Vpt) -> "ReferenceState":
+        arena = EcsArena()
+        eps = arena.epsilon_node()
+        table = {(q, q): eps for q in sorted(vpt.initial, key=stable_key)}
+        return cls(arena=arena, table=table, frames=[], open_positions=[], epsilon=eps)
+
+
+# Each step takes its letter's row of the transition index and returns
+# its (visits, scans, arena calls). A visit extends the entry's handle
+# by the move's output, if any, with a fresh symbol leaf (2 calls) and
+# unions it into the new entry (1 call; a vacant entry just takes it,
+# as a union with EMPTY would). Table handles are never EMPTY.
+
+
+def reference_open_step(state: ReferenceState, moves, k: int) -> tuple[int, int, int]:
+    """Consume an open letter: stash the level summary, seed a new level."""
+    arena = state.arena
+    eps = state.epsilon
+    visits = scans = calls = 0
+    summary: dict = {}
+    seed: dict = {}
+    for (p, p2), handle in state.table.items():
+        rules = moves.get(p2)
+        if not rules:
+            scans += 1
+            continue
+        for out, q2, x in rules:
+            visits += 1
+            calls += 1 if out is None else 3
+            v = handle if out is None else arena.prod(handle, arena.add((out, k)))
+            key = (p, x, q2)
+            old = summary.get(key)
+            summary[key] = v if old is None else arena.union(old, v)
+            seed[(q2, q2)] = eps
+    state.frames.append(summary)
+    state.open_positions.append(k)
+    state.table = seed
+    return visits, scans, calls
+
+
+def reference_close_step(state: ReferenceState, moves, k: int) -> tuple[int, int, int]:
+    """Consume a close letter: fold the finished level into the saved one."""
+    if not state.frames:
+        raise NestingError(f"unbalanced close at position {k}")
+    summary = state.frames.pop()
+    state.open_positions.pop()
+    arena = state.arena
+    visits = scans = calls = 0
+    by_first: dict = {}
+    for (p2, q2), handle in state.table.items():
+        by_first.setdefault(p2, []).append((q2, handle))
+    nxt: dict = {}
+    for (p, x, p2), upper in summary.items():
+        inner = by_first.get(p2)
+        if not inner:
+            scans += 1
+            continue
+        for q2, lower in inner:
+            rules = moves.get((q2, x))
+            if not rules:
+                scans += 1
+                continue
+            for out, q3 in rules:
+                visits += 1
+                calls += 2 if out is None else 4
+                v = arena.prod(upper, lower)
+                if out is not None:
+                    v = arena.prod(v, arena.add((out, k)))
+                key = (p, q3)
+                old = nxt.get(key)
+                nxt[key] = v if old is None else arena.union(old, v)
+    state.table = nxt
+    return visits, scans, calls
+
+
+def reference_neutral_step(state: ReferenceState, moves, k: int) -> tuple[int, int, int]:
+    """Consume a neutral letter: extend the level in place, stack untouched."""
+    arena = state.arena
+    visits = scans = calls = 0
+    nxt: dict = {}
+    for (p, q), handle in state.table.items():
+        rules = moves.get(q)
+        if not rules:
+            scans += 1
+            continue
+        for out, q2 in rules:
+            visits += 1
+            calls += 1 if out is None else 3
+            v = handle if out is None else arena.prod(handle, arena.add((out, k)))
+            key = (p, q2)
+            old = nxt.get(key)
+            nxt[key] = v if old is None else arena.union(old, v)
+    state.table = nxt
+    return visits, scans, calls
+
+
+def reference_finalize(state: ReferenceState, vpt: Vpt, stats: SymbolStats) -> int:
+    arena = state.arena
+    before = len(arena.labels)
+    root = EMPTY
+    for (p, q), handle in state.table.items():
+        if p in vpt.initial and q in vpt.final:
+            stats.visits += 1
+            root = arena.union(root, handle)
+            stats.ecs_calls += 1
+        else:
+            stats.scans += 1
+    stats.nodes_added += len(arena.labels) - before
+    return root
+
+
+def reference_preprocess(
+    vpt: Vpt,
+    tokens,
+    trace: bool = False,
+    checkpoints: bool = False,
+    per_symbol: bool = False,
+) -> PreprocessResult:
+    """The single pass over {key: handle} dicts, each step a loop over
+    the table's keys: the reference that the compiled pass of
+    ``engine.preprocess`` is tested against. Same arguments and result;
+    ``stats.plans`` stays 0."""
+    state = ReferenceState.initial(vpt)
+    oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
+    labels = state.arena.labels
+    stats = EngineStats()
+    trace_log: list | None = [] if trace else None
+    checkpoint_log: list | None = [] if checkpoints else None
+    if trace_log is not None:
+        trace_log.append((dict(state.table), [dict(f) for f in state.frames]))
+
+    k = 0
+    for tok in tokens:
+        k += 1
+        before = len(labels)
+        kind = tok.kind
+        if kind is TokenKind.NEUTRAL:
+            visits, scans, calls = reference_neutral_step(state, nidx.get(tok.name, NO_MOVES), k)
+        elif kind is TokenKind.OPEN:
+            visits, scans, calls = reference_open_step(state, oidx.get(tok.name, NO_MOVES), k)
+        else:
+            visits, scans, calls = reference_close_step(state, cidx.get(tok.name, NO_MOVES), k)
+        nodes = len(labels) - before
+        stats.visits += visits
+        stats.scans += scans
+        stats.ecs_calls += calls
+        stats.nodes_added += nodes
+        if per_symbol:
+            stats.per_symbol.append(SymbolStats(visits, scans, calls, nodes))
+        if trace_log is not None:
+            trace_log.append((dict(state.table), [dict(f) for f in state.frames]))
+        if checkpoint_log is not None:
+            handle = reference_finalize(state, vpt, SymbolStats())
+            checkpoint_log.append((k, len(state.frames), handle))
+    stats.pulls = k + 1  # one pull per token plus the one that found the end
+    if state.frames:
+        raise NestingError(f"unbalanced open at position {state.open_positions[0]}")
+    root = reference_finalize(state, vpt, stats.finalize)
+    stats.add(stats.finalize)
+    return PreprocessResult(
+        arena=state.arena,
+        root=root,
+        stats=stats,
+        length=k,
+        trace=trace_log,
+        checkpoints=checkpoint_log,
+    )
 
 
 # ------------------------------------- neutral-step expansion reduction

@@ -26,9 +26,12 @@ from oracle_helpers import (
     brackets,
     check_state_invariants,
     random_det_vpt,
+    random_nondet_vpt,
     random_vpa,
     random_well_nested,
+    reference_preprocess,
     tok_close,
+    tok_neutral,
     tok_open,
 )
 from test_vpt import ALPH, choice_vpt, dyck_vpa, marker_vpt, single_bracket_vpa
@@ -313,3 +316,82 @@ class TestAccepts:
                 assert res.arena.labels[0] == EPSILON
                 assert res.root in (EMPTY, 0)
                 assert accepts(m, doc) == bool(oracle_enumerate(m, doc))
+
+
+def _arena_columns(arena):
+    return tuple(getattr(arena, name) for name in arena.__slots__)
+
+
+def _outcome(run, vpt, doc, **flags):
+    try:
+        return run(vpt, doc, **flags), None
+    except ValueError as err:  # NestingError, or an arena operand check
+        return None, (type(err), str(err))
+
+
+class TestPlansMatchReference:
+    """The compiled pass against the dict-keyed reference pass."""
+
+    def assert_same(self, vpt, doc):
+        for flags in ({}, {"trace": True, "checkpoints": True, "per_symbol": True}):
+            got, got_err = _outcome(preprocess, vpt, doc, **flags)
+            ref, ref_err = _outcome(reference_preprocess, vpt, doc, **flags)
+            assert got_err == ref_err
+            if got is None:
+                continue
+            assert _arena_columns(got.arena) == _arena_columns(ref.arena)
+            assert got.root == ref.root
+            assert got.length == ref.length
+            assert got.stats.per_symbol == ref.stats.per_symbol
+            assert got.stats.totals() == ref.stats.totals()
+            assert got.stats.finalize == ref.stats.finalize
+            assert got.stats.pulls == ref.stats.pulls
+            assert got.trace == ref.trace
+            assert got.checkpoints == ref.checkpoints
+
+    def test_random_machines(self):
+        rng = random.Random(71)
+        makers = (random_det_vpt, random_nondet_vpt, random_vpa)
+        for i in range(240):
+            m = makers[i % 3](rng)
+            for _ in range(3):
+                doc = random_well_nested(rng, m.alphabet, rng.randint(0, 14))
+                self.assert_same(m, doc)
+
+    def test_unbalanced_documents(self):
+        rng = random.Random(72)
+        for _ in range(30):
+            m = random_det_vpt(rng)
+            doc = random_well_nested(rng, m.alphabet, rng.randint(0, 8))
+            cut = rng.randint(0, len(doc))
+            self.assert_same(m, doc[:cut] + [tok_close("a")] + doc[cut:])
+            self.assert_same(m, doc[:cut] + [tok_open("b")] + doc[cut:])
+
+    def test_letters_without_moves(self):
+        # foreign names compile to plans that only scan
+        m = marker_vpt()
+        self.assert_same(m, [tok_open("z"), tok_neutral("y"), tok_close("z")] + brackets("(.)"))
+
+    def test_bench_document(self):
+        self.assert_same(_bench_vpt(), list(_bench_doc(300, 12)))
+
+
+class TestPlanCount:
+    def test_does_not_grow_with_length(self):
+        vpt = _bench_vpt()
+        plans = [preprocess(vpt, _bench_doc(n, 40)).stats.plans for n in (1_000, 100_000)]
+        assert plans[0] == plans[1] > 0
+
+    def test_at_most_one_per_token(self):
+        rng = random.Random(73)
+        makers = (random_det_vpt, random_nondet_vpt, random_vpa)
+        for i in range(90):
+            m = makers[i % 3](rng)
+            doc = random_well_nested(rng, m.alphabet, rng.randint(0, 16))
+            assert 0 <= preprocess(m, doc).stats.plans <= len(doc)
+
+    def test_repeated_steps_reuse_their_plan(self):
+        # one state, so one shape per table kind: one open, one neutral
+        # and one close plan, however long and deep the document
+        for text in ["(.)", "(" + "." * 50 + ")", "((.)(.(.)))" * 5]:
+            assert preprocess(marker_vpt(), brackets(text)).stats.plans == 3

@@ -479,6 +479,27 @@ class TestEvaluateSpanner:
         with pytest.raises(GrammarError, match="not in grammar alphabet"):
             list(evaluate_spanner(g, [tok_neutral(END_MARKER)]))
 
+    @pytest.mark.parametrize(
+        "tok",
+        [
+            tok_open(END_MARKER),
+            tok_close(END_MARKER),
+            tok_neutral(END_MARKER),
+            tok_open("z"),
+            tok_close("z"),
+            tok_neutral("z"),
+            tok_open("c"),
+            tok_neutral("a"),
+        ],
+        ids=repr,
+    )
+    def test_symbol_of_each_kind_checked(self, tok):
+        # the end marker and foreign names are refused as any kind, and
+        # a grammar letter only as the kind it was declared with
+        g = parse_vpeg(ELEMENT_GRAMMAR)
+        with pytest.raises(GrammarError, match=f"{tok.name!r} not in grammar alphabet"):
+            list(evaluate_spanner(g, [tok_open("a"), tok, tok_close("a")]))
+
     def test_not_functional_surfaces(self):
         g = parse_vpeg("var x\nstart S\nS -> eps")
         with pytest.raises(NotFunctionalError):
