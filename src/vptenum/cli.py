@@ -17,7 +17,7 @@ import csv
 import os
 import sys
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import islice, repeat
 
 from vptenum import engine, formats, spanner
 from vptenum.ecs import EMPTY
@@ -39,6 +39,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _count(text: str) -> int:
+    """A non-negative int option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def _lengths(text: str) -> list[int]:
+    """A comma-separated list of document lengths."""
+    return [_count(part) for part in text.split(",") if part]
 
 
 def render_word(word) -> str:
@@ -125,12 +141,8 @@ def cmd_run(args) -> int:
     )
     write = sys.stdout.write  # one call per result line
     print("#")
-    emitted = 0
-    for word in enum:
+    for word in islice(enum, args.limit):
         write(render_word(word) + "\n")
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
     print("#")
     if args.stats:
         _write_stats(args, result.stats, enum)
@@ -170,10 +182,12 @@ def cmd_spanner(args) -> int:
     emitted = 0
     with _document(args.document, vpeg.alphabet) as doc:
         for mapping in spanner.evaluate_spanner(vpeg, doc):
+            # checked before the write: the pass runs before the first
+            # result, so even --limit 0 reads and checks the whole document
+            if emitted == args.limit:
+                break
             write(mapping.render() + "\n")
             emitted += 1
-            if args.limit is not None and emitted >= args.limit:
-                break
     return EXIT_OK
 
 
@@ -219,7 +233,9 @@ def _bench_doc(length: int, choices: int):
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(part) for part in args.lengths.split(",") if part]
+    for length in args.lengths:
+        if length < args.choices + 2:
+            args.usage_error(f"length {length} is shorter than --choices + 2 = {args.choices + 2}")
     vpt = _bench_vpt()
     dest = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -227,18 +243,15 @@ def cmd_bench(args) -> int:
         writer.writerow(
             ["record", "length", "index", "visits", "scans", "ecs_calls", "nodes_added", "delay_steps", "output_len"]
         )
-        for length in lengths:
+        for length in args.lengths:
             result = engine.preprocess(vpt, _bench_doc(length, args.choices), per_symbol=True)
             for k, sym in enumerate(result.stats.per_symbol, start=1):
                 writer.writerow(
                     ["symbol", length, k, sym.visits, sym.scans, sym.ecs_calls, sym.nodes_added, "", ""]
                 )
             enum = Enumerator(result.arena, result.root, instrument=True)
-            taken = 0
-            for _ in enum:
-                taken += 1
-                if taken >= args.limit:
-                    break
+            for _ in islice(enum, args.limit):
+                pass
             for i, (gap, out_len) in enumerate(enum.gaps, start=1):
                 writer.writerow(["output", length, i, "", "", "", "", gap, out_len])
     finally:
@@ -255,7 +268,7 @@ def build_parser() -> _Parser:
     run.add_argument("-t", "--transducer", required=True, help="transducer file")
     run.add_argument("-d", "--document", required=True, help="document file, or - for stdin")
     _add_mode_flags(run)
-    run.add_argument("--limit", type=int, default=None, help="stop after this many results")
+    run.add_argument("--limit", type=_count, default=None, help="stop after this many results")
     run.add_argument("--smoothing", type=int, default=DEFAULT_SMOOTHING, help="delay smoothing factor")
     run.add_argument("--checkpoint", action="store_true", help="report per-symbol acceptance on stderr")
     run.add_argument("--stats", action="store_true", help="emit instrumentation CSV")
@@ -272,7 +285,7 @@ def build_parser() -> _Parser:
     span = sub.add_parser("spanner", help="evaluate an extraction grammar")
     span.add_argument("-g", "--grammar", required=True, help="grammar file")
     span.add_argument("-d", "--document", required=True)
-    span.add_argument("--limit", type=int, default=None)
+    span.add_argument("--limit", type=_count, default=None, help="stop after this many results")
     span.set_defaults(func=cmd_spanner)
 
     det = sub.add_parser("determinize", help="rewrite a transducer deterministically")
@@ -282,11 +295,13 @@ def build_parser() -> _Parser:
     det.set_defaults(func=cmd_determinize)
 
     bench = sub.add_parser("bench", help="instrumented synthetic runs")
-    bench.add_argument("--lengths", default="1000,10000,100000", help="comma-separated document lengths")
-    bench.add_argument("--choices", type=int, default=40, help="binary choice positions per document")
-    bench.add_argument("--limit", type=int, default=10_000, help="results enumerated per document")
+    bench.add_argument(
+        "--lengths", type=_lengths, default="1000,10000,100000", help="comma-separated document lengths"
+    )
+    bench.add_argument("--choices", type=_count, default=40, help="binary choice positions per document")
+    bench.add_argument("--limit", type=_count, default=10_000, help="results enumerated per document")
     bench.add_argument("-o", "--out", default=None, help="CSV file (default stdout)")
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, usage_error=bench.error)
     return parser
 
 

@@ -5,6 +5,17 @@ node is the set of output words its subgraph denotes. All operations
 append O(1) nodes and never mutate existing ones, so every handle ever
 returned stays valid and its language never changes.
 
+Node layout: one slot in each of three parallel lists, ``kinds``,
+``lefts`` and ``rights``. A union or product keeps its children in
+``lefts`` and ``rights``; a symbol leaf keeps its ``(out, k)`` payload
+in ``lefts``. A kind packs the label and the epsilon case of the node's
+language into one small int, ``label | case << 2``; five kinds occur:
+the epsilon-free ``UNION``, ``PRODUCT`` and ``SYMBOL`` (kind = label),
+``EPS_LEAF`` and ``EPS_UNION_NODE`` (the epsilon-union form below).
+Union depth and epsilon-leaf reach are not stored: the operations only
+ask whether an operand is a union, and the inspectors that tests use
+derive the rest.
+
 Three invariants make constant-delay enumeration possible and are
 maintained by construction here:
 
@@ -17,7 +28,9 @@ maintained by construction here:
   language (and no epsilon leaf in its subgraph), is itself an epsilon
   leaf, or is a union whose left child is an epsilon leaf and whose
   right subgraph is epsilon-free. The last shape is called the
-  epsilon-union form below.
+  epsilon-union form below. Products are only ever built over
+  epsilon-free operands, so an epsilon-free node reaches only
+  epsilon-free nodes.
 
 Callers must guarantee the usual unambiguity preconditions: operands of
 union have disjoint languages (up to the shared epsilon), and operands
@@ -38,7 +51,10 @@ EPSILON = 3
 NO_EPS = 0  # epsilon not in the language
 IS_EPS = 1  # the language is exactly {epsilon}
 EPS_UNION = 2  # union node: left child an epsilon leaf, right epsilon-free
-EPS_OTHER = 3  # contains epsilon in some other shape (gadget internals only)
+
+# the two kinds that are not a bare label; a kind below EPSILON is epsilon-free
+EPS_LEAF = EPSILON | IS_EPS << 2
+EPS_UNION_NODE = UNION | EPS_UNION << 2
 
 # the empty-set sentinel: absorbed by union, absorbing for prod
 EMPTY = -1
@@ -47,120 +63,117 @@ EMPTY = -1
 class EcsArena:
     """Node store. Handles are indices; ``EMPTY`` (= -1) is the empty set."""
 
-    __slots__ = (
-        "labels",
-        "lefts",
-        "rights",
-        "payloads",
-        "depths",
-        "eps_cases",
-        "eps_leaf_reach",
-    )
+    __slots__ = ("kinds", "lefts", "rights", "_reach")
 
     def __init__(self) -> None:
-        self.labels: list[int] = []
-        self.lefts: list[int] = []
+        self.kinds: list[int] = []
+        self.lefts: list = []  # left child, or a symbol leaf's payload
         self.rights: list[int] = []
-        self.payloads: list[tuple | None] = []
-        self.depths: list[int] = []
-        self.eps_cases: list[int] = []
-        self.eps_leaf_reach: list[bool] = []
+        self._reach: list[bool] = []  # epsilon-leaf reach, grown by is_safe only
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.kinds)
 
-    # -- creation ----------------------------------------------------
-
-    def _new(self, label: int, left: int, right: int, payload: tuple | None) -> int:
-        v = len(self.labels)
-        self.labels.append(label)
-        self.lefts.append(left)
-        self.rights.append(right)
-        self.payloads.append(payload)
-        if label == UNION:
-            depth = self.depths[left] + 1
-            has_eps = self.eps_cases[left] != NO_EPS or self.eps_cases[right] != NO_EPS
-            reach = self.eps_leaf_reach[left] or self.eps_leaf_reach[right]
-        elif label == PRODUCT:
-            depth = 0
-            has_eps = (
-                self.eps_cases[left] in (IS_EPS, EPS_UNION, EPS_OTHER)
-                and self.eps_cases[right] in (IS_EPS, EPS_UNION, EPS_OTHER)
-            )
-            reach = self.eps_leaf_reach[left] or self.eps_leaf_reach[right]
-        elif label == EPSILON:
-            depth, has_eps, reach = 0, True, True
-        else:
-            depth, has_eps, reach = 0, False, False
-        self.depths.append(depth)
-        if label == EPSILON:
-            case = IS_EPS
-        elif not has_eps:
-            case = NO_EPS
-        elif label == UNION and self.labels[left] == EPSILON and self.eps_cases[right] == NO_EPS:
-            case = EPS_UNION
-        else:
-            case = EPS_OTHER
-        self.eps_cases.append(case)
-        self.eps_leaf_reach.append(reach)
-        return v
+    # -- creation: one constructor per kind -----------------------------
 
     def add(self, payload: tuple) -> int:
         """Fresh symbol leaf with language {payload}. Appends exactly 1 node."""
-        return self._new(SYMBOL, EMPTY, EMPTY, payload)
+        v = len(self.kinds)
+        self.kinds.append(SYMBOL)
+        self.lefts.append(payload)
+        self.rights.append(EMPTY)
+        return v
 
     def epsilon_node(self) -> int:
         """Fresh leaf with language {epsilon}. Appends exactly 1 node."""
-        return self._new(EPSILON, EMPTY, EMPTY, None)
+        v = len(self.kinds)
+        self.kinds.append(EPS_LEAF)
+        self.lefts.append(EMPTY)
+        self.rights.append(EMPTY)
+        return v
 
-    # -- inspection --------------------------------------------------
+    def _product(self, left: int, right: int) -> int:
+        # both children epsilon-free
+        v = len(self.kinds)
+        self.kinds.append(PRODUCT)
+        self.lefts.append(left)
+        self.rights.append(right)
+        return v
+
+    def _union(self, left: int, right: int, kind: int = UNION) -> int:
+        # UNION: both children epsilon-free; EPS_UNION_NODE: an epsilon
+        # leaf on the left and an epsilon-free node on the right
+        v = len(self.kinds)
+        self.kinds.append(kind)
+        self.lefts.append(left)
+        self.rights.append(right)
+        return v
+
+    # -- inspection (tests, debugging; off the hot path) ----------------
+
+    def label(self, v: int) -> int:
+        return self.kinds[v] & 3
+
+    def eps_case(self, v: int) -> int:
+        return self.kinds[v] >> 2
+
+    def payload(self, v: int) -> tuple | None:
+        """A symbol leaf's (out, k); None for every other node."""
+        return self.lefts[v] if self.kinds[v] == SYMBOL else None
 
     def output_depth(self, v: int) -> int:
         """Left union-depth: 0 on leaves and products, 1 + depth(left) on unions."""
-        return self.depths[v]
-
-    def eps_case(self, v: int) -> int:
-        return self.eps_cases[v]
+        depth = 0
+        while self.kinds[v] & 3 == UNION:
+            depth += 1
+            v = self.lefts[v]
+        return depth
 
     def contains_epsilon(self, v: int) -> bool:
-        return self.eps_cases[v] != NO_EPS
+        return self.kinds[v] > EPSILON
+
+    def eps_leaf_reach(self, v: int) -> bool:
+        """Whether an epsilon leaf lies in v's subgraph."""
+        reach, kinds = self._reach, self.kinds
+        for u in range(len(reach), len(kinds)):
+            kind = kinds[u]
+            if kind == SYMBOL or kind == EPS_LEAF:
+                reach.append(kind == EPS_LEAF)
+            else:
+                reach.append(reach[self.lefts[u]] or reach[self.rights[u]])
+        return reach[v]
 
     def is_safe(self, v: int) -> bool:
         """The safety predicate union/prod operands must satisfy.
 
         Structural part: output_depth(v) <= 1, and if it is 1 then
-        output_depth(r(v)) <= 1. Epsilon part: the node is in one of
-        the three disciplined shapes, an epsilon-free subgraph carries
-        no epsilon leaf, and the right subgraph of an epsilon-union
-        node is epsilon-leaf-free.
+        output_depth(r(v)) <= 1. Epsilon part: an epsilon-free subgraph
+        carries no epsilon leaf, and the right subgraph of an
+        epsilon-union node is epsilon-leaf-free.
         """
-        d = self.depths[v]
-        if d > 1:
+        d = self.output_depth(v)
+        if d > 1 or (d == 1 and self.output_depth(self.rights[v]) > 1):
             return False
-        if d == 1 and self.depths[self.rights[v]] > 1:
-            return False
-        case = self.eps_cases[v]
-        if case == EPS_OTHER:
-            return False
-        if case == NO_EPS and self.eps_leaf_reach[v]:
-            return False
-        if case == EPS_UNION and self.eps_leaf_reach[self.rights[v]]:
-            return False
+        case = self.eps_case(v)
+        if case == NO_EPS:
+            return not self.eps_leaf_reach(v)
+        if case == EPS_UNION:
+            return not self.eps_leaf_reach(self.rights[v])
         return True
 
     # -- union -------------------------------------------------------
 
     def _union_plain(self, a: int, b: int) -> int:
         # both operands epsilon-free and safe
-        if self.depths[a] == 0:
-            return self._new(UNION, a, b, None)
-        if self.depths[b] == 0:
-            return self._new(UNION, b, a, None)
+        if self.kinds[a] != UNION:
+            return self._union(a, b)
+        if self.kinds[b] != UNION:
+            return self._union(b, a)
         # both are unions: three fresh nodes keep the result's left
         # spine shallow while the deep node stays on a right branch
-        vstar = self._new(UNION, self.rights[a], self.rights[b], None)
-        vmid = self._new(UNION, self.lefts[b], vstar, None)
-        return self._new(UNION, self.lefts[a], vmid, None)
+        vstar = self._union(self.rights[a], self.rights[b])
+        vmid = self._union(self.lefts[b], vstar)
+        return self._union(self.lefts[a], vmid)
 
     def union(self, v1: int, v2: int) -> int:
         """Node for L(v1) | L(v2). Appends at most 4 nodes.
@@ -172,29 +185,25 @@ class EcsArena:
             return v2
         if v2 == EMPTY:
             return v1
-        c1, c2 = self.eps_cases[v1], self.eps_cases[v2]
-        if c1 == NO_EPS and c2 == NO_EPS:
-            return self._union_plain(v1, v2)
-        if c1 == NO_EPS and c2 == IS_EPS:
-            return self._new(UNION, v2, v1, None)
-        if c1 == NO_EPS and c2 == EPS_UNION:
+        k1, k2 = self.kinds[v1], self.kinds[v2]
+        if k1 < EPSILON:  # v1 epsilon-free
+            if k2 < EPSILON:
+                return self._union_plain(v1, v2)
+            if k2 == EPS_LEAF:
+                return self._union(v2, v1, EPS_UNION_NODE)
             inner = self._union_plain(v1, self.rights[v2])
-            return self._new(UNION, self.lefts[v2], inner, None)
-        if c1 == IS_EPS and c2 == NO_EPS:
-            return self._new(UNION, v1, v2, None)
-        if c1 == IS_EPS and c2 == IS_EPS:
+            return self._union(self.lefts[v2], inner, EPS_UNION_NODE)
+        if k1 == EPS_LEAF:
+            if k2 < EPSILON:
+                return self._union(v1, v2, EPS_UNION_NODE)
+            return v2 if k2 == EPS_UNION_NODE else v1
+        if k2 == EPS_LEAF:  # v1 an epsilon union from here on
             return v1
-        if c1 == IS_EPS and c2 == EPS_UNION:
-            return v2
-        if c1 == EPS_UNION and c2 == NO_EPS:
+        if k2 < EPSILON:
             inner = self._union_plain(self.rights[v1], v2)
-            return self._new(UNION, self.lefts[v1], inner, None)
-        if c1 == EPS_UNION and c2 == IS_EPS:
-            return v1
-        if c1 == EPS_UNION and c2 == EPS_UNION:
-            inner = self._union_plain(self.rights[v1], self.rights[v2])
-            return self._new(UNION, self.lefts[v2], inner, None)
-        raise ValueError("union operands must be safe nodes")
+            return self._union(self.lefts[v1], inner, EPS_UNION_NODE)
+        inner = self._union_plain(self.rights[v1], self.rights[v2])
+        return self._union(self.lefts[v2], inner, EPS_UNION_NODE)
 
     # -- prod --------------------------------------------------------
 
@@ -206,40 +215,35 @@ class EcsArena:
         """
         if v1 == EMPTY or v2 == EMPTY:
             return EMPTY
-        c1, c2 = self.eps_cases[v1], self.eps_cases[v2]
-        if c1 == NO_EPS and c2 == NO_EPS:
-            return self._new(PRODUCT, v1, v2, None)
-        if c1 == IS_EPS:
+        k1, k2 = self.kinds[v1], self.kinds[v2]
+        if k1 < EPSILON and k2 < EPSILON:
+            return self._product(v1, v2)
+        if k1 == EPS_LEAF:
             return v2
-        if c2 == IS_EPS:
+        if k2 == EPS_LEAF:
             return v1
-        if c1 == NO_EPS and c2 == EPS_UNION:
+        if k1 < EPSILON:
             # L1.(eps | R2)  =  L1.R2 | L1
-            both = self._new(PRODUCT, v1, self.rights[v2], None)
-            return self._new(UNION, both, v1, None)
-        if c1 == EPS_UNION and c2 == NO_EPS:
+            return self._union(self._product(v1, self.rights[v2]), v1)
+        if k2 < EPSILON:
             # (eps | R1).L2  =  R1.L2 | L2
-            both = self._new(PRODUCT, self.rights[v1], v2, None)
-            return self._new(UNION, both, v2, None)
-        if c1 == EPS_UNION and c2 == EPS_UNION:
-            return self._prod_both_eps(v1, v2)
-        raise ValueError("prod operands must be safe nodes")
+            return self._union(self._product(self.rights[v1], v2), v2)
+        return self._prod_both_eps(v1, v2)
 
     def _prod_both_eps(self, v1: int, v2: int) -> int:
         # (eps | A).(eps | B)  =  eps | A | A.B | B  with A = r(v1), B = r(v2)
         a, b = self.rights[v1], self.rights[v2]
-        both = self._new(PRODUCT, a, b, None)
-        if self.depths[a] == 0:
+        both = self._product(a, b)
+        if self.kinds[a] != UNION:
             # left spine through A stays depth 1
-            inner = self._new(UNION, both, b, None)
-            mid = self._new(UNION, a, inner, None)
-            eps_leaf = self._new(EPSILON, EMPTY, EMPTY, None)
-            return self._new(UNION, eps_leaf, mid, None)
+            inner = self._union(both, b)
+            mid = self._union(a, inner)
+            return self._union(self.epsilon_node(), mid, EPS_UNION_NODE)
         # A is a union; splice its halves so no left spine exceeds depth 2
-        tail = self._new(UNION, self.rights[a], b, None)
-        spliced = self._new(UNION, self.lefts[a], tail, None)
-        mid = self._new(UNION, both, spliced, None)
-        return self._new(UNION, self.lefts[v1], mid, None)
+        tail = self._union(self.rights[a], b)
+        spliced = self._union(self.lefts[a], tail)
+        mid = self._union(both, spliced)
+        return self._union(self.lefts[v1], mid, EPS_UNION_NODE)
 
     # -- debugging ---------------------------------------------------
 
@@ -253,9 +257,9 @@ class EcsArena:
             got = memo.get(u)
             if got is not None:
                 return got
-            lab = self.labels[u]
+            lab = self.label(u)
             if lab == SYMBOL:
-                out = frozenset({(self.payloads[u],)})
+                out = frozenset({(self.lefts[u],)})
             elif lab == EPSILON:
                 out = frozenset({()})
             elif lab == UNION:

@@ -9,22 +9,25 @@ summary with the finished level and pop. Because arena nodes are
 persistent, popped levels stay valid inside whatever handles they were
 combined into.
 
-Shapes and plans. The keys of a table, in order, are its *shape*: a
-tuple of (p, q) pairs for a level, of (p, x, q2) triples for a summary.
+Shapes and plans. A table's *shape* is its keys in order, (p, q) pairs
+for a level and (p, x, q2) triples for a summary, plus one epsilon flag
+per key: set exactly when the slot holds the pass's epsilon leaf.
 Shapes are interned per pass, so a table is a shape id plus a list of
 handles, one slot per key, and a frame is the summary's shape id, its
-handles and the position of its open. What a step does with the keys
-depends only on the shape(s) and the letter, so each distinct step is
-compiled once into a *plan*: its instructions (source slot or slots,
-output symbol, target slot) in the order the keys and moves are met,
-the target shape, and the step's (visits, scans, arena calls). Running
-a plan is one list read, the arena calls and one list write per
-instruction; the pair keys are not touched again, and a neutral step
-that maps every key to itself without output keeps the handle list as
-it is. ``preprocess`` caches its plans in dicts of its own, keyed by
-(shape, letter) for neutrals and opens and by (summary shape, shape,
-letter) for closes: the lazy subset construction of on-the-fly DFA
-matchers, applied to the level summaries.
+handles and the position of its open. What a step does depends only on
+the shape(s) and the letter, so each distinct step is compiled once into
+a *plan*, the target shape and the step's (visits, scans, arena calls).
+The flags are exact, so the compile folds every epsilon operand as the
+arena would: epsilon factors drop out of products and a union of two
+epsilons is one. What is left a copy of a source handle becomes a slot
+move, and all moves run as one ``operator.itemgetter`` gather; only the
+instructions that create nodes (a symbol leaf, a product of two
+non-epsilon handles, a union) remain as per-token *work*, in the order
+the keys and moves are met. A neutral step that maps every key to
+itself keeps the handle list as it is. ``preprocess`` caches its plans
+in dicts of its own, keyed by (shape, letter) for neutrals and opens and
+by (summary shape, shape, letter) for closes: the lazy subset
+construction of on-the-fly DFA matchers, applied to the level summaries.
 
 The input is pulled exactly once per token plus one probe that detects
 the end. A token costs at most one plan build, bounded by the table and
@@ -38,7 +41,8 @@ stays within the arena's own O(work).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 from vptenum import ecs
 from vptenum.ecs import EMPTY, EcsArena
@@ -90,19 +94,24 @@ class EngineStats(SymbolStats):
 
 
 class Shapes:
-    """The shapes met in one pass, each interned to a small int id."""
+    """The shapes met in one pass, each interned to a small int id.
 
-    __slots__ = ("keys", "ids")
+    A shape is a table's keys, in order, and one epsilon flag per slot:
+    true exactly when the slot's handle is the pass's epsilon leaf."""
+
+    __slots__ = ("keys", "eps", "ids")
 
     def __init__(self) -> None:
         self.keys: list[tuple] = []  # shape id -> its keys
+        self.eps: list[tuple] = []  # shape id -> its epsilon flags
         self.ids: dict[tuple, int] = {}
 
-    def intern(self, keys: tuple) -> int:
-        sid = self.ids.get(keys)
+    def intern(self, keys: tuple, eps: tuple) -> int:
+        sid = self.ids.get((keys, eps))
         if sid is None:
-            sid = self.ids[keys] = len(self.keys)
+            sid = self.ids[keys, eps] = len(self.keys)
             self.keys.append(keys)
+            self.eps.append(eps)
         return sid
 
 
@@ -127,7 +136,8 @@ class EngineState:
         eps = arena.epsilon_node()
         shapes = Shapes()
         keys = tuple((q, q) for q in sorted(vpt.initial, key=stable_key))
-        return cls(arena, shapes, shapes.intern(keys), [eps] * len(keys), [], eps)
+        sid = shapes.intern(keys, (True,) * len(keys))
+        return cls(arena, shapes, sid, [eps] * len(keys), [], eps)
 
     @property
     def table(self) -> dict:
@@ -140,12 +150,15 @@ class EngineState:
 
 
 class Plan(NamedTuple):
-    """One compiled step. An open's target is the summary it pushes;
-    its new level is ``seed_width`` epsilon handles of shape ``seed``.
-    A neutral plan's ``code`` is None when the table stays as it is."""
+    """One compiled step over a *pool* of handles: the table, or for a
+    close the summary's handles followed by the level's. ``gather``
+    picks the target's handles out of the pool (None: a neutral keeps
+    the table as it is), then ``work`` runs. An open's target is the
+    summary it pushes; its new level is ``seed_width`` epsilon handles
+    of shape ``seed``."""
 
-    code: tuple | None  # (source slot(s), output or None, target slot), run in order
-    width: int  # target slots, numbered by first write
+    gather: Callable | None
+    work: tuple  # (a, b, out, tgt, join), see _run
     shape: int  # the target's shape id
     counts: tuple  # the step's (visits, scans, arena calls)
     seed: int = -1
@@ -156,7 +169,44 @@ class Plan(NamedTuple):
 # order. A visit extends the entry's handle by the move's output, if
 # any, with a fresh symbol leaf (2 calls) and unions it into the target
 # slot (1 call; a vacant slot just takes it, as a union with EMPTY
-# would). Table handles are never EMPTY.
+# would). Table handles are never EMPTY. The counts are those of this
+# model, whatever the folding of epsilon operands leaves to run.
+
+
+def _gatherer(take: list) -> Callable:
+    if len(take) == 1:
+        (i,) = take
+        return lambda pool: (pool[i],)
+    return itemgetter(*take) if take else lambda pool: ()
+
+
+def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple:
+    """Fold the epsilon operands out of a step's instructions and split
+    them into a gather and work; returns both and the target's shape id.
+
+    An instruction (a, b, out, tgt) puts pool[a] . pool[b] . leaf(out)
+    into slot tgt, by a union if the slot is taken; b, out may be None."""
+    take = [0] * len(keys)  # a slot that work fills first gathers a placeholder
+    eps: list = [None] * len(keys)  # None while the slot is vacant
+    work = []
+    for a, b, out, tgt in code:
+        if b is not None and pool_eps[a]:
+            a, b = b, None
+        elif b is not None and pool_eps[b]:
+            b = None
+        if out is not None and b is None and pool_eps[a]:
+            a = None  # epsilon . leaf is the leaf
+        copy = out is None and b is None
+        if eps[tgt] is None:
+            eps[tgt] = copy and pool_eps[a]
+            if copy:
+                take[tgt] = a
+            else:
+                work.append((a, b, out, tgt, False))
+        elif not (eps[tgt] and copy and pool_eps[a]):
+            eps[tgt] = False
+            work.append((a, b, out, tgt, True))
+    return _gatherer(take), tuple(work), shapes.intern(keys, tuple(eps))
 
 
 def neutral_plan(shapes: Shapes, sid: int, moves) -> Plan:
@@ -172,12 +222,11 @@ def neutral_plan(shapes: Shapes, sid: int, moves) -> Plan:
         for out, q2 in rules:
             visits += 1
             calls += 1 if out is None else 3
-            code.append((i, out, slots.setdefault((p, q2), len(slots))))
-    shape = shapes.intern(tuple(slots))
-    code = tuple(code)
-    if shape == sid and code == tuple((i, None, i) for i in range(len(code))):
-        code = None  # the table stays as it is
-    return Plan(code, len(slots), shape, (visits, scans, calls))
+            code.append((i, None, out, slots.setdefault((p, q2), len(slots))))
+    gather, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
+    if shape == sid and not work and all(i == tgt for i, _, _, tgt in code):
+        gather = None  # the table stays as it is
+    return Plan(gather, work, shape, (visits, scans, calls))
 
 
 def open_plan(shapes: Shapes, sid: int, moves) -> Plan:
@@ -194,16 +243,12 @@ def open_plan(shapes: Shapes, sid: int, moves) -> Plan:
         for out, q2, x in rules:
             visits += 1
             calls += 1 if out is None else 3
-            code.append((i, out, slots.setdefault((p, x, q2), len(slots))))
+            code.append((i, None, out, slots.setdefault((p, x, q2), len(slots))))
             seed.setdefault((q2, q2))
-    return Plan(
-        tuple(code),
-        len(slots),
-        shapes.intern(tuple(slots)),
-        (visits, scans, calls),
-        shapes.intern(tuple(seed)),
-        len(seed),
-    )
+    gather, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
+    seed_keys = tuple(seed)
+    seed_sid = shapes.intern(seed_keys, (True,) * len(seed_keys))
+    return Plan(gather, work, shape, (visits, scans, calls), seed_sid, len(seed_keys))
 
 
 def close_plan(shapes: Shapes, summary_sid: int, sid: int, moves) -> Plan:
@@ -213,8 +258,9 @@ def close_plan(shapes: Shapes, summary_sid: int, sid: int, moves) -> Plan:
     code = []
     slots: dict = {}
     by_first: dict = {}
+    uppers = len(shapes.keys[summary_sid])  # the level's handles follow in the pool
     for j, (p2, q2) in enumerate(shapes.keys[sid]):
-        by_first.setdefault(p2, []).append((q2, j))
+        by_first.setdefault(p2, []).append((q2, uppers + j))
     for i, (p, x, p2) in enumerate(shapes.keys[summary_sid]):
         inner = by_first.get(p2)
         if not inner:
@@ -229,18 +275,25 @@ def close_plan(shapes: Shapes, summary_sid: int, sid: int, moves) -> Plan:
                 visits += 1
                 calls += 2 if out is None else 4
                 code.append((i, j, out, slots.setdefault((p, q3), len(slots))))
-    return Plan(tuple(code), len(slots), shapes.intern(tuple(slots)), (visits, scans, calls))
+    pool_eps = shapes.eps[summary_sid] + shapes.eps[sid]
+    gather, work, shape = _assemble(shapes, tuple(slots), code, pool_eps)
+    return Plan(gather, work, shape, (visits, scans, calls))
 
 
-def _extend(arena: EcsArena, code: tuple, handles: list, width: int, k: int) -> list:
-    """Run an open's or a neutral's instructions: the target's handles."""
-    new: list = [None] * width
-    for src, out, tgt in code:
-        v = handles[src]
-        if out is not None:
-            v = arena.prod(v, arena.add((out, k)))
-        old = new[tgt]
-        new[tgt] = v if old is None else arena.union(old, v)
+def _run(arena: EcsArena, gather: Callable, work: tuple, pool: list, k: int) -> list:
+    """The target's handles: the gathered moves, then the work at position k."""
+    new = list(gather(pool))
+    if work:
+        add, prod, union = arena.add, arena.prod, arena.union
+        for a, b, out, tgt, join in work:
+            if b is not None:
+                v = prod(pool[a], pool[b])
+            elif a is not None:
+                v = pool[a]
+            if out is not None:
+                leaf = add((out, k))
+                v = leaf if a is None else prod(v, leaf)
+            new[tgt] = union(new[tgt], v) if join else v
     return new
 
 
@@ -249,34 +302,25 @@ def _extend(arena: EcsArena, code: tuple, handles: list, width: int, k: int) -> 
 
 
 def run_neutral(state: EngineState, plan: Plan, k: int) -> tuple:
-    code, width, shape, counts, _, _ = plan
-    if code is not None:
-        state.handles = _extend(state.arena, code, state.handles, width, k)
+    gather, work, shape, counts, _, _ = plan
+    if gather is not None:
+        state.handles = _run(state.arena, gather, work, state.handles, k)
         state.shape = shape
     return counts
 
 
 def run_open(state: EngineState, plan: Plan, k: int) -> tuple:
-    code, width, shape, counts, seed, seed_width = plan
-    state.stack.append((shape, _extend(state.arena, code, state.handles, width, k), k))
+    gather, work, shape, counts, seed, seed_width = plan
+    state.stack.append((shape, _run(state.arena, gather, work, state.handles, k), k))
     state.handles = [state.epsilon] * seed_width
     state.shape = seed
     return counts
 
 
 def run_close(state: EngineState, plan: Plan, k: int) -> tuple:
-    code, width, shape, counts, _, _ = plan
+    gather, work, shape, counts, _, _ = plan
     _, uppers, _ = state.stack.pop()
-    lowers = state.handles
-    arena = state.arena
-    new: list = [None] * width
-    for up, low, out, tgt in code:
-        v = arena.prod(uppers[up], lowers[low])
-        if out is not None:
-            v = arena.prod(v, arena.add((out, k)))
-        old = new[tgt]
-        new[tgt] = v if old is None else arena.union(old, v)
-    state.handles = new
+    state.handles = _run(state.arena, gather, work, uppers + state.handles, k)
     state.shape = shape
     return counts
 
@@ -310,7 +354,7 @@ def neutral_step(state: EngineState, moves, k: int) -> tuple[int, int, int]:
 def _finalize(state: EngineState, vpt: Vpt, stats: SymbolStats) -> int:
     """Fold the handles of the level's accepting slots into one."""
     arena = state.arena
-    before = len(arena.labels)
+    before = len(arena)
     root = EMPTY
     for (p, q), handle in zip(state.shapes.keys[state.shape], state.handles):
         if p in vpt.initial and q in vpt.final:
@@ -319,7 +363,7 @@ def _finalize(state: EngineState, vpt: Vpt, stats: SymbolStats) -> int:
             stats.ecs_calls += 1
         else:
             stats.scans += 1
-    stats.nodes_added += len(arena.labels) - before
+    stats.nodes_added += len(arena) - before
     return root
 
 
@@ -355,7 +399,7 @@ def preprocess(
     state = EngineState.initial(vpt)
     shapes = state.shapes
     oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
-    labels = state.arena.labels
+    nodes = state.arena.kinds
     stats = EngineStats()
     # the plan caches: (shape, letter) for neutrals and opens,
     # (summary shape, shape, letter) for closes
@@ -368,7 +412,7 @@ def preprocess(
         trace_log.append((state.table, state.frames))
 
     k = total_visits = total_scans = total_calls = 0
-    start = counted = len(labels)  # counted: the arena's size after the last record
+    start = counted = len(nodes)  # counted: the arena's size after the last record
     uncounted = 0  # nodes added by the checkpoints' unions, which are no token's
     for tok in tokens:
         k += 1
@@ -395,8 +439,8 @@ def preprocess(
         total_scans += scans
         total_calls += calls
         if per_symbol:
-            stats.per_symbol.append(SymbolStats(visits, scans, calls, len(labels) - counted))
-            counted = len(labels)
+            stats.per_symbol.append(SymbolStats(visits, scans, calls, len(nodes) - counted))
+            counted = len(nodes)
         if trace_log is not None:
             trace_log.append((state.table, state.frames))
         if checkpoint_log is not None:
@@ -404,11 +448,11 @@ def preprocess(
             handle = _finalize(state, vpt, sink)
             checkpoint_log.append((k, len(state.stack), handle))
             uncounted += sink.nodes_added
-            counted = len(labels)
+            counted = len(nodes)
     if state.stack:
         raise NestingError(f"unbalanced open at position {state.stack[0][2]}")
     stats.visits, stats.scans, stats.ecs_calls = total_visits, total_scans, total_calls
-    stats.nodes_added = len(labels) - start - uncounted
+    stats.nodes_added = len(nodes) - start - uncounted
     stats.pulls = k + 1  # one pull per token plus the one that found the end
     stats.plans = len(neutral_plans) + len(open_plans) + len(close_plans)
     root = _finalize(state, vpt, stats.finalize)

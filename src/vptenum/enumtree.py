@@ -2,10 +2,11 @@
 
 A word of L(v) is witnessed by an output tree: a union node picks one
 child, a product takes both. The enumerator keeps only the skeleton of
-that tree. A skeleton node holds a non-union arena node (a product, a
-symbol leaf or an epsilon leaf), its two child skeleton nodes when it is
-a product, and its owner: the nearest ancestor whose right subtree comes
-next in pre-order.
+that tree. The empty word of an epsilon leaf or epsilon-union root is
+emitted first; below that the arena is epsilon-free. A skeleton node
+holds a non-union arena node (a product or a symbol leaf), its two
+child skeleton nodes when it is a product, and its owner: the nearest
+ancestor whose right subtree comes next in pre-order.
 
 * Build from an arena node follows ``lefts`` while the node is a union
   and records each union as pending: the walk went left there and the
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from vptenum.ecs import EMPTY, EPS_UNION, IS_EPS, PRODUCT, UNION, EcsArena
+from vptenum.ecs import EMPTY, EPS_LEAF, EPS_UNION_NODE, PRODUCT, UNION, EcsArena
 
 OutputWord = tuple  # tuple of (symbol, position) pairs; () is the empty word
 
@@ -94,16 +95,18 @@ class Enumerator:
         v = self.root
         if v == EMPTY:
             return
-        case = arena.eps_cases[v]
-        if case == IS_EPS or case == EPS_UNION:
+        kind = arena.kinds[v]
+        if kind == EPS_LEAF or kind == EPS_UNION_NODE:
             # the empty word first, then the epsilon-free remainder
             self._note_emit((), self.steps + 1)
             yield ()
-            if case == IS_EPS:
+            if kind == EPS_LEAF:
                 return
             v = arena.rights[v]
 
-        labels, lefts, rights, payloads = arena.labels, arena.lefts, arena.rights, arena.payloads
+        # below here every node is an epsilon-free union, product or
+        # symbol leaf, and a symbol leaf's payload sits in ``lefts``
+        kinds, lefts, rights = arena.kinds, arena.lefts, arena.rights
         smoothing, instrument, tree_sizes = self.smoothing, self.instrument, self.tree_sizes
         root = [v, None, None, None]
         stack = [(_CLIMB, root), (_BUILD, root)]
@@ -124,14 +127,14 @@ class Enumerator:
             steps += 1
             if op == _BUILD:
                 u = t[0]
-                if labels[u] == UNION:
+                if kinds[u] == UNION:
                     before = len(out)
-                    while labels[u] == UNION:
+                    while kinds[u] == UNION:
                         pending.append((t, u, nodes, before))
                         u = lefts[u]
                     t[0] = u
                 nodes += 1
-                if labels[u] == PRODUCT:
+                if kinds[u] == PRODUCT:
                     left, right = t[1], t[2]
                     if left is None:
                         # reused children are exhausted: nothing of theirs is pending
@@ -142,9 +145,7 @@ class Enumerator:
                     push((_BUILD, left))
                 else:
                     t[1] = t[2] = None
-                    pl = payloads[u]
-                    if pl is not None:
-                        out.append(pl)
+                    out.append(lefts[u])
             elif op == _CLIMB:
                 owner = t[3]
                 if owner is None:

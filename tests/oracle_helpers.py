@@ -219,16 +219,16 @@ def union_of_unions(n: int) -> tuple[EcsArena, int]:
 
 def check_node_shape(arena: EcsArena, v: int) -> None:
     """2-boundedness of v under the library's depth bookkeeping recomputed
-    from scratch (no trust in the cached columns)."""
+    from scratch (no trust in the arena's own inspectors)."""
     from vptenum.ecs import UNION
 
-    def depth(u, seen=None):
-        if arena.labels[u] != UNION:
+    def depth(u):
+        if arena.label(u) != UNION:
             return 0
         return depth(arena.lefts[u]) + 1
 
     assert depth(v) <= 2, f"node {v} has union depth {depth(v)}"
-    if arena.labels[v] == UNION:
+    if arena.label(v) == UNION:
         assert depth(arena.rights[v]) <= 2
 
 
@@ -257,28 +257,40 @@ class EcsOpSuite:
         self.enum_every = enum_every
         self._ref_depth: list[int] = []
         self._ref_reach: list[bool] = []
+        self._ref_case: list[int] = []
         self._payload_counter = 0
 
     # recomputed-from-scratch columns, grown lazily
     def _grow_refs(self) -> None:
-        from vptenum.ecs import EPSILON, UNION
+        from vptenum.ecs import EPS_UNION, EPSILON, IS_EPS, NO_EPS, PRODUCT, UNION
 
         a = self.arena
+        other = 3  # epsilon in some shape the discipline forbids
         while len(self._ref_depth) < len(a):
             v = len(self._ref_depth)
-            lab = a.labels[v]
-            if lab == UNION:
-                d = 1 + self._ref_depth[a.lefts[v]]
-                r = self._ref_reach[a.lefts[v]] or self._ref_reach[a.rights[v]]
+            lab = a.label(v)
+            if lab in (UNION, PRODUCT):
+                left, right = a.lefts[v], a.rights[v]
+                d = 1 + self._ref_depth[left] if lab == UNION else 0
+                r = self._ref_reach[left] or self._ref_reach[right]
+                cl, cr = self._ref_case[left], self._ref_case[right]
+                if lab == UNION:
+                    has_eps = cl != NO_EPS or cr != NO_EPS
+                else:
+                    has_eps = cl != NO_EPS and cr != NO_EPS
+                if not has_eps:
+                    c = NO_EPS
+                elif lab == UNION and a.label(left) == EPSILON and cr == NO_EPS:
+                    c = EPS_UNION
+                else:
+                    c = other
             elif lab == EPSILON:
-                d, r = 0, True
-            elif a.lefts[v] != EMPTY:  # product
-                d = 0
-                r = self._ref_reach[a.lefts[v]] or self._ref_reach[a.rights[v]]
+                d, r, c = 0, True, IS_EPS
             else:
-                d, r = 0, False
+                d, r, c = 0, False, NO_EPS
             self._ref_depth.append(d)
             self._ref_reach.append(r)
+            self._ref_case.append(c)
 
     def _pick_union_pair(self):
         for _ in range(8):
@@ -343,8 +355,9 @@ class EcsOpSuite:
         a = self.arena
         for u in range(before, len(a)):
             assert self._ref_depth[u] <= 2, f"node {u} breaks 2-boundedness"
-            assert self._ref_depth[u] == a.depths[u], f"depth column wrong at {u}"
-            assert self._ref_reach[u] == a.eps_leaf_reach[u], f"eps reach wrong at {u}"
+            assert self._ref_depth[u] == a.output_depth(u), f"union depth wrong at {u}"
+            assert self._ref_reach[u] == a.eps_leaf_reach(u), f"eps reach wrong at {u}"
+            assert self._ref_case[u] == a.eps_case(u), f"eps case wrong at {u}"
         if v != EMPTY:
             assert a.is_safe(v), f"public handle {v} not safe"
             assert a.contains_epsilon(v) == (() in self.shadow.langs[v])
@@ -798,7 +811,7 @@ def reference_neutral_step(state: ReferenceState, moves, k: int) -> tuple[int, i
 
 def reference_finalize(state: ReferenceState, vpt: Vpt, stats: SymbolStats) -> int:
     arena = state.arena
-    before = len(arena.labels)
+    before = len(arena)
     root = EMPTY
     for (p, q), handle in state.table.items():
         if p in vpt.initial and q in vpt.final:
@@ -807,7 +820,7 @@ def reference_finalize(state: ReferenceState, vpt: Vpt, stats: SymbolStats) -> i
             stats.ecs_calls += 1
         else:
             stats.scans += 1
-    stats.nodes_added += len(arena.labels) - before
+    stats.nodes_added += len(arena) - before
     return root
 
 
@@ -824,7 +837,7 @@ def reference_preprocess(
     ``stats.plans`` stays 0."""
     state = ReferenceState.initial(vpt)
     oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
-    labels = state.arena.labels
+    nodes = state.arena.kinds
     stats = EngineStats()
     trace_log: list | None = [] if trace else None
     checkpoint_log: list | None = [] if checkpoints else None
@@ -834,7 +847,7 @@ def reference_preprocess(
     k = 0
     for tok in tokens:
         k += 1
-        before = len(labels)
+        before = len(nodes)
         kind = tok.kind
         if kind is TokenKind.NEUTRAL:
             visits, scans, calls = reference_neutral_step(state, nidx.get(tok.name, NO_MOVES), k)
@@ -842,13 +855,13 @@ def reference_preprocess(
             visits, scans, calls = reference_open_step(state, oidx.get(tok.name, NO_MOVES), k)
         else:
             visits, scans, calls = reference_close_step(state, cidx.get(tok.name, NO_MOVES), k)
-        nodes = len(labels) - before
+        added = len(nodes) - before
         stats.visits += visits
         stats.scans += scans
         stats.ecs_calls += calls
-        stats.nodes_added += nodes
+        stats.nodes_added += added
         if per_symbol:
-            stats.per_symbol.append(SymbolStats(visits, scans, calls, nodes))
+            stats.per_symbol.append(SymbolStats(visits, scans, calls, added))
         if trace_log is not None:
             trace_log.append((dict(state.table), [dict(f) for f in state.frames]))
         if checkpoint_log is not None:

@@ -112,6 +112,19 @@ class TestRun:
         assert code == EXIT_OK
         assert len(out) == 5  # framing + 3 words
 
+    def test_limit_zero_prints_only_the_framing(self, capsys, files):
+        t = files("m.vpt", CHOICE_VPT)
+        d = files("d.txt", "<r b b b r>")
+        code, out, _ = run_main(capsys, ["run", "-t", t, "-d", d, "--limit", "0"])
+        assert code == EXIT_OK
+        assert out == ["#", "#"]
+        # the document is still read and checked in full
+        bad = files("bad.txt", "<r b b b")
+        code, out, err = run_main(capsys, ["run", "-t", t, "-d", bad, "--limit", "0"])
+        assert code == EXIT_INPUT
+        assert out == []
+        assert err[0].startswith("vptenum: error: unbalanced open")
+
     def test_document_from_stdin(self, capsys, files, monkeypatch):
         t = files("m.vpt", CHOICE_VPT)
         monkeypatch.setattr(sys, "stdin", io.StringIO("<r b r>"))
@@ -313,6 +326,19 @@ class TestSpanner:
         assert code == EXIT_OK
         assert len(out) == 2
 
+    def test_limit_zero_prints_nothing(self, capsys, files):
+        g = files("g.vpeg", GRAMMAR)
+        d = files("d.txt", "<a c a> <a c a> <a c a>")
+        code, out, _ = run_main(capsys, ["spanner", "-g", g, "-d", d, "--limit", "0"])
+        assert code == EXIT_OK
+        assert out == []
+        # the document is still read and checked in full
+        bad = files("bad.txt", "<a c a> <a c")
+        code, out, err = run_main(capsys, ["spanner", "-g", g, "-d", bad, "--limit", "0"])
+        assert code == EXIT_INPUT
+        assert out == []
+        assert err[0].startswith("vptenum: error: unbalanced open")
+
     def test_rejected_document_prints_nothing(self, capsys, files):
         g = files("g.vpeg", GRAMMAR)
         d = files("d.txt", "c")
@@ -402,6 +428,32 @@ class TestBench:
         assert code == EXIT_OK
         assert out[0].startswith("record,length,index")
 
+    def test_limit_zero_enumerates_nothing(self, capsys):
+        code, out, _ = run_main(
+            capsys, ["bench", "--lengths", "10", "--choices", "2", "--limit", "0"]
+        )
+        assert code == EXIT_OK
+        records = [line.split(",")[0] for line in out[1:]]
+        assert records == ["symbol"] * 10
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--lengths", "100,x"], "argument --lengths: not an integer: 'x'"),
+            (["--lengths", "100,-5"], "argument --lengths: must not be negative: -5"),
+            (["--lengths", "5"], "length 5 is shorter than --choices + 2 = 42"),
+            (["--lengths", "100,7", "--choices", "6"], "length 7 is shorter than --choices + 2 = 8"),
+            (["--choices", "-1"], "argument --choices"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""  # not even the CSV header
+        assert message in err
+
 
 class TestUsage:
     def test_no_subcommand(self):
@@ -419,6 +471,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["run", "-t", t, "-d", "-", "--trust-unambiguous", "--determinize-first"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["run", "spanner", "bench"])
+    @pytest.mark.parametrize("limit", ["-3", "x"])
+    def test_limit_must_be_a_count(self, capsys, files, command, limit):
+        program = {
+            "run": ["-t", files("m.vpt", CHOICE_VPT)],
+            "spanner": ["-g", files("g.vpeg", GRAMMAR)],
+            "bench": [],
+        }[command]
+        document = [] if command == "bench" else ["-d", files("d.txt", "<r b r>")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *program, *document, "--limit", limit])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --limit" in err
 
 
 class TestRenderWord:

@@ -31,8 +31,8 @@ class TestLeaves:
         a = EcsArena()
         v = a.add(("o", 1))
         assert len(a) == 1
-        assert a.labels[v] == SYMBOL
-        assert a.payloads[v] == ("o", 1)
+        assert a.label(v) == SYMBOL
+        assert a.payload(v) == ("o", 1)
         assert lang(a, v) == {w(("o", 1))}
         assert a.output_depth(v) == 0
         assert a.eps_case(v) == NO_EPS
@@ -42,7 +42,7 @@ class TestLeaves:
         a = EcsArena()
         v = a.epsilon_node()
         assert len(a) == 1
-        assert a.labels[v] == EPSILON
+        assert a.label(v) == EPSILON
         assert lang(a, v) == {()}
         assert a.eps_case(v) == IS_EPS
         assert a.is_safe(v)
@@ -59,7 +59,7 @@ class TestUnionGadgets:
         y = a.add(("p", 1))
         u = a.union(x, y)
         assert len(a) == 3
-        assert a.labels[u] == UNION
+        assert a.label(u) == UNION
         assert lang(a, u) == {w(("o", 1)), w(("p", 1))}
         assert a.output_depth(u) == 1
         assert a.is_safe(u)
@@ -138,7 +138,7 @@ class TestProdGadgets:
         y = a.add(("p", 2))
         p = a.prod(x, y)
         assert len(a) == 3
-        assert a.labels[p] == PRODUCT
+        assert a.label(p) == PRODUCT
         assert lang(a, p) == {w(("o", 1), ("p", 2))}
         assert a.is_safe(p)
 

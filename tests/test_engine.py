@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
+from vptenum import spanner
 from vptenum.cli import _bench_doc, _bench_vpt
-from vptenum.ecs import EMPTY, EPSILON
+from vptenum.ecs import EMPTY, EPSILON, IS_EPS, EcsArena
 from vptenum.engine import (
     AmbiguityError,
     EngineState,
@@ -12,6 +13,7 @@ from vptenum.engine import (
     NestingError,
     SymbolStats,
     accepts,
+    close_step,
     evaluate,
     neutral_step,
     open_step,
@@ -19,8 +21,8 @@ from vptenum.engine import (
     resolve_mode,
 )
 from vptenum.enumtree import enumerate_words
-from vptenum.nested import StructuredAlphabet
-from vptenum.vpt import Vpt, is_io_deterministic, oracle_enumerate
+from vptenum.nested import StructuredAlphabet, Token, TokenKind
+from vptenum.vpt import NO_MOVES, Vpt, io_determinize, is_io_deterministic, oracle_enumerate
 
 from oracle_helpers import (
     brackets,
@@ -242,7 +244,7 @@ class TestEvaluate:
 
 
 def _arena_nodes(arena):
-    return (arena.labels, arena.lefts, arena.rights, arena.payloads)
+    return (arena.kinds, arena.lefts, arena.rights)
 
 
 class TestStats:
@@ -281,6 +283,56 @@ class TestStats:
         assert abs(kept[400_000] - kept[100_000]) < 64 * 1024, kept
 
 
+# Capture any <a ...> element at any depth, one mapping per element:
+# the grammar of the benchmark's tree workload. Its compilation is not
+# deterministic in (letter, output), so it runs determinized.
+TREE_VPEG = """\
+var x
+start N
+N -> c N | <a N a> D | <a D a> N | (x E
+E -> <a D a> F
+F -> x) D
+D -> c D | <a D a> D | eps
+"""
+
+
+def tree_document(rng: random.Random, length: int, depth_cap: int) -> list[Token]:
+    """A random <a / a> / c document that drifts down to depth_cap,
+    closed at the end and followed by the spanner's end marker."""
+    tokens, depth = [], 0
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.4 and depth < depth_cap:
+            tokens.append(tok_open("a"))
+            depth += 1
+        elif 0.4 <= r < 0.7 and depth > 0:
+            tokens.append(tok_close("a"))
+            depth -= 1
+        else:
+            tokens.append(tok_neutral("c"))
+    tokens += [tok_close("a")] * depth
+    tokens.append(Token(TokenKind.NEUTRAL, spanner.END_MARKER))
+    return tokens
+
+
+class TestRetainedMemory:
+    def test_bytes_per_token_on_a_capture_any_element_pass(self):
+        # what a default pass keeps is the arena: three list slots per
+        # node, plus a shared (out, k) payload per symbol leaf. At seven
+        # slots per node the same pass kept about 158 B/token.
+        vpt = io_determinize(spanner.compile_vpeg(spanner.parse_vpeg(TREE_VPEG)))
+        tokens = tree_document(random.Random(1), 4_000, 64)
+        tracemalloc.start()
+        try:
+            result = preprocess(vpt, tokens)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.length == len(tokens) == 4_065
+        assert len(result.arena) > len(tokens)  # the bound is about the arena
+        assert kept / len(tokens) < 140, kept / len(tokens)
+
+
 class TestAccepts:
     def test_single_bracket(self):
         m = single_bracket_vpa()
@@ -313,13 +365,9 @@ class TestAccepts:
                 doc = random_well_nested(rng, m.alphabet, rng.randint(0, 10))
                 res = preprocess(m, doc)
                 assert len(res.arena) == 1
-                assert res.arena.labels[0] == EPSILON
+                assert res.arena.label(0) == EPSILON
                 assert res.root in (EMPTY, 0)
                 assert accepts(m, doc) == bool(oracle_enumerate(m, doc))
-
-
-def _arena_columns(arena):
-    return tuple(getattr(arena, name) for name in arena.__slots__)
 
 
 def _outcome(run, vpt, doc, **flags):
@@ -327,6 +375,28 @@ def _outcome(run, vpt, doc, **flags):
         return run(vpt, doc, **flags), None
     except ValueError as err:  # NestingError, or an arena operand check
         return None, (type(err), str(err))
+
+
+def assert_eps_flags_exact(vpt, doc) -> None:
+    """Step through a well-nested doc; after every token each slot of
+    the table and of every frame has its shape's epsilon flag set
+    exactly when its handle is the epsilon leaf."""
+    state = EngineState.initial(vpt)
+    steps = {
+        TokenKind.OPEN: (open_step, vpt.open_index),
+        TokenKind.CLOSE: (close_step, vpt.close_index),
+        TokenKind.NEUTRAL: (neutral_step, vpt.neutral_index),
+    }
+    flags = state.shapes.eps
+    for k, tok in enumerate(doc, start=1):
+        step, index = steps[tok.kind]
+        step(state, index.get(tok.name, NO_MOVES), k)
+        levels = [(state.shape, state.handles)] + [(sid, handles) for sid, handles, _ in state.stack]
+        for sid, handles in levels:
+            assert flags[sid] == tuple(h == state.epsilon for h in handles), (k, sid)
+    # the steps build the pass's arena, up to its finalizing unions
+    whole = preprocess(vpt, doc).arena
+    assert _arena_nodes(state.arena) == tuple(col[: len(state.arena)] for col in _arena_nodes(whole))
 
 
 class TestPlansMatchReference:
@@ -339,7 +409,7 @@ class TestPlansMatchReference:
             assert got_err == ref_err
             if got is None:
                 continue
-            assert _arena_columns(got.arena) == _arena_columns(ref.arena)
+            assert _arena_nodes(got.arena) == _arena_nodes(ref.arena)
             assert got.root == ref.root
             assert got.length == ref.length
             assert got.stats.per_symbol == ref.stats.per_symbol
@@ -357,6 +427,7 @@ class TestPlansMatchReference:
             for _ in range(3):
                 doc = random_well_nested(rng, m.alphabet, rng.randint(0, 14))
                 self.assert_same(m, doc)
+                assert_eps_flags_exact(m, doc)
 
     def test_unbalanced_documents(self):
         rng = random.Random(72)
@@ -375,6 +446,55 @@ class TestPlansMatchReference:
     def test_bench_document(self):
         self.assert_same(_bench_vpt(), list(_bench_doc(300, 12)))
 
+    def test_an_epsilon_slot_meets_a_symbol_slot(self):
+        # two runs from one origin split silently, one of them then
+        # prints o, and both meet in one slot: the epsilon handle is
+        # unioned with the symbol's, whichever of the two slots is first
+        for silent, loud in (("s1", "s2"), ("s2", "s1")):
+            m = Vpt(
+                states=frozenset({"q0", "s1", "s2", "t1", "t2", "f"}),
+                alphabet=ALPH,
+                stack_symbols=frozenset({"X"}),
+                output_symbols=frozenset({"o"}),
+                opens=frozenset(),
+                closes=frozenset(),
+                neutrals=frozenset(
+                    {
+                        ("q0", "c", None, "s1"),
+                        ("q0", "c", None, "s2"),
+                        (silent, "c", None, "t1"),
+                        (loud, "c", "o", "t2"),
+                        ("t1", "c", None, "f"),
+                        ("t2", "c", None, "f"),
+                    }
+                ),
+                initial=frozenset({"q0"}),
+                final=frozenset({"f"}),
+            )
+            self.assert_same(m, brackets("..."))
+            res = preprocess(m, brackets("..."))
+            assert lang(res.arena, res.root) == {(), (("o", 2),)}
+
+    def test_products_never_get_an_epsilon_operand(self, monkeypatch):
+        # the plans fold every epsilon operand when they are compiled
+        calls = []
+        real_prod = EcsArena.prod
+
+        def prod(arena, v1, v2):
+            calls.append((arena.eps_case(v1), arena.eps_case(v2)))
+            return real_prod(arena, v1, v2)
+
+        monkeypatch.setattr(EcsArena, "prod", prod)
+        rng = random.Random(74)
+        makers = (random_det_vpt, random_nondet_vpt)
+        for i in range(60):
+            m = makers[i % 2](rng)
+            preprocess(m, random_well_nested(rng, m.alphabet, rng.randint(0, 14)))
+        tree = io_determinize(spanner.compile_vpeg(spanner.parse_vpeg(TREE_VPEG)))
+        preprocess(tree, tree_document(random.Random(2), 500, 16))
+        assert calls
+        assert IS_EPS not in {case for pair in calls for case in pair}
+
 
 class TestPlanCount:
     def test_does_not_grow_with_length(self):
@@ -391,7 +511,14 @@ class TestPlanCount:
             assert 0 <= preprocess(m, doc).stats.plans <= len(doc)
 
     def test_repeated_steps_reuse_their_plan(self):
-        # one state, so one shape per table kind: one open, one neutral
-        # and one close plan, however long and deep the document
-        for text in ["(.)", "(" + "." * 50 + ")", "((.)(.(.)))" * 5]:
-            assert preprocess(marker_vpt(), brackets(text)).stats.plans == 3
+        # one state, so one key per table kind. A level's one slot is the
+        # epsilon leaf until the first close and not after it: two level
+        # shapes, so at most two open, two neutral and two close plans,
+        # however long and deep the document
+        for text, plans in [
+            ("(.)", 3),
+            ("(" + "." * 50 + ")", 3),
+            ("((.)(.(.)))", 5),
+            ("((.)(.(.)))" * 5, 5),
+        ]:
+            assert preprocess(marker_vpt(), brackets(text)).stats.plans == plans
