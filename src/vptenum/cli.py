@@ -16,8 +16,9 @@ import argparse
 import csv
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from itertools import islice, repeat
+from typing import Callable
 
 from vptenum import engine, formats, spanner
 from vptenum.ecs import EMPTY
@@ -49,6 +50,14 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    """An int option value of at least 1."""
+    value = _count(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
     return value
 
 
@@ -108,44 +117,82 @@ def _add_mode_flags(sub) -> None:
     )
 
 
-def _write_stats(args, stats: engine.EngineStats, enum: Enumerator | None) -> None:
-    dest = open(args.stats_out, "w", encoding="utf-8", newline="") if args.stats_out else sys.stderr
-    try:
-        writer = csv.writer(dest)
+# Each observer writes as the pass consumes a token and keeps nothing
+# per token. Without --stats-out, run's CSV rows and checkpoint lines
+# share stderr: each token's row comes before its checkpoint line.
+
+
+def _symbol_rows(writer, *prefix) -> Callable:
+    """One CSV ``symbol`` row per token: the token's work."""
+
+    def observe(k, state, counts):
         writer.writerow(
-            ["record", "index", "visits", "scans", "ecs_calls", "nodes_added", "delay_steps", "output_len"]
+            ["symbol", *prefix, k, counts.visits, counts.scans, counts.ecs_calls, counts.nodes_added, "", ""]
         )
-        for k, sym in enumerate(stats.per_symbol, start=1):
-            writer.writerow(["symbol", k, sym.visits, sym.scans, sym.ecs_calls, sym.nodes_added, "", ""])
-        fin = stats.finalize
-        writer.writerow(["finalize", "", fin.visits, fin.scans, fin.ecs_calls, fin.nodes_added, "", ""])
-        if enum is not None:
-            for i, (gap, length) in enumerate(enum.gaps, start=1):
-                writer.writerow(["output", i, "", "", "", "", gap, length])
-    finally:
-        if dest is not sys.stderr:
-            dest.close()
+
+    return observe
+
+
+def _checkpoint_lines(vpt: Vpt) -> Callable:
+    """One ``checkpoint`` line per token on stderr: whether the prefix
+    read so far is accepted."""
+
+    def observe(k, state, counts):
+        handle = state.accepting(vpt)
+        depth = len(state.stack)
+        accepting = "yes" if depth == 0 and handle != EMPTY else "no"
+        print(f"checkpoint k={k} depth={depth} accepting={accepting}", file=sys.stderr)
+
+    return observe
+
+
+def _all_of(observers: list) -> Callable | None:
+    """One observer that calls each of ``observers`` in turn."""
+    if len(observers) < 2:
+        return observers[0] if observers else None
+
+    def observe(k, state, counts):
+        for each in observers:
+            each(k, state, counts)
+
+    return observe
+
+
+def _output_rows(writer, enum: Enumerator, *prefix) -> None:
+    """One CSV ``output`` row per enumerated word: steps spent, length."""
+    for i, (gap, length) in enumerate(enum.gaps, start=1):
+        writer.writerow(["output", *prefix, i, "", "", "", "", gap, length])
+
+
+STATS_HEADER = ["record", "index", "visits", "scans", "ecs_calls", "nodes_added", "delay_steps", "output_len"]
 
 
 def cmd_run(args) -> int:
     vpt = _load_vpt(args.transducer)
     vpt = engine.resolve_mode(vpt, _mode_of(args))
-    with _document(args.document, vpt.alphabet) as doc:
-        result = engine.preprocess(vpt, doc, checkpoints=args.checkpoint, per_symbol=args.stats)
-    if args.checkpoint:
-        for k, depth, handle in result.checkpoints:
-            accepting = "yes" if depth == 0 and handle != EMPTY else "no"
-            print(f"checkpoint k={k} depth={depth} accepting={accepting}", file=sys.stderr)
-    enum = Enumerator(
-        result.arena, result.root, smoothing=args.smoothing, instrument=args.stats
-    )
-    write = sys.stdout.write  # one call per result line
-    print("#")
-    for word in islice(enum, args.limit):
-        write(render_word(word) + "\n")
-    print("#")
-    if args.stats:
-        _write_stats(args, result.stats, enum)
+    with ExitStack() as stack:
+        writer, observers = None, []
+        if args.stats:
+            dest = sys.stderr
+            if args.stats_out:
+                dest = stack.enter_context(open(args.stats_out, "w", encoding="utf-8", newline=""))
+            writer = csv.writer(dest)
+            writer.writerow(STATS_HEADER)
+            observers.append(_symbol_rows(writer))
+        if args.checkpoint:
+            observers.append(_checkpoint_lines(vpt))
+        with _document(args.document, vpt.alphabet) as doc:
+            result = engine.preprocess(vpt, doc, _all_of(observers))
+        enum = Enumerator(result.arena, result.root, smoothing=args.smoothing, instrument=args.stats)
+        write = sys.stdout.write  # one call per result line
+        print("#")
+        for word in islice(enum, args.limit):
+            write(render_word(word) + "\n")
+        print("#")
+        if writer is not None:
+            fin = result.stats.finalize
+            writer.writerow(["finalize", "", fin.visits, fin.scans, fin.ecs_calls, fin.nodes_added, "", ""])
+            _output_rows(writer, enum)
     return EXIT_OK
 
 
@@ -240,20 +287,13 @@ def cmd_bench(args) -> int:
     dest = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(dest)
-        writer.writerow(
-            ["record", "length", "index", "visits", "scans", "ecs_calls", "nodes_added", "delay_steps", "output_len"]
-        )
+        writer.writerow(["record", "length", *STATS_HEADER[1:]])
         for length in args.lengths:
-            result = engine.preprocess(vpt, _bench_doc(length, args.choices), per_symbol=True)
-            for k, sym in enumerate(result.stats.per_symbol, start=1):
-                writer.writerow(
-                    ["symbol", length, k, sym.visits, sym.scans, sym.ecs_calls, sym.nodes_added, "", ""]
-                )
+            result = engine.preprocess(vpt, _bench_doc(length, args.choices), _symbol_rows(writer, length))
             enum = Enumerator(result.arena, result.root, instrument=True)
             for _ in islice(enum, args.limit):
                 pass
-            for i, (gap, out_len) in enumerate(enum.gaps, start=1):
-                writer.writerow(["output", length, i, "", "", "", "", gap, out_len])
+            _output_rows(writer, enum, length)
     finally:
         if dest is not sys.stdout:
             dest.close()
@@ -269,7 +309,7 @@ def build_parser() -> _Parser:
     run.add_argument("-d", "--document", required=True, help="document file, or - for stdin")
     _add_mode_flags(run)
     run.add_argument("--limit", type=_count, default=None, help="stop after this many results")
-    run.add_argument("--smoothing", type=int, default=DEFAULT_SMOOTHING, help="delay smoothing factor")
+    run.add_argument("--smoothing", type=_positive, default=DEFAULT_SMOOTHING, help="delay smoothing factor")
     run.add_argument("--checkpoint", action="store_true", help="report per-symbol acceptance on stderr")
     run.add_argument("--stats", action="store_true", help="emit instrumentation CSV")
     run.add_argument("--stats-out", default=None, help="write the CSV here instead of stderr")
@@ -279,7 +319,7 @@ def build_parser() -> _Parser:
     oracle.add_argument("-t", "--transducer", required=True)
     oracle.add_argument("-d", "--document", required=True)
     oracle.add_argument("--diff", action="store_true", help="also run the engine and compare")
-    oracle.add_argument("--max-configs", type=int, default=5_000_000)
+    oracle.add_argument("--max-configs", type=_count, default=5_000_000)
     oracle.set_defaults(func=cmd_oracle)
 
     span = sub.add_parser("spanner", help="evaluate an extraction grammar")
@@ -291,7 +331,7 @@ def build_parser() -> _Parser:
     det = sub.add_parser("determinize", help="rewrite a transducer deterministically")
     det.add_argument("-t", "--transducer", required=True)
     det.add_argument("-o", "--out", default=None, help="output file (default stdout)")
-    det.add_argument("--max-states", type=int, default=4096)
+    det.add_argument("--max-states", type=_count, default=4096)
     det.set_defaults(func=cmd_determinize)
 
     bench = sub.add_parser("bench", help="instrumented synthetic runs")

@@ -275,6 +275,3 @@ class EcsArena:
 
         return walk(v)
 
-
-def new_arena() -> EcsArena:
-    return EcsArena()

@@ -36,6 +36,12 @@ size, never anything that grows with the number of results collected
 so far. The cache gains at most one plan per token, and no plan is
 larger than the work of the token that built it, so what it retains
 stays within the arena's own O(work).
+
+Observers. ``preprocess(vpt, tokens, observer=None)`` keeps O(1) totals.
+An observer is called after every token with the position, the
+``EngineState`` and the token's ``SymbolStats``, so a CSV row or a
+checkpoint line is written as the token is consumed and nothing is
+kept; arena nodes it adds (an ``accepting`` fold) count for no token.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from vptenum import ecs
 from vptenum.ecs import EMPTY, EcsArena
 from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator, OutputWord
 from vptenum.nested import TokenKind
@@ -80,13 +85,10 @@ class SymbolStats:
 @dataclass
 class EngineStats(SymbolStats):
     """Running totals of the whole pass, finalization included, in O(1)
-    memory. ``plans`` counts the step plans the pass compiled.
-    ``per_symbol`` holds one record per token only when ``preprocess``
-    was asked for them."""
+    memory. ``plans`` counts the step plans the pass compiled."""
 
     pulls: int = 0
     plans: int = 0
-    per_symbol: list[SymbolStats] = field(default_factory=list)
     finalize: SymbolStats = field(default_factory=SymbolStats)
 
     def totals(self) -> SymbolStats:
@@ -132,7 +134,7 @@ class EngineState:
 
     @classmethod
     def initial(cls, vpt: Vpt) -> "EngineState":
-        arena = ecs.new_arena()
+        arena = EcsArena()
         eps = arena.epsilon_node()
         shapes = Shapes()
         keys = tuple((q, q) for q in sorted(vpt.initial, key=stable_key))
@@ -147,6 +149,24 @@ class EngineState:
     def frames(self) -> list[dict]:
         keys = self.shapes.keys
         return [dict(zip(keys[sid], handles)) for sid, handles, _ in self.stack]
+
+    def accepting(self, vpt: Vpt, stats: SymbolStats | None = None) -> int:
+        """Fold the handles of the level's accepting slots into one,
+        counting the work into ``stats`` if given. At depth 0 this is
+        the result set of the prefix read so far."""
+        stats = SymbolStats() if stats is None else stats
+        arena = self.arena
+        before = len(arena)
+        root = EMPTY
+        for (p, q), handle in zip(self.shapes.keys[self.shape], self.handles):
+            if p in vpt.initial and q in vpt.final:
+                stats.visits += 1
+                root = arena.union(root, handle)
+                stats.ecs_calls += 1
+            else:
+                stats.scans += 1
+        stats.nodes_added += len(arena) - before
+        return root
 
 
 class Plan(NamedTuple):
@@ -331,70 +351,24 @@ def _summary_shape(state: EngineState, k: int) -> int:
     return state.stack[-1][0]
 
 
-# Each step takes its letter's row of the transition index, compiles it
-# against the current shapes and runs it once.
-
-
-def open_step(state: EngineState, moves, k: int) -> tuple[int, int, int]:
-    """Consume an open letter: stash the level summary, seed a new level."""
-    return run_open(state, open_plan(state.shapes, state.shape, moves), k)
-
-
-def close_step(state: EngineState, moves, k: int) -> tuple[int, int, int]:
-    """Consume a close letter: fold the finished level into the saved one."""
-    summary_sid = _summary_shape(state, k)
-    return run_close(state, close_plan(state.shapes, summary_sid, state.shape, moves), k)
-
-
-def neutral_step(state: EngineState, moves, k: int) -> tuple[int, int, int]:
-    """Consume a neutral letter: extend the level in place, stack untouched."""
-    return run_neutral(state, neutral_plan(state.shapes, state.shape, moves), k)
-
-
-def _finalize(state: EngineState, vpt: Vpt, stats: SymbolStats) -> int:
-    """Fold the handles of the level's accepting slots into one."""
-    arena = state.arena
-    before = len(arena)
-    root = EMPTY
-    for (p, q), handle in zip(state.shapes.keys[state.shape], state.handles):
-        if p in vpt.initial and q in vpt.final:
-            stats.visits += 1
-            root = arena.union(root, handle)
-            stats.ecs_calls += 1
-        else:
-            stats.scans += 1
-    stats.nodes_added += len(arena) - before
-    return root
-
-
 @dataclass
 class PreprocessResult:
     arena: EcsArena
     root: int
     stats: EngineStats
     length: int
-    trace: list | None = None
-    checkpoints: list | None = None
 
 
-def preprocess(
-    vpt: Vpt,
-    tokens,
-    trace: bool = False,
-    checkpoints: bool = False,
-    per_symbol: bool = False,
-) -> PreprocessResult:
+def preprocess(vpt: Vpt, tokens, observer: Callable | None = None) -> PreprocessResult:
     """Run the single pass and return the collected result handle.
 
     The caller vouches that vpt admits at most one accepting run per
     (document, output) pair; ``evaluate`` enforces that contract.
 
-    The result's stats always hold the pass's running totals; with
-    ``per_symbol`` they also list one SymbolStats per token. With
-    ``trace``, snapshots (table copy, list of frame copies) are
-    recorded before the first token and after every token. With
-    ``checkpoints``, after each token the accepting entries seen so far
-    are folded into a handle, recorded as (position, depth, handle).
+    The result's stats hold the pass's running totals. An ``observer``
+    is called after each token as ``observer(k, state, counts)``: the
+    position k, the pass state and that token's SymbolStats. Arena
+    nodes it adds count for no token and not in the totals.
     """
     state = EngineState.initial(vpt)
     shapes = state.shapes
@@ -406,14 +380,10 @@ def preprocess(
     neutral_plans: dict = {}
     open_plans: dict = {}
     close_plans: dict = {}
-    trace_log: list | None = [] if trace else None
-    checkpoint_log: list | None = [] if checkpoints else None
-    if trace_log is not None:
-        trace_log.append((state.table, state.frames))
 
     k = total_visits = total_scans = total_calls = 0
-    start = counted = len(nodes)  # counted: the arena's size after the last record
-    uncounted = 0  # nodes added by the checkpoints' unions, which are no token's
+    start = counted = len(nodes)  # counted: the arena's size after the last observer call
+    uncounted = 0  # nodes added by the observer, which are no token's
     for tok in tokens:
         k += 1
         kind = tok.kind
@@ -438,33 +408,20 @@ def preprocess(
         total_visits += visits
         total_scans += scans
         total_calls += calls
-        if per_symbol:
-            stats.per_symbol.append(SymbolStats(visits, scans, calls, len(nodes) - counted))
+        if observer is not None:
+            size = len(nodes)
+            observer(k, state, SymbolStats(visits, scans, calls, size - counted))
             counted = len(nodes)
-        if trace_log is not None:
-            trace_log.append((state.table, state.frames))
-        if checkpoint_log is not None:
-            sink = SymbolStats()
-            handle = _finalize(state, vpt, sink)
-            checkpoint_log.append((k, len(state.stack), handle))
-            uncounted += sink.nodes_added
-            counted = len(nodes)
+            uncounted += counted - size
     if state.stack:
         raise NestingError(f"unbalanced open at position {state.stack[0][2]}")
     stats.visits, stats.scans, stats.ecs_calls = total_visits, total_scans, total_calls
     stats.nodes_added = len(nodes) - start - uncounted
     stats.pulls = k + 1  # one pull per token plus the one that found the end
     stats.plans = len(neutral_plans) + len(open_plans) + len(close_plans)
-    root = _finalize(state, vpt, stats.finalize)
+    root = state.accepting(vpt, stats.finalize)
     stats.add(stats.finalize)
-    return PreprocessResult(
-        arena=state.arena,
-        root=root,
-        stats=stats,
-        length=k,
-        trace=trace_log,
-        checkpoints=checkpoint_log,
-    )
+    return PreprocessResult(arena=state.arena, root=root, stats=stats, length=k)
 
 
 def accepts(vpt: Vpt, tokens) -> bool:
@@ -512,7 +469,7 @@ def evaluate(
 ) -> Iterator[OutputWord]:
     """Evaluate vpt on the document and stream the distinct results."""
     vpt = resolve_mode(vpt, mode)
-    result = preprocess(vpt, tokens, per_symbol=stats_out is not None)
+    result = preprocess(vpt, tokens)
     if stats_out is not None:
         vars(stats_out).update(vars(result.stats))
     return iter(Enumerator(result.arena, result.root, smoothing=smoothing))

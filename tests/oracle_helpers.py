@@ -640,6 +640,42 @@ def enumerate_runs(vpt: Vpt, tokens, max_runs: int | None = None) -> list[Run]:
     return runs
 
 
+# ------------------------------------------------- recording observers
+
+# Observers for ``engine.preprocess`` and ``reference_preprocess``: each
+# is called after every token as observer(k, state, counts).
+
+
+class SymbolRecords(list):
+    """The SymbolStats of every token, in order."""
+
+    def __call__(self, k, state, counts) -> None:
+        self.append(counts)
+
+
+class Snapshots(list):
+    """(table copy, list of frame copies) before the first token, taken
+    from the initial state, and after every token."""
+
+    def __init__(self, initial):
+        super().__init__()
+        self(0, initial, None)
+
+    def __call__(self, k, state, counts) -> None:
+        self.append((dict(state.table), [dict(f) for f in state.frames]))
+
+
+class Checkpoints(list):
+    """(position, depth, handle of the accepting slots) after every token."""
+
+    def __init__(self, vpt: Vpt):
+        super().__init__()
+        self.vpt = vpt
+
+    def __call__(self, k, state, counts) -> None:
+        self.append((k, len(state.frames), state.accepting(self.vpt)))
+
+
 # ------------------------------------------- engine table invariants
 
 def table_languages(arena, table: dict) -> dict:
@@ -666,13 +702,14 @@ def check_state_invariants(vpt: Vpt, tokens) -> None:
     only (a dead inner level kills prefix runs but not the frame).
     Assumes an I/O-deterministic vpt so entries are duplicate-free.
     """
-    from vptenum.engine import preprocess
+    from vptenum.engine import EngineState, preprocess
 
     toks = list(tokens)
-    res = preprocess(vpt, toks, trace=True)
+    trace = Snapshots(EngineState.initial(vpt))
+    res = preprocess(vpt, toks, trace)
     arena = res.arena
     for k in range(1, len(toks) + 2):
-        table, frames = res.trace[k - 1]
+        table, frames = trace[k - 1]
         runs = enumerate_runs(vpt, toks[: k - 1])
         j = currlevel(toks, k).start
         expect_s: dict = {}
@@ -718,6 +755,21 @@ class ReferenceState:
         eps = arena.epsilon_node()
         table = {(q, q): eps for q in sorted(vpt.initial, key=stable_key)}
         return cls(arena=arena, table=table, frames=[], open_positions=[], epsilon=eps)
+
+    def accepting(self, vpt: Vpt, stats: SymbolStats | None = None) -> int:
+        stats = SymbolStats() if stats is None else stats
+        arena = self.arena
+        before = len(arena)
+        root = EMPTY
+        for (p, q), handle in self.table.items():
+            if p in vpt.initial and q in vpt.final:
+                stats.visits += 1
+                root = arena.union(root, handle)
+                stats.ecs_calls += 1
+            else:
+                stats.scans += 1
+        stats.nodes_added += len(arena) - before
+        return root
 
 
 # Each step takes its letter's row of the transition index and returns
@@ -809,28 +861,7 @@ def reference_neutral_step(state: ReferenceState, moves, k: int) -> tuple[int, i
     return visits, scans, calls
 
 
-def reference_finalize(state: ReferenceState, vpt: Vpt, stats: SymbolStats) -> int:
-    arena = state.arena
-    before = len(arena)
-    root = EMPTY
-    for (p, q), handle in state.table.items():
-        if p in vpt.initial and q in vpt.final:
-            stats.visits += 1
-            root = arena.union(root, handle)
-            stats.ecs_calls += 1
-        else:
-            stats.scans += 1
-    stats.nodes_added += len(arena) - before
-    return root
-
-
-def reference_preprocess(
-    vpt: Vpt,
-    tokens,
-    trace: bool = False,
-    checkpoints: bool = False,
-    per_symbol: bool = False,
-) -> PreprocessResult:
+def reference_preprocess(vpt: Vpt, tokens, observer=None) -> PreprocessResult:
     """The single pass over {key: handle} dicts, each step a loop over
     the table's keys: the reference that the compiled pass of
     ``engine.preprocess`` is tested against. Same arguments and result;
@@ -839,10 +870,6 @@ def reference_preprocess(
     oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
     nodes = state.arena.kinds
     stats = EngineStats()
-    trace_log: list | None = [] if trace else None
-    checkpoint_log: list | None = [] if checkpoints else None
-    if trace_log is not None:
-        trace_log.append((dict(state.table), [dict(f) for f in state.frames]))
 
     k = 0
     for tok in tokens:
@@ -860,26 +887,14 @@ def reference_preprocess(
         stats.scans += scans
         stats.ecs_calls += calls
         stats.nodes_added += added
-        if per_symbol:
-            stats.per_symbol.append(SymbolStats(visits, scans, calls, added))
-        if trace_log is not None:
-            trace_log.append((dict(state.table), [dict(f) for f in state.frames]))
-        if checkpoint_log is not None:
-            handle = reference_finalize(state, vpt, SymbolStats())
-            checkpoint_log.append((k, len(state.frames), handle))
+        if observer is not None:
+            observer(k, state, SymbolStats(visits, scans, calls, added))
     stats.pulls = k + 1  # one pull per token plus the one that found the end
     if state.frames:
         raise NestingError(f"unbalanced open at position {state.open_positions[0]}")
-    root = reference_finalize(state, vpt, stats.finalize)
+    root = state.accepting(vpt, stats.finalize)
     stats.add(stats.finalize)
-    return PreprocessResult(
-        arena=state.arena,
-        root=root,
-        stats=stats,
-        length=k,
-        trace=trace_log,
-        checkpoints=checkpoint_log,
-    )
+    return PreprocessResult(arena=state.arena, root=root, stats=stats, length=k)
 
 
 # ------------------------------------- neutral-step expansion reduction

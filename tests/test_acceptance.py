@@ -13,6 +13,7 @@ import numpy as np
 
 from oracle_helpers import (
     EcsOpSuite,
+    SymbolRecords,
     check_state_invariants,
     contract_word,
     expand_document,
@@ -29,7 +30,7 @@ from oracle_helpers import (
 )
 from vptenum import engine
 from vptenum.cli import _bench_doc, _bench_vpt
-from vptenum.engine import EngineStats, accepts
+from vptenum.engine import accepts
 from vptenum.enumtree import Enumerator
 from vptenum.nested import StructuredAlphabet, well_nested_words
 from vptenum.spanner import evaluate_spanner, to_evpa
@@ -203,12 +204,14 @@ def test_criterion_4_one_pass_update_time():
     for _ in range(100):
         vpt = random_det_vpt(rng)
         word = random_well_nested(rng, DET_ALPH, rng.randint(0, 12))
-        stats = EngineStats()
-        list(engine.evaluate(vpt, word, mode="check", stats_out=stats))
-        assert stats.pulls == len(word) + 1
+        records = SymbolRecords()
+        result = engine.preprocess(engine.resolve_mode(vpt, "check"), word, records)
+        list(Enumerator(result.arena, result.root))
+        assert result.stats.pulls == len(word) + 1
+        assert len(records) == len(word)
         size = len(vpt.opens) + len(vpt.closes) + len(vpt.neutrals)
         bound = len(vpt.states) ** 2 * size
-        for sym in stats.per_symbol:
+        for sym in records:
             assert sym.visits <= bound
             assert sym.ecs_calls <= 4 * bound
 

@@ -7,6 +7,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,53 @@ class TestRun:
         code, _, err = run_main(capsys, ["run", "-t", t, "-d", d, "--stats"])
         assert code == EXIT_OK
         assert err[0].startswith("record,index,visits")
+
+    def test_checkpoint_and_stats_share_stderr(self, capsys, files):
+        # per token, the CSV row is written, then the checkpoint line;
+        # each kind keeps the order and content it has on its own
+        t = files("m.vpt", CHOICE_VPT)
+        d = files("d.txt", "<r b c r>")
+        argv = ["run", "-t", t, "-d", d]
+        code, out, err = run_main(capsys, [*argv, "--checkpoint", "--stats"])
+        assert code == EXIT_OK
+        assert out == ["#", "u@2", "v@2", "#"]
+        assert err[:9] == [
+            "record,index,visits,scans,ecs_calls,nodes_added,delay_steps,output_len",
+            "symbol,1,1,0,1,0,,",
+            "checkpoint k=1 depth=1 accepting=no",
+            "symbol,2,2,0,6,3,,",
+            "checkpoint k=2 depth=1 accepting=no",
+            "symbol,3,1,0,1,0,,",
+            "checkpoint k=3 depth=1 accepting=no",
+            "symbol,4,1,0,2,0,,",
+            "checkpoint k=4 depth=0 accepting=yes",
+        ]
+        assert [line.split(",")[0] for line in err[9:]] == ["finalize", "output", "output"]
+        _, _, stats = run_main(capsys, [*argv, "--stats"])
+        _, _, checkpoints = run_main(capsys, [*argv, "--checkpoint"])
+        assert [line for line in err if not line.startswith("checkpoint")] == stats
+        assert [line for line in err if line.startswith("checkpoint")] == checkpoints
+
+    @pytest.mark.parametrize("flags", [["--stats", "--stats-out", "stats.csv"], ["--checkpoint"]])
+    def test_retained_memory_does_not_grow_with_length(self, tmp_path, flags):
+        # rows and checkpoint lines are written as the pass reads each
+        # token, so the peak stays flat as the document grows
+        machine = tmp_path / "m.vpt"
+        machine.write_text(CHOICE_VPT, encoding="utf-8")
+        argv = ["run", "-t", str(machine), *(str(tmp_path / f) if f.endswith(".csv") else f for f in flags)]
+        peaks = {}
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            for n in (10_000, 40_000):
+                doc = tmp_path / f"d{n}.txt"
+                doc.write_text("<r b " + "c " * (n - 3) + "r>\n", encoding="utf-8")
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                        assert main([*argv, "-d", str(doc)]) == EXIT_OK
+                    _, peaks[n] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert peaks[40_000] - peaks[10_000] < 128 * 1024, peaks
 
     def test_ambiguous_machine_refused_by_default(self, capsys, files):
         t = files("m.vpt", AMBIGUOUS_VPT)
@@ -472,21 +520,36 @@ class TestUsage:
             main(["run", "-t", t, "-d", "-", "--trust-unambiguous", "--determinize-first"])
         assert exc.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("command", ["run", "spanner", "bench"])
-    @pytest.mark.parametrize("limit", ["-3", "x"])
-    def test_limit_must_be_a_count(self, capsys, files, command, limit):
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            *(
+                pytest.param(command, "--limit", value, id=f"{value}-{command}")
+                for value in ("-3", "x")
+                for command in ("bench", "run", "spanner")
+            ),
+            # the other count options
+            pytest.param("oracle", "--max-configs", "-1", id="max-configs-oracle"),
+            pytest.param("determinize", "--max-states", "-1", id="max-states-determinize"),
+            pytest.param("run", "--smoothing", "-3", id="smoothing-run"),
+            pytest.param("run", "--smoothing", "0", id="smoothing-0-run"),
+        ],
+    )
+    def test_limit_must_be_a_count(self, capsys, files, command, option, value):
         program = {
             "run": ["-t", files("m.vpt", CHOICE_VPT)],
+            "oracle": ["-t", files("m.vpt", CHOICE_VPT)],
+            "determinize": ["-t", files("m.vpt", CHOICE_VPT)],
             "spanner": ["-g", files("g.vpeg", GRAMMAR)],
             "bench": [],
         }[command]
-        document = [] if command == "bench" else ["-d", files("d.txt", "<r b r>")]
+        document = [] if command in ("bench", "determinize") else ["-d", files("d.txt", "<r b r>")]
         with pytest.raises(SystemExit) as exc:
-            main([command, *program, *document, "--limit", limit])
+            main([command, *program, *document, option, value])
         assert exc.value.code == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert "argument --limit" in err
+        assert f"argument {option}" in err
 
 
 class TestRenderWord:

@@ -13,18 +13,23 @@ from vptenum.engine import (
     NestingError,
     SymbolStats,
     accepts,
-    close_step,
     evaluate,
-    neutral_step,
-    open_step,
+    neutral_plan,
+    open_plan,
     preprocess,
     resolve_mode,
+    run_neutral,
+    run_open,
 )
 from vptenum.enumtree import enumerate_words
 from vptenum.nested import StructuredAlphabet, Token, TokenKind
-from vptenum.vpt import NO_MOVES, Vpt, io_determinize, is_io_deterministic, oracle_enumerate
+from vptenum.vpt import Vpt, io_determinize, is_io_deterministic, oracle_enumerate
 
 from oracle_helpers import (
+    Checkpoints,
+    ReferenceState,
+    Snapshots,
+    SymbolRecords,
     brackets,
     check_state_invariants,
     random_det_vpt,
@@ -59,13 +64,13 @@ def three_state_marker() -> Vpt:
 
 
 class TestIfProd:
-    """The output extension inlined in every step, seen through neutral_step."""
+    """The output extension inlined in every step, seen through a neutral plan."""
 
     def step(self, out):
         m = marker_vpt()
         state = EngineState.initial(m)
         (q,) = m.initial
-        neutral_step(state, {q: [(out, q)]}, 3)
+        run_neutral(state, neutral_plan(state.shapes, state.shape, {q: [(out, q)]}), 3)
         return state, state.table[(q, q)]
 
     def test_silent_is_identity(self):
@@ -79,7 +84,7 @@ class TestIfProd:
     def test_sentinel_passes_through(self):
         # an entry without a move leaves no entry, never a stored EMPTY
         state = EngineState.initial(marker_vpt())
-        neutral_step(state, {}, 3)
+        run_neutral(state, neutral_plan(state.shapes, state.shape, {}), 3)
         assert state.table == {}
 
 
@@ -87,7 +92,7 @@ class TestSteps:
     def test_open_step_hand_example(self):
         m = three_state_marker()
         state = EngineState.initial(m)
-        open_step(state, m.open_index["a"], 1)
+        run_open(state, open_plan(state.shapes, state.shape, m.open_index["a"]), 1)
         assert set(state.table) == {("q1", "q1")}
         assert lang(state.arena, state.table[("q1", "q1")]) == {()}
         assert len(state.frames) == 1
@@ -96,17 +101,19 @@ class TestSteps:
 
     def test_close_folds_level(self):
         m = three_state_marker()
-        res = preprocess(m, brackets("()"), trace=True)
-        table, frames = res.trace[2]
+        trace = Snapshots(EngineState.initial(m))
+        res = preprocess(m, brackets("()"), trace)
+        table, frames = trace[2]
         assert frames == []
         assert set(table) == {("q0", "qf")}
         assert lang(res.arena, table[("q0", "qf")]) == {(("o", 1),)}
 
     def test_dead_level_still_pushed(self):
         m = three_state_marker()
-        res = preprocess(m, brackets("(())"), trace=True)
+        trace = Snapshots(EngineState.initial(m))
+        res = preprocess(m, brackets("(())"), trace)
         # inner open has no matching transition from q1: dead level
-        table, frames = res.trace[2]
+        table, frames = trace[2]
         assert table == {}
         assert len(frames) == 2
         assert res.root == EMPTY
@@ -147,14 +154,15 @@ class TestPreprocess:
 
     def test_stack_depth_tracks_nesting(self):
         doc = brackets("((.)(.))")
-        res = preprocess(marker_vpt(), doc, trace=True)
+        trace = Snapshots(EngineState.initial(marker_vpt()))
+        preprocess(marker_vpt(), doc, trace)
         depth = 0
         for k, tok in enumerate(doc, start=1):
             if tok.kind.value == "open":
                 depth += 1
             elif tok.kind.value == "close":
                 depth -= 1
-            assert len(res.trace[k][1]) == depth
+            assert len(trace[k][1]) == depth
 
     def test_node_count_linear_in_length(self):
         m = choice_vpt()
@@ -185,10 +193,11 @@ class TestCheckpoints:
     def test_depth_and_prefix_results(self):
         m = marker_vpt()
         doc = brackets("(.)().")
-        res = preprocess(m, doc, checkpoints=True)
-        assert [k for k, _, _ in res.checkpoints] == list(range(1, len(doc) + 1))
+        checkpoints = Checkpoints(m)
+        res = preprocess(m, doc, checkpoints)
+        assert [k for k, _, _ in checkpoints] == list(range(1, len(doc) + 1))
         depth = 0
-        for (k, d, handle), tok in zip(res.checkpoints, doc):
+        for (k, d, handle), tok in zip(checkpoints, doc):
             if tok.kind.value == "open":
                 depth += 1
             elif tok.kind.value == "close":
@@ -238,7 +247,11 @@ class TestEvaluate:
         doc = brackets("(.)")
         list(evaluate(marker_vpt(), doc, stats_out=stats))
         assert stats.pulls == len(doc) + 1
-        assert len(stats.per_symbol) == len(doc)
+        # the aggregates only; the per-token records come from an observer
+        assert stats == preprocess(marker_vpt(), doc).stats
+        records = SymbolRecords()
+        preprocess(marker_vpt(), doc, records)
+        assert len(records) == len(doc)
         totals = stats.totals()
         assert totals.visits > 0
 
@@ -254,11 +267,12 @@ class TestStats:
             m = random_det_vpt(rng)
             doc = random_well_nested(rng, m.alphabet, rng.randint(0, 12))
             plain = preprocess(m, doc)
-            recorded = preprocess(m, doc, per_symbol=True)
-            assert plain.stats.per_symbol == []
-            assert len(recorded.stats.per_symbol) == len(doc)
+            records = SymbolRecords()
+            recorded = preprocess(m, doc, records)
+            assert not any(isinstance(v, list) for v in vars(plain.stats).values())
+            assert len(records) == len(doc)
             summed = SymbolStats()
-            for sym in recorded.stats.per_symbol + [recorded.stats.finalize]:
+            for sym in records + [recorded.stats.finalize]:
                 summed.add(sym)
             assert plain.stats.totals() == summed == recorded.stats.totals()
             assert plain.stats.finalize == recorded.stats.finalize
@@ -370,54 +384,61 @@ class TestAccepts:
                 assert accepts(m, doc) == bool(oracle_enumerate(m, doc))
 
 
-def _outcome(run, vpt, doc, **flags):
+def _outcome(run, vpt, doc, observer):
     try:
-        return run(vpt, doc, **flags), None
+        return run(vpt, doc, observer), None
     except ValueError as err:  # NestingError, or an arena operand check
         return None, (type(err), str(err))
 
 
+def _recorders(vpt, initial):
+    """Per-token counts, snapshots and checkpoints, and one observer for all three."""
+    records = (SymbolRecords(), Snapshots(initial), Checkpoints(vpt))
+
+    def observe(k, state, counts):
+        for record in records:
+            record(k, state, counts)
+
+    return records, observe
+
+
 def assert_eps_flags_exact(vpt, doc) -> None:
-    """Step through a well-nested doc; after every token each slot of
-    the table and of every frame has its shape's epsilon flag set
+    """After every token of the pass over a well-nested doc, each slot
+    of the table and of every frame has its shape's epsilon flag set
     exactly when its handle is the epsilon leaf."""
-    state = EngineState.initial(vpt)
-    steps = {
-        TokenKind.OPEN: (open_step, vpt.open_index),
-        TokenKind.CLOSE: (close_step, vpt.close_index),
-        TokenKind.NEUTRAL: (neutral_step, vpt.neutral_index),
-    }
-    flags = state.shapes.eps
-    for k, tok in enumerate(doc, start=1):
-        step, index = steps[tok.kind]
-        step(state, index.get(tok.name, NO_MOVES), k)
+
+    def observe(k, state, counts):
+        flags = state.shapes.eps
         levels = [(state.shape, state.handles)] + [(sid, handles) for sid, handles, _ in state.stack]
         for sid, handles in levels:
             assert flags[sid] == tuple(h == state.epsilon for h in handles), (k, sid)
-    # the steps build the pass's arena, up to its finalizing unions
-    whole = preprocess(vpt, doc).arena
-    assert _arena_nodes(state.arena) == tuple(col[: len(state.arena)] for col in _arena_nodes(whole))
+
+    preprocess(vpt, doc, observe)
 
 
 class TestPlansMatchReference:
     """The compiled pass against the dict-keyed reference pass."""
 
     def assert_same(self, vpt, doc):
-        for flags in ({}, {"trace": True, "checkpoints": True, "per_symbol": True}):
-            got, got_err = _outcome(preprocess, vpt, doc, **flags)
-            ref, ref_err = _outcome(reference_preprocess, vpt, doc, **flags)
+        for recording in (False, True):
+            got_records = ref_records = None
+            got_observer = ref_observer = None
+            if recording:
+                got_records, got_observer = _recorders(vpt, EngineState.initial(vpt))
+                ref_records, ref_observer = _recorders(vpt, ReferenceState.initial(vpt))
+            got, got_err = _outcome(preprocess, vpt, doc, got_observer)
+            ref, ref_err = _outcome(reference_preprocess, vpt, doc, ref_observer)
             assert got_err == ref_err
+            # per-token counts, snapshots and checkpoint handles, up to the error if any
+            assert got_records == ref_records
             if got is None:
                 continue
             assert _arena_nodes(got.arena) == _arena_nodes(ref.arena)
             assert got.root == ref.root
             assert got.length == ref.length
-            assert got.stats.per_symbol == ref.stats.per_symbol
             assert got.stats.totals() == ref.stats.totals()
             assert got.stats.finalize == ref.stats.finalize
             assert got.stats.pulls == ref.stats.pulls
-            assert got.trace == ref.trace
-            assert got.checkpoints == ref.checkpoints
 
     def test_random_machines(self):
         rng = random.Random(71)
