@@ -18,7 +18,7 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 from itertools import islice, repeat
-from typing import Callable
+from typing import Callable, Iterator
 
 from vptenum import engine, formats, spanner
 from vptenum.ecs import EMPTY
@@ -158,10 +158,15 @@ def _all_of(observers: list) -> Callable | None:
     return observe
 
 
-def _output_rows(writer, enum: Enumerator, *prefix) -> None:
-    """One CSV ``output`` row per enumerated word: steps spent, length."""
-    for i, (gap, length) in enumerate(enum.gaps, start=1):
-        writer.writerow(["output", *prefix, i, "", "", "", "", gap, length])
+def _output_rows(writer, enum: Enumerator, words, *prefix) -> Iterator:
+    """Pass ``words``, taken from ``enum``, through and write one CSV
+    ``output`` row as each is emitted: the unit steps since the previous
+    emission, and its length counting the empty word as 1."""
+    last = 0
+    for i, word in enumerate(words, start=1):
+        writer.writerow(["output", *prefix, i, "", "", "", "", enum.steps - last, max(1, len(word))])
+        last = enum.steps
+        yield word
 
 
 STATS_HEADER = ["record", "index", "visits", "scans", "ecs_calls", "nodes_added", "delay_steps", "output_len"]
@@ -183,16 +188,17 @@ def cmd_run(args) -> int:
             observers.append(_checkpoint_lines(vpt))
         with _document(args.document, vpt.alphabet) as doc:
             result = engine.preprocess(vpt, doc, _all_of(observers))
-        enum = Enumerator(result.arena, result.root, smoothing=args.smoothing, instrument=args.stats)
-        write = sys.stdout.write  # one call per result line
-        print("#")
-        for word in islice(enum, args.limit):
-            write(render_word(word) + "\n")
-        print("#")
+        enum = Enumerator(result.arena, result.root, smoothing=args.smoothing)
+        words = islice(enum, args.limit)
         if writer is not None:
             fin = result.stats.finalize
             writer.writerow(["finalize", "", fin.visits, fin.scans, fin.ecs_calls, fin.nodes_added, "", ""])
-            _output_rows(writer, enum)
+            words = _output_rows(writer, enum, words)
+        write = sys.stdout.write  # one call per result line
+        print("#")
+        for word in words:
+            write(render_word(word) + "\n")
+        print("#")
     return EXIT_OK
 
 
@@ -290,10 +296,9 @@ def cmd_bench(args) -> int:
         writer.writerow(["record", "length", *STATS_HEADER[1:]])
         for length in args.lengths:
             result = engine.preprocess(vpt, _bench_doc(length, args.choices), _symbol_rows(writer, length))
-            enum = Enumerator(result.arena, result.root, instrument=True)
-            for _ in islice(enum, args.limit):
+            enum = Enumerator(result.arena, result.root)
+            for _ in _output_rows(writer, enum, islice(enum, args.limit), length):
                 pass
-            _output_rows(writer, enum, length)
     finally:
         if dest is not sys.stdout:
             dest.close()

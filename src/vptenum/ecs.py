@@ -185,10 +185,23 @@ class EcsArena:
             return v2
         if v2 == EMPTY:
             return v1
-        k1, k2 = self.kinds[v1], self.kinds[v2]
+        kinds = self.kinds
+        k1, k2 = kinds[v1], kinds[v2]
         if k1 < EPSILON:  # v1 epsilon-free
             if k2 < EPSILON:
-                return self._union_plain(v1, v2)
+                # the common case: one node, appended here, with an
+                # operand that is no union on its left
+                if k1 != UNION:
+                    left, right = v1, v2
+                elif k2 != UNION:
+                    left, right = v2, v1
+                else:
+                    return self._union_plain(v1, v2)
+                v = len(kinds)
+                kinds.append(UNION)
+                self.lefts.append(left)
+                self.rights.append(right)
+                return v
             if k2 == EPS_LEAF:
                 return self._union(v2, v1, EPS_UNION_NODE)
             inner = self._union_plain(v1, self.rights[v2])

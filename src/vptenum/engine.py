@@ -37,6 +37,15 @@ so far. The cache gains at most one plan per token, and no plan is
 larger than the work of the token that built it, so what it retains
 stays within the arena's own O(work).
 
+Identity runs. A neutral step whose plan keeps the table as it is
+leaves the shape unchanged, so the same token right after it finds the
+same plan and again changes nothing. Without an observer, each repeat
+of that token object costs one identity test, and the plan's counts are
+added once per run, times the run's length, when another token or the
+end arrives. The tokenizer hands out one object per distinct word, so a
+long stretch of padding costs O(1) Python work per run, not per token.
+Equal tokens that are distinct objects take the step each time.
+
 Observers. ``preprocess(vpt, tokens, observer=None)`` keeps O(1) totals.
 An observer is called after every token with the position, the
 ``EngineState`` and the token's ``SymbolStats``, so a CSV row or a
@@ -369,6 +378,11 @@ def preprocess(vpt: Vpt, tokens, observer: Callable | None = None) -> Preprocess
     is called after each token as ``observer(k, state, counts)``: the
     position k, the pass state and that token's SymbolStats. Arena
     nodes it adds count for no token and not in the totals.
+
+    Without an observer, a token that ``is`` the one before it, whose
+    neutral step left the table as it was, is skipped: the totals gain
+    the step's counts for it all the same. With an observer every token
+    takes its step, so the observer sees each one.
     """
     state = EngineState.initial(vpt)
     shapes = state.shapes
@@ -384,8 +398,18 @@ def preprocess(vpt: Vpt, tokens, observer: Callable | None = None) -> Preprocess
     k = total_visits = total_scans = total_calls = 0
     start = counted = len(nodes)  # counted: the arena's size after the last observer call
     uncounted = 0  # nodes added by the observer, which are no token's
-    for tok in tokens:
-        k += 1
+    # an identity run: the token whose identity plan ran last, where its
+    # repeats start, and the plan's counts, added once the run ends
+    same = None
+    for k, tok in enumerate(tokens, 1):
+        if tok is same:
+            continue
+        if same is not None:
+            repeats = k - resume
+            total_visits += repeats * same_visits
+            total_scans += repeats * same_scans
+            total_calls += repeats * same_calls
+            same = None
         kind = tok.kind
         if kind is NEUTRAL:
             key = (state.shape, tok.name)
@@ -393,6 +417,11 @@ def preprocess(vpt: Vpt, tokens, observer: Callable | None = None) -> Preprocess
             if plan is None:
                 plan = neutral_plans[key] = neutral_plan(shapes, key[0], nidx.get(key[1], NO_MOVES))
             visits, scans, calls = run_neutral(state, plan, k)
+            if plan.gather is None and observer is None:
+                # the table is as it was: a repeat of this token object
+                # would find this plan again and change nothing either
+                same, resume = tok, k + 1
+                same_visits, same_scans, same_calls = visits, scans, calls
         elif kind is OPEN:
             key = (state.shape, tok.name)
             plan = open_plans.get(key)
@@ -413,6 +442,11 @@ def preprocess(vpt: Vpt, tokens, observer: Callable | None = None) -> Preprocess
             observer(k, state, SymbolStats(visits, scans, calls, size - counted))
             counted = len(nodes)
             uncounted += counted - size
+    if same is not None:
+        repeats = k + 1 - resume
+        total_visits += repeats * same_visits
+        total_scans += repeats * same_scans
+        total_calls += repeats * same_calls
     if state.stack:
         raise NestingError(f"unbalanced open at position {state.stack[0][2]}")
     stats.visits, stats.scans, stats.ecs_calls = total_visits, total_scans, total_calls

@@ -5,6 +5,7 @@ import csv
 import io
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,7 @@ from vptenum.cli import (
     main,
     render_word,
 )
+from vptenum.enumtree import Enumerator
 from vptenum.formats import parse_vpt
 from vptenum.nested import tokenize
 from vptenum.spanner import evaluate_spanner, parse_vpeg
@@ -254,6 +256,44 @@ class TestRun:
                     tracemalloc.stop()
         assert peaks[40_000] - peaks[10_000] < 128 * 1024, peaks
 
+    def test_stats_memory_does_not_grow_with_results(self, tmp_path):
+        # each output row is written as its word is emitted, so the
+        # peak stays flat as more of the 2^14 results are enumerated
+        machine = tmp_path / "m.vpt"
+        machine.write_text(CHOICE_VPT, encoding="utf-8")
+        doc = tmp_path / "d.txt"
+        doc.write_text("<r " + "b " * 14 + "r>\n", encoding="utf-8")
+        argv = ["run", "-t", str(machine), "-d", str(doc), "--stats", "--stats-out", str(tmp_path / "s.csv")]
+        peaks = {}
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            for limit in (2_000, 8_000):
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(sink):
+                        assert main([*argv, "--limit", str(limit)]) == EXIT_OK
+                    _, peaks[limit] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert peaks[8_000] - peaks[2_000] < 128 * 1024, peaks
+
+    def test_output_rows_are_the_instrumented_gaps(self, capsys, files, tmp_path):
+        # the streamed rows give what Enumerator(instrument=True) records
+        t = files("m.vpt", CHOICE_VPT)
+        d = files("d.txt", "<r b c b b r>")
+        stats = tmp_path / "stats.csv"
+        argv = ["run", "-t", t, "-d", d, "--stats", "--stats-out", str(stats), "--smoothing", "2"]
+        assert run_main(capsys, [*argv, "--limit", "5"])[0] == EXIT_OK
+        with stats.open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row[0] == "output"]
+        vpt = parse_vpt(CHOICE_VPT)
+        with open(d, encoding="utf-8") as fh:
+            result = engine.preprocess(vpt, tokenize(fh, vpt.alphabet))
+        enum = Enumerator(result.arena, result.root, smoothing=2, instrument=True)
+        assert len(list(itertools.islice(enum, 5))) == 5
+        assert [(int(r[1]), int(r[6]), int(r[7])) for r in rows] == [
+            (i, gap, length) for i, (gap, length) in enumerate(enum.gaps, start=1)
+        ]
+
     def test_ambiguous_machine_refused_by_default(self, capsys, files):
         t = files("m.vpt", AMBIGUOUS_VPT)
         d = files("d.txt", "c c")
@@ -323,6 +363,53 @@ class TestRun:
         code, _, err = run_main(capsys, ["run", "-t", t, "-d", d])
         assert code == EXIT_INPUT
         assert "vptenum: error:" in err[0]
+
+
+class TestScanDocument:
+    """The shape of the benchmark's scan workload: 10^5 tokens, a few b
+    among silent c, written 20 tokens per line. Nearly every token
+    repeats the one before it in an identity run."""
+
+    LENGTH, CHOICES, PER_LINE = 100_000, 10, 20
+
+    def document(self, tmp_path):
+        rng = random.Random(5)
+        positions = sorted(rng.sample(range(2, self.LENGTH), self.CHOICES))
+        tokens = ["<r"] + ["c"] * (self.LENGTH - 2) + ["r>"]
+        for p in positions:
+            tokens[p - 1] = "b"
+        lines = (" ".join(tokens[i : i + self.PER_LINE]) for i in range(0, self.LENGTH, self.PER_LINE))
+        path = tmp_path / "scan.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path), positions
+
+    def test_every_result_exactly_once(self, capsys, files, tmp_path):
+        t = files("m.vpt", CHOICE_VPT)
+        d, positions = self.document(tmp_path)
+        code, out, _ = run_main(capsys, ["run", "-t", t, "-d", d])
+        assert code == EXIT_OK
+        assert out[0] == out[-1] == "#"
+        expected = {
+            " ".join(f"{sym}@{p}" for sym, p in zip(choice, positions))
+            for choice in itertools.product("uv", repeat=self.CHOICES)
+        }
+        assert len(out) - 2 == len(expected) == 2**self.CHOICES
+        assert set(out[1:-1]) == expected
+
+    def test_skipped_runs_count_what_each_step_counts(self, tmp_path):
+        # an observer, even one that does nothing, makes every token take its step
+        vpt = parse_vpt(CHOICE_VPT)
+        d, _ = self.document(tmp_path)
+        with open(d, encoding="utf-8") as fh:
+            tokens = list(tokenize(fh, vpt.alphabet))
+        skipped = engine.preprocess(vpt, tokens)
+        stepped = engine.preprocess(vpt, tokens, lambda k, state, counts: None)
+        assert skipped.stats == stepped.stats
+        assert skipped.stats.pulls == self.LENGTH + 1
+        assert skipped.stats.totals().visits == self.LENGTH + self.CHOICES + 1
+        arenas = [(r.arena.kinds, r.arena.lefts, r.arena.rights) for r in (skipped, stepped)]
+        assert arenas[0] == arenas[1]
+        assert skipped.root == stepped.root
 
 
 class TestOracle:

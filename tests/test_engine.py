@@ -1,9 +1,10 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from vptenum import spanner
+from vptenum import engine, spanner
 from vptenum.cli import _bench_doc, _bench_vpt
 from vptenum.ecs import EMPTY, EPSILON, IS_EPS, EcsArena
 from vptenum.engine import (
@@ -22,7 +23,7 @@ from vptenum.engine import (
     run_open,
 )
 from vptenum.enumtree import enumerate_words
-from vptenum.nested import StructuredAlphabet, Token, TokenKind
+from vptenum.nested import StructuredAlphabet, Token, TokenKind, tokenize
 from vptenum.vpt import Vpt, io_determinize, is_io_deterministic, oracle_enumerate
 
 from oracle_helpers import (
@@ -416,6 +417,39 @@ def assert_eps_flags_exact(vpt, doc) -> None:
     preprocess(vpt, doc, observe)
 
 
+IDLE = "idle"
+
+
+def with_idle_letter(vpt: Vpt) -> Vpt:
+    """vpt with one more neutral letter on which every state loops
+    silently: its step is the identity on every table."""
+    alphabet = replace(vpt.alphabet, neutrals=vpt.alphabet.neutrals | {IDLE})
+    loops = {(q, IDLE, None, q) for q in vpt.states}
+    return replace(vpt, alphabet=alphabet, neutrals=vpt.neutrals | loops)
+
+
+def interned(doc: list) -> list:
+    """The document with one Token object per distinct token, as the
+    tokenizer hands them out."""
+    canon: dict = {}
+    return [canon.setdefault(tok, tok) for tok in doc]
+
+
+def with_runs(rng: random.Random, doc: list) -> list:
+    """doc, interned, with some neutrals repeated and runs of the idle
+    letter put before tokens and, at times, at the end."""
+    out = []
+    for tok in doc:
+        if rng.random() < 0.3:
+            out += [tok_neutral(IDLE)] * rng.randint(1, 5)
+        out.append(tok)
+        if tok.kind is TokenKind.NEUTRAL and rng.random() < 0.5:
+            out += [tok] * rng.randint(1, 5)
+    if rng.random() < 0.5:
+        out += [tok_neutral(IDLE)] * rng.randint(1, 5)
+    return interned(out)
+
+
 class TestPlansMatchReference:
     """The compiled pass against the dict-keyed reference pass."""
 
@@ -449,6 +483,12 @@ class TestPlansMatchReference:
                 doc = random_well_nested(rng, m.alphabet, rng.randint(0, 14))
                 self.assert_same(m, doc)
                 assert_eps_flags_exact(m, doc)
+            # the last document again, interned and with runs of repeated
+            # neutrals: fresh tokens never repeat an object, so only these
+            # passes skip identity runs. To m the idle letter is foreign.
+            runs = with_runs(random.Random(i), doc)
+            self.assert_same(m, runs)
+            self.assert_same(with_idle_letter(m), runs)
 
     def test_unbalanced_documents(self):
         rng = random.Random(72)
@@ -543,3 +583,79 @@ class TestPlanCount:
             ("((.)(.(.)))" * 5, 5),
         ]:
             assert preprocess(marker_vpt(), brackets(text)).stats.plans == plans
+
+
+def words(vpt: Vpt, text: str) -> list:
+    """The tokenized document, one Token object per distinct word."""
+    return list(tokenize(text, vpt.alphabet))
+
+
+class TestIdentityRuns:
+    """A repeated token whose step leaves the table as it is skips the
+    step; what it adds to the pass is the same."""
+
+    def assert_exact(self, vpt, doc):
+        plain = preprocess(vpt, doc)
+        ref = reference_preprocess(vpt, doc)
+        records = SymbolRecords()
+        recorded = preprocess(vpt, doc, records)  # an observer turns the skip off
+        assert len(records) == len(doc)
+        for other in (ref, recorded):
+            assert _arena_nodes(plain.arena) == _arena_nodes(other.arena)
+            assert plain.root == other.root
+            assert plain.length == other.length == len(doc)
+            assert plain.stats.totals() == other.stats.totals()
+            assert plain.stats.finalize == other.stats.finalize
+            assert plain.stats.pulls == other.stats.pulls == len(doc) + 1
+        assert plain.stats.plans == recorded.stats.plans
+        return plain
+
+    def test_document_ends_inside_a_run(self):
+        m = with_idle_letter(_bench_vpt())
+        res = self.assert_exact(m, words(m, "<r b r>" + " idle" * 7))
+        # the accepting slot loops on idle: one visit per token
+        assert res.stats.totals().visits == 1 + 2 + 1 + 7 + 1
+
+    def test_document_is_one_run(self):
+        m = with_idle_letter(_bench_vpt())
+        for n in (1, 2, 50):
+            res = self.assert_exact(m, [tok_neutral(IDLE)] * n)
+            assert res.stats.totals() == SymbolStats(n, 1, n, 0)  # the fold scans q0
+        self.assert_exact(marker_vpt(), interned(brackets("." * 40)))
+
+    def test_run_broken_by_an_open_close_pair(self):
+        m = with_idle_letter(_bench_vpt())
+        self.assert_exact(m, words(m, "idle idle idle <r c c b c c r> idle idle idle"))
+        self.assert_exact(m, words(m, "<r c c c <r r> c c c r>"))
+        self.assert_exact(marker_vpt(), interned(brackets("..(...)...(.)")))
+
+    def test_equal_tokens_that_are_distinct_objects(self):
+        # equality is not identity: each distinct object takes the step
+        m = _bench_vpt()
+        fresh = list(_bench_doc(500, 12))
+        fresh[1:-1] = [Token(tok.kind, tok.name) for tok in fresh[1:-1]]
+        shared = preprocess(m, interned(fresh))
+        got = preprocess(m, fresh)
+        assert _arena_nodes(got.arena) == _arena_nodes(shared.arena)
+        assert got.root == shared.root
+        assert got.stats == shared.stats
+        self.assert_exact(m, fresh)
+
+    def test_a_run_costs_one_step(self, monkeypatch):
+        # 10^4 interned c tokens of the choice machine run the step once
+        calls = []
+        real = engine.run_neutral
+
+        def counted(state, plan, k):
+            calls.append(k)
+            return real(state, plan, k)
+
+        monkeypatch.setattr(engine, "run_neutral", counted)
+        m = _bench_vpt()
+        doc = words(m, "<r " + "c " * 10_000 + "b " + "c " * 10_000 + "r>")
+        res = preprocess(m, doc)
+        assert calls == [2, 10_002, 10_003]  # one per run: c, b, c
+        assert res.stats.totals().visits == 1 + 10_000 + 2 + 10_000 + 1 + 1
+        calls.clear()
+        preprocess(m, doc, lambda k, state, counts: None)
+        assert len(calls) == 20_001  # with an observer every token takes its step
