@@ -160,12 +160,9 @@ def _all_of(observers: list) -> Callable | None:
 
 def _output_rows(writer, enum: Enumerator, words, *prefix) -> Iterator:
     """Pass ``words``, taken from ``enum``, through and write one CSV
-    ``output`` row as each is emitted: the unit steps since the previous
-    emission, and its length counting the empty word as 1."""
-    last = 0
+    ``output`` row as each is emitted: its ``enum.last_gap``."""
     for i, word in enumerate(words, start=1):
-        writer.writerow(["output", *prefix, i, "", "", "", "", enum.steps - last, max(1, len(word))])
-        last = enum.steps
+        writer.writerow(["output", *prefix, i, "", "", "", "", *enum.last_gap])
         yield word
 
 

@@ -163,14 +163,10 @@ class EcsArena:
 
     # -- union -------------------------------------------------------
 
-    def _union_plain(self, a: int, b: int) -> int:
-        # both operands epsilon-free and safe
-        if self.kinds[a] != UNION:
-            return self._union(a, b)
-        if self.kinds[b] != UNION:
-            return self._union(b, a)
-        # both are unions: three fresh nodes keep the result's left
-        # spine shallow while the deep node stays on a right branch
+    def _union_splice(self, a: int, b: int) -> int:
+        # both operands epsilon-free safe unions: three fresh nodes keep
+        # the result's left spine shallow while the deep node stays on a
+        # right branch
         vstar = self._union(self.rights[a], self.rights[b])
         vmid = self._union(self.lefts[b], vstar)
         return self._union(self.lefts[a], vmid)
@@ -196,7 +192,7 @@ class EcsArena:
                 elif k2 != UNION:
                     left, right = v2, v1
                 else:
-                    return self._union_plain(v1, v2)
+                    return self._union_splice(v1, v2)
                 v = len(kinds)
                 kinds.append(UNION)
                 self.lefts.append(left)
@@ -204,7 +200,7 @@ class EcsArena:
                 return v
             if k2 == EPS_LEAF:
                 return self._union(v2, v1, EPS_UNION_NODE)
-            inner = self._union_plain(v1, self.rights[v2])
+            inner = self.union(v1, self.rights[v2])
             return self._union(self.lefts[v2], inner, EPS_UNION_NODE)
         if k1 == EPS_LEAF:
             if k2 < EPSILON:
@@ -213,9 +209,9 @@ class EcsArena:
         if k2 == EPS_LEAF:  # v1 an epsilon union from here on
             return v1
         if k2 < EPSILON:
-            inner = self._union_plain(self.rights[v1], v2)
+            inner = self.union(self.rights[v1], v2)
             return self._union(self.lefts[v1], inner, EPS_UNION_NODE)
-        inner = self._union_plain(self.rights[v1], self.rights[v2])
+        inner = self.union(self.rights[v1], self.rights[v2])
         return self._union(self.lefts[v2], inner, EPS_UNION_NODE)
 
     # -- prod --------------------------------------------------------

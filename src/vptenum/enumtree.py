@@ -60,9 +60,9 @@ _NEVER = 1 << 62
 class Enumerator:
     """Streams L(v) once per word, with smoothing and instrumentation.
 
-    ``gaps`` records, per emission, the pair (unit steps since the
-    previous emission, emitted length counting the empty word as 1);
-    ``tree_sizes`` records (skeleton nodes, word length) per word found
+    ``last_gap`` is, after each emission, the pair (unit steps since
+    the previous emission, emitted length counting the empty word as 1);
+    ``gaps`` records every such pair and ``tree_sizes`` records (skeleton nodes, word length) per word found
     when instrumentation is on.
     """
 
@@ -79,6 +79,7 @@ class Enumerator:
         self.instrument = instrument
         self.steps = 0
         self.emitted = 0
+        self.last_gap: tuple[int, int] | None = None
         self.gaps: list[tuple[int, int]] = []
         self.tree_sizes: list[tuple[int, int]] = []
         self._last_emit_steps = 0
@@ -86,9 +87,10 @@ class Enumerator:
     def _note_emit(self, word: OutputWord, steps: int) -> None:
         self.steps = steps
         self.emitted += 1
+        self.last_gap = (steps - self._last_emit_steps, max(1, len(word)))
         if self.instrument:
-            self.gaps.append((self.steps - self._last_emit_steps, max(1, len(word))))
-        self._last_emit_steps = self.steps
+            self.gaps.append(self.last_gap)
+        self._last_emit_steps = steps
 
     def __iter__(self) -> Iterator[OutputWord]:
         arena = self.arena
