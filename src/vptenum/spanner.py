@@ -25,7 +25,7 @@ from typing import Iterator
 from vptenum.nested import Span, StructuredAlphabet, Token, TokenKind
 from vptenum import engine
 from vptenum.enumtree import DEFAULT_SMOOTHING
-from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic
+from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, level_reach, stable_key
 
 END_MARKER = "#"
 OPEN, CLOSE = TokenKind.OPEN, TokenKind.CLOSE
@@ -264,122 +264,77 @@ def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpt:
 
 
 def _marker_edges(evpa: Vpt, variables) -> list[tuple[str, str, str]]:
+    """The marker transitions, in stable_key order so that a search
+    over them goes the same way in every process."""
     markers = {open_marker(x) for x in variables} | {close_marker(x) for x in variables}
-    return [(q, a, q2) for q, a, _, q2 in evpa.neutrals if a in markers]
-
-
-def _well_nested_pairs(vpa: Vpt) -> set:
-    """All (p, q) with q reachable from p by one complete well-nested
-    ref-word factor (the empty factor included)."""
-    pairs = {(q, q) for q in vpa.states}
-    for q, _, _, q2 in vpa.neutrals:
-        pairs.add((q, q2))
-    opens_by_sym: dict = {}
-    for q, _, _, q2, x in vpa.opens:
-        opens_by_sym.setdefault(x, []).append((q, q2))
-    closes_by_sym: dict = {}
-    for q, _, _, x, q2 in vpa.closes:
-        closes_by_sym.setdefault(x, []).append((q, q2))
-    changed = True
-    while changed:
-        changed = False
-        new = set()
-        by_first: dict = {}
-        for p, q in pairs:
-            by_first.setdefault(p, []).append(q)
-        for p, q in pairs:
-            for q2 in by_first.get(q, ()):
-                if (p, q2) not in pairs:
-                    new.add((p, q2))
-        for x, oedges in opens_by_sym.items():
-            for o_from, o_to in oedges:
-                for mid in by_first.get(o_to, ()):
-                    for c_from, c_to in closes_by_sym.get(x, ()):
-                        if c_from == mid and (o_from, c_to) not in pairs:
-                            new.add((o_from, c_to))
-        if new:
-            pairs |= new
-            changed = True
-    return pairs
+    edges = [(q, a, q2) for q, a, _, q2 in evpa.neutrals if a in markers]
+    return sorted(edges, key=stable_key)
 
 
 def check_functional(evpa: Vpt, variables) -> None:
     """Reject unless every accepted ref-word opens and closes every
     variable exactly once, start before end.
 
-    Runs the marker bookkeeping as a product automaton (statuses per
-    variable: unopened, open, closed, plus a poison state for misuse)
-    and asks, via well-nested reachability, whether any accepting state
-    is reachable with anything other than all-closed books.
+    Runs `level_reach` over pairs of an acceptor state and the books:
+    one status per variable (0 unopened, 1 open, 2 closed), or None
+    once a marker repeats or comes out of order. A marker steps the
+    books as it is read; opens and closes carry them unchanged into
+    and out of the inner level. Every accepting state that the initial
+    level reaches must hold all-closed books. Poisoned books are
+    reported first, else the unassigned variables of the smallest bad
+    book vector, so the message does not depend on set order.
     """
     xs = sorted(variables)
-    clean = tuple(0 for _ in xs)
-    done = tuple(2 for _ in xs)
-    bad = None
+    steps = {}
+    for i, x in enumerate(xs):
+        steps[open_marker(x)] = (i, 0, 1)
+        steps[close_marker(x)] = (i, 1, 2)
+    clean = (0,) * len(xs)
+    done = (2,) * len(xs)
 
-    def bump(vec, a):
-        if vec is bad:
-            return bad
-        for i, x in enumerate(xs):
-            if a == open_marker(x):
-                if vec[i] != 0:
-                    return bad
-                return vec[:i] + (1,) + vec[i + 1 :]
-            if a == close_marker(x):
-                if vec[i] != 1:
-                    return bad
-                return vec[:i] + (2,) + vec[i + 1 :]
-        return vec
+    def bump(books, a):
+        step = steps.get(a)
+        if step is None or books is None:
+            return books
+        i, before, after = step
+        if books[i] != before:
+            return None
+        return books[:i] + (after,) + books[i + 1 :]
 
-    vecs = [bad, clean]
-    frontier = [clean]
-    markers = {open_marker(x) for x in xs} | {close_marker(x) for x in xs}
-    while frontier:
-        vec = frontier.pop()
-        for a in markers:
-            nxt = bump(vec, a)
-            if nxt not in vecs:
-                vecs.append(nxt)
-                frontier.append(nxt)
+    nidx, oidx, cidx = evpa.neutral_index, evpa.open_index, evpa.close_index
 
-    states = frozenset((q, vec) for q in evpa.states for vec in vecs)
-    neutrals = set()
-    for q, a, _, q2 in evpa.neutrals:
-        for vec in vecs:
-            neutrals.add(((q, vec), a, None, (q2, bump(vec, a))))
-    opens = set()
-    for q, a, _, q2, x in evpa.opens:
-        for vec in vecs:
-            opens.add(((q, vec), a, None, (q2, vec), x))
-    closes = set()
-    for q, a, _, x, q2 in evpa.closes:
-        for vec in vecs:
-            closes.add(((q, vec), a, None, x, (q2, vec)))
-    product = Vpt(
-        states=states,
-        alphabet=evpa.alphabet,
-        stack_symbols=evpa.stack_symbols,
-        output_symbols=frozenset(),
-        opens=frozenset(opens),
-        closes=frozenset(closes),
-        neutrals=frozenset(neutrals),
-        initial=frozenset((q, clean) for q in evpa.initial),
-        final=frozenset((q, vec) for q in evpa.final for vec in vecs),
-    )
-    pairs = _well_nested_pairs(product)
-    for q0 in evpa.initial:
-        for p, (q, vec) in pairs:
-            if p == (q0, clean) and q in evpa.final and vec != done:
-                if vec is bad:
-                    raise NotFunctionalError(
-                        "grammar not functional: some accepted ref-word "
-                        "repeats or misorders a capture"
-                    )
-                missing = [x for i, x in enumerate(xs) if vec[i] != 2]
-                raise NotFunctionalError(
-                    "grammar not functional: some accepted ref-word leaves "
-                    f"variable(s) {', '.join(missing)} unassigned"
-                )
+    def neutral(state):
+        q, books = state
+        return [(q2, bump(books, a)) for a, row in nidx.items() for _, q2 in row.get(q, ())]
+
+    def opens(state):
+        q, books = state
+        return [((q2, books), x) for row in oidx.values() for _, q2, x in row.get(q, ())]
+
+    def closes(state, x):
+        q, books = state
+        return [(q2, books) for row in cidx.values() for _, q2 in row.get((q, x), ())]
+
+    initial = [(q0, clean) for q0 in evpa.initial]
+    reach = level_reach(initial, neutral, opens, closes)
+    bad = {
+        books
+        for entry in initial
+        for q, books in reach[entry]
+        if q in evpa.final and books != done
+    }
+    if None in bad:
+        raise NotFunctionalError(
+            "grammar not functional: some accepted ref-word "
+            "repeats or misorders a capture"
+        )
+    if bad:
+        books = min(bad)
+        missing = [x for i, x in enumerate(xs) if books[i] != 2]
+        raise NotFunctionalError(
+            "grammar not functional: some accepted ref-word leaves "
+            f"variable(s) {', '.join(missing)} unassigned"
+        )
 
 
 def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000) -> Vpt:

@@ -10,11 +10,15 @@ empty output word is a single possible result, not one per run length.
 relation is a partial function of (state, letter, output symbol). The
 deterministic states are sets of state pairs (level origin, current
 state) and the stack symbols are sets of (origin, pushed, target)
-triples, keyed by output.
+triples, keyed by output. Which of them exist is the question which
+states well-nested words reach from a level's entry; ``level_reach``
+answers it with one worklist, for determinization here and for the
+spanner's functionality check.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -217,171 +221,181 @@ def is_io_deterministic(vpt: Vpt) -> bool:
     return True
 
 
+def level_reach(initial, neutral, opens, closes) -> dict:
+    """States that well-nested words reach from each level entry.
+
+    The summary construction of Alur & Madhusudan (STOC 2004) as one
+    worklist of (entry, state) pairs. `initial` lists the entries of
+    the outermost level, and three step functions say where one letter
+    leads from a state: `neutral(S)` yields states, `opens(S)` yields
+    an (entry, pushed) pair per inner level that S opens, and
+    `closes(S, pushed)` yields the states that popping `pushed` leads
+    to. A level that opens (entry, pushed) waits in
+    callers[entry][pushed], so each state of the inner level's reach
+    set closes straight into the reach set of every caller. Returns a
+    dict from each level entry to its reach set.
+
+    The work is taken first in, first out: breadth first, new states
+    turn up before the close steps of deep levels pile up, so a cap on
+    the states found trips sooner than it does depth first.
+    """
+    reach: dict = {}
+    callers: dict = {}  # entry -> {pushed: entries of the levels that open it}
+    work: deque = deque()
+
+    def add(entry, S):
+        seen = reach[entry]
+        if S not in seen:
+            seen.add(S)
+            work.append((entry, S))
+
+    def enter(entry):
+        if entry not in reach:
+            reach[entry] = set()
+            callers[entry] = {}
+            add(entry, entry)
+
+    for entry in initial:
+        enter(entry)
+    while work:
+        entry, S = work.popleft()
+        for S2 in neutral(S):
+            add(entry, S2)
+        for child, pushed in opens(S):
+            enter(child)
+            waiting = callers[child].setdefault(pushed, set())
+            if entry not in waiting:
+                waiting.add(entry)
+                for S2 in list(reach[child]):
+                    for S3 in closes(S2, pushed):
+                        add(entry, S3)
+        for pushed, waiting in callers[entry].items():
+            for S3 in closes(S, pushed):
+                for caller in waiting:
+                    add(caller, S3)
+    return reach
+
+
 def _det_tables(vpt: Vpt, max_states: int):
     """Reachable fragment of the pair-set construction.
 
-    Returns (states, reach, open_edges, close_edges, neutral_edges,
-    summary_entries) where reach maps each level entry to the pair-set
-    states reachable from it by well-nested factors, and
-    summary_entries maps each summary (stack symbol) to the level
-    entries it can open into.
+    Three step functions over one subset state S, a set of (level
+    origin, current state) pairs, are driven by `level_reach`: neutral,
+    open (which gives the inner level's entry and the summary, a set of
+    (origin, pushed, entry state) triples) and close under a summary.
+    Each computes the row of its state, or of its (state, summary)
+    pair, once, keyed by (letter, output), and counts every new target
+    towards the cap. Returns (states, open_edges, close_edges,
+    neutral_edges): open_edges[S] maps a key to (entry, summary), and
+    close_edges[S, summary] and neutral_edges[S] map it to the target.
     """
-    oidx = vpt.open_index
-    cidx = vpt.close_index
-    nidx = vpt.neutral_index
-    open_keys = sorted({(a, out) for _, a, out, _, _ in vpt.opens}, key=repr)
-    close_keys = sorted({(a, out) for _, a, out, _, _ in vpt.closes}, key=repr)
-    neutral_keys = sorted({(a, out) for _, a, out, _ in vpt.neutrals}, key=repr)
-
-    def d_open(S, a, out):
-        summary, seed = set(), set()
-        for p, p2 in S:
-            for o, q2, x in oidx[a].get(p2, ()):
-                if o == out:
-                    summary.add((p, x, q2))
-                    seed.add((q2, q2))
-        return frozenset(seed), frozenset(summary)
-
-    def d_close(S, a, out, summary):
-        by_first: dict = {}
-        for p2, q2 in S:
-            by_first.setdefault(p2, []).append(q2)
-        nxt = set()
-        for p, x, p2 in summary:
-            for q2 in by_first.get(p2, ()):
-                for o, q3 in cidx[a].get((q2, x), ()):
-                    if o == out:
-                        nxt.add((p, q3))
-        return frozenset(nxt)
-
-    def d_neutral(S, a, out):
-        nxt = set()
-        for p, q in S:
-            for o, q2 in nidx[a].get(q, ()):
-                if o == out:
-                    nxt.add((p, q2))
-        return frozenset(nxt)
-
-    init = frozenset((q, q) for q in vpt.initial)
-    states = {init}
-    entries = {init}
-    reach: dict = {init: {init}}
+    oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
+    states: set = set()
     open_edges: dict = {}
     close_edges: dict = {}
     neutral_edges: dict = {}
-    summary_entries: dict = {}
 
-    changed = True
-    while changed:
-        changed = False
-        for S in sorted(states, key=repr):
-            for a, out in neutral_keys:
-                key = (S, a, out)
-                if key not in neutral_edges:
-                    S2 = d_neutral(S, a, out)
-                    neutral_edges[key] = S2 if S2 else None
-                    if S2 and S2 not in states:
-                        states.add(S2)
-                        changed = True
-            for a, out in open_keys:
-                key = (S, a, out)
-                if key not in open_edges:
-                    entry, summary = d_open(S, a, out)
-                    if entry:
-                        open_edges[key] = (entry, summary)
-                        summary_entries.setdefault(summary, set()).add(entry)
-                        if entry not in states:
-                            states.add(entry)
-                            changed = True
-                        if entry not in entries:
-                            entries.add(entry)
-                            reach[entry] = {entry}
-                            changed = True
-                    else:
-                        open_edges[key] = None
-        # close transitions: any state within a summary's level may pop
-        for summary, ents in list(summary_entries.items()):
-            sources = set()
-            for entry in ents:
-                sources |= reach[entry]
-            for S2 in sorted(sources, key=repr):
-                for a, out in close_keys:
-                    key = (S2, a, out, summary)
-                    if key not in close_edges:
-                        S3 = d_close(S2, a, out, summary)
-                        close_edges[key] = S3 if S3 else None
-                        if S3 and S3 not in states:
-                            states.add(S3)
-                            changed = True
-        # grow the per-level reach sets through neutral and composite hops
-        for entry in list(entries):
-            frontier = list(reach[entry])
-            while frontier:
-                S = frontier.pop()
-                hops = []
-                for a, out in neutral_keys:
-                    tgt = neutral_edges.get((S, a, out))
-                    if tgt:
-                        hops.append(tgt)
-                for a, out in open_keys:
-                    edge = open_edges.get((S, a, out))
-                    if not edge:
-                        continue
-                    child_entry, summary = edge
-                    for S2 in list(reach.get(child_entry, ())):
-                        for b, out2 in close_keys:
-                            tgt = close_edges.get((S2, b, out2, summary))
-                            if tgt:
-                                hops.append(tgt)
-                for tgt in hops:
-                    if tgt not in reach[entry]:
-                        reach[entry].add(tgt)
-                        frontier.append(tgt)
-                        changed = True
-        if len(states) > max_states:
-            raise ResourceCapError(
-                f"determinization exceeded {max_states} subset states"
-            )
-    return states, reach, open_edges, close_edges, neutral_edges, summary_entries
+    def count(S):
+        if S not in states:
+            states.add(S)
+            if len(states) > max_states:
+                raise ResourceCapError(
+                    f"determinization exceeded {max_states} subset states"
+                )
+
+    def freeze(rows: dict) -> dict:
+        row = {key: frozenset(T) for key, T in rows.items()}
+        for T in row.values():
+            count(T)
+        return row
+
+    def neutral(S):
+        row = neutral_edges.get(S)
+        if row is None:
+            rows: dict = {}
+            for a, moves in nidx.items():
+                for p, q in S:
+                    for out, q2 in moves.get(q, ()):
+                        rows.setdefault((a, out), set()).add((p, q2))
+            row = neutral_edges[S] = freeze(rows)
+        return row.values()
+
+    def open_(S):
+        row = open_edges.get(S)
+        if row is None:
+            rows: dict = {}
+            for a, moves in oidx.items():
+                for p, p2 in S:
+                    for out, q2, x in moves.get(p2, ()):
+                        entry, summary = rows.setdefault((a, out), (set(), set()))
+                        entry.add((q2, q2))
+                        summary.add((p, x, q2))
+            row = open_edges[S] = {
+                key: (frozenset(entry), frozenset(summary))
+                for key, (entry, summary) in rows.items()
+            }
+            for entry, _ in row.values():
+                count(entry)
+        return row.values()
+
+    def close(S, summary):
+        row = close_edges.get((S, summary))
+        if row is None:
+            by_first: dict = {}
+            for p2, q2 in S:
+                by_first.setdefault(p2, []).append(q2)
+            rows: dict = {}
+            for a, moves in cidx.items():
+                for p, x, p2 in summary:
+                    for q2 in by_first.get(p2, ()):
+                        for out, q3 in moves.get((q2, x), ()):
+                            rows.setdefault((a, out), set()).add((p, q3))
+            row = close_edges[S, summary] = freeze(rows)
+        return row.values()
+
+    init = frozenset((q, q) for q in vpt.initial)
+    count(init)
+    level_reach([init], neutral, open_, close)
+    return states, open_edges, close_edges, neutral_edges
 
 
 def io_determinize(vpt: Vpt, max_states: int = 4096) -> Vpt:
     """Equivalent transducer keyed deterministically by (letter, output).
 
-    The result has one initial state and a partial transition function;
-    only pair-set states reachable through well-nested factors are
-    materialized. States are renamed s0, s1, ... and stack symbols
-    t0, t1, ... in a stable order.
+    The result has one initial state and a partial transition function.
+    Only the pair-set states that `level_reach` finds are materialized:
+    those that well-nested factors reach from the initial level, and
+    from every inner level entry that an open reaches, with each close
+    taken under the summaries of the levels that wait on it. More than
+    max_states distinct subset states raise ResourceCapError. States
+    are renamed s0, s1, ... and stack symbols t0, t1, ... in a stable
+    order.
     """
-    states, reach, open_edges, close_edges, neutral_edges, summary_entries = _det_tables(
-        vpt, max_states
-    )
+    states, open_edges, close_edges, neutral_edges = _det_tables(vpt, max_states)
     init = frozenset((q, q) for q in vpt.initial)
 
     def sort_key(fs):
         return tuple(sorted(map(repr, fs)))
 
     state_names = {S: f"s{i}" for i, S in enumerate(sorted(states, key=sort_key))}
-    summaries = sorted(summary_entries, key=sort_key)
-    summary_names = {T: f"t{i}" for i, T in enumerate(summaries)}
+    summaries = {summary for row in open_edges.values() for _, summary in row.values()}
+    summary_names = {T: f"t{i}" for i, T in enumerate(sorted(summaries, key=sort_key))}
 
-    opens = set()
-    for (S, a, out), edge in open_edges.items():
-        if edge is None:
-            continue
-        entry, summary = edge
-        opens.add((state_names[S], a, out, state_names[entry], summary_names[summary]))
-    closes = set()
-    for (S, a, out, summary), tgt in close_edges.items():
-        if tgt is None:
-            continue
-        closes.add((state_names[S], a, out, summary_names[summary], state_names[tgt]))
-    neutrals = set()
-    for (S, a, out), tgt in neutral_edges.items():
-        if tgt is None:
-            continue
-        neutrals.add((state_names[S], a, out, state_names[tgt]))
-
+    opens = {
+        (state_names[S], a, out, state_names[entry], summary_names[summary])
+        for S, row in open_edges.items()
+        for (a, out), (entry, summary) in row.items()
+    }
+    closes = {
+        (state_names[S], a, out, summary_names[summary], state_names[tgt])
+        for (S, summary), row in close_edges.items()
+        for (a, out), tgt in row.items()
+    }
+    neutrals = {
+        (state_names[S], a, out, state_names[tgt])
+        for S, row in neutral_edges.items()
+        for (a, out), tgt in row.items()
+    }
     final = frozenset(
         state_names[S]
         for S in states

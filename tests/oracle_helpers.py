@@ -580,6 +580,27 @@ def random_vpa(rng: random.Random, n_states: int = 5, n_trans: int = 12) -> Vpt:
     )
 
 
+def well_nested_pairs(vpa: Vpt) -> set:
+    """Every (p, q) such that some well-nested word leads from p to q.
+
+    Saturates the pair relation under neutral steps, concatenation and
+    wrapping in an open-close pair that pushes and pops one symbol, one
+    whole round at a time until a round adds nothing.
+    """
+    pairs = {(q, q) for q in vpa.states} | {(q, q2) for q, _, _, q2 in vpa.neutrals}
+    while True:
+        new = {(p, r) for p, q in pairs for q2, r in pairs if q == q2}
+        new |= {
+            (p, r)
+            for p, _, _, p2, x in vpa.opens
+            for q, _, _, y, r in vpa.closes
+            if x == y and (p2, q) in pairs
+        }
+        if new <= pairs:
+            return pairs
+        pairs |= new
+
+
 # ------------------------------------------------ runs by brute force
 
 @dataclass(frozen=True)
@@ -958,6 +979,19 @@ def contract_word(word, posmap_inv: dict[int, int]):
 
 
 # --------------------------------------------------- ref-word semantics
+
+# Capture any <a ...> element at any depth, one mapping per element:
+# the grammar of the benchmark's tree workload. Its compilation is not
+# deterministic in (letter, output), so it runs determinized.
+TREE_VPEG = """\
+var x
+start N
+N -> c N | <a N a> D | <a D a> N | (x E
+E -> <a D a> F
+F -> x) D
+D -> c D | <a D a> D | eps
+"""
+
 
 def grammar_mappings(vpeg: Vpeg, doc) -> frozenset:
     """Span assignments by direct derivation search over the grammar.

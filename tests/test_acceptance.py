@@ -7,9 +7,8 @@ criterion is a single test so the pytest verdicts double as the gate.
 import dataclasses
 import functools
 import random
+import statistics
 import time
-
-import numpy as np
 
 from oracle_helpers import (
     EcsOpSuite,
@@ -223,9 +222,8 @@ def test_criterion_4_one_pass_update_time():
         assert result.stats.pulls == n + 1
         t = result.stats.totals()
         steps.append(t.visits + t.scans + t.ecs_calls)
-    coeffs = np.polyfit(lengths, steps, 1)
-    fitted = np.polyval(coeffs, lengths)
-    residual = float(np.max(np.abs(fitted - steps) / np.array(steps)))
+    slope, intercept = statistics.linear_regression(lengths, steps)
+    residual = max(abs(slope * n + intercept - s) / s for n, s in zip(lengths, steps))
     assert residual < 0.05, f"linear fit residual {residual:.2%}"
     return (
         "pulls == |w|+1 on 100 instances and 10 bench lengths; per-symbol "

@@ -736,6 +736,34 @@ def test_output_order_independent_of_hash_seed(files, command, document, results
     assert len(out.splitlines()) == results + (2 if command == "run" else 0)
 
 
+
+@pytest.mark.parametrize(
+    "grammar, message",
+    [
+        # two bad book vectors reach acceptance: a poisoned one (x
+        # closed first) and one that leaves x and y unassigned
+        (
+            "var x y\nstart S\nS -> x) A | c B\nA -> eps\nB -> (x C\nC -> eps\n",
+            "grammar not functional: some accepted ref-word repeats or misorders a capture",
+        ),
+        # no accepted ref-word, so only the marker cycle S→A→B→C→A fails
+        (
+            "var x y\nstart S\nS -> (x A\nA -> (y B\nB -> x) C\nC -> y) A\n",
+            "capture transitions form a cycle through state 'A'",
+        ),
+    ],
+    ids=["not-functional", "marker-cycle"],
+)
+def test_grammar_error_independent_of_hash_seed(files, grammar, message):
+    argv = ["spanner", "-g", files("g.vpeg", grammar), "-d", files("d.txt", "c")]
+    errors = set()
+    for seed in range(5):
+        proc = run_module("-m", "vptenum", *argv, PYTHONHASHSEED=str(seed))
+        assert proc.returncode == EXIT_INPUT
+        errors.add(proc.stderr)
+    (err,) = errors
+    assert err == f"vptenum: error: {message}\n"
+
 def printed(lines) -> bytes:
     """What print() writes for the lines."""
     buf = io.StringIO()

@@ -31,6 +31,7 @@ from oracle_helpers import (
     ReferenceState,
     Snapshots,
     SymbolRecords,
+    TREE_VPEG,
     brackets,
     check_state_invariants,
     random_det_vpt,
@@ -296,19 +297,6 @@ class TestStats:
             assert result.length == n
             del result
         assert abs(kept[400_000] - kept[100_000]) < 64 * 1024, kept
-
-
-# Capture any <a ...> element at any depth, one mapping per element:
-# the grammar of the benchmark's tree workload. Its compilation is not
-# deterministic in (letter, output), so it runs determinized.
-TREE_VPEG = """\
-var x
-start N
-N -> c N | <a N a> D | <a D a> N | (x E
-E -> <a D a> F
-F -> x) D
-D -> c D | <a D a> D | eps
-"""
 
 
 def tree_document(rng: random.Random, length: int, depth_cap: int) -> list[Token]:

@@ -258,6 +258,18 @@ class TestCheckFunctional:
         with pytest.raises(NotFunctionalError, match="repeats or misorders"):
             check_functional(to_evpa(g), g.variables)
 
+    def test_poisoned_books_reported_first(self):
+        # x closed before it opens, or never opened: misuse wins
+        g = parse_vpeg("var x y\nstart S\nS -> x) A | c B\nA -> eps\nB -> (x C\nC -> eps")
+        with pytest.raises(NotFunctionalError, match="repeats or misorders"):
+            check_functional(to_evpa(g), g.variables)
+
+    def test_smallest_bad_books_named(self):
+        # books (x, y) = (0, 2) and (2, 0) both accept; (0, 2) is smaller
+        g = parse_vpeg("var x y\nstart S\nS -> (y A | (x B\nA -> y) F\nB -> x) F\nF -> eps")
+        with pytest.raises(NotFunctionalError, match=r"variable\(s\) x unassigned$"):
+            check_functional(to_evpa(g), g.variables)
+
     def test_one_bad_alternative_poisons(self):
         # the c-loop alternative lets a derivation skip the capture
         g = parse_vpeg("var x\nstart S\nS -> (x A | c S | eps\nA -> x) S")

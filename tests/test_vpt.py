@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+from vptenum import formats, spanner
 from vptenum.engine import EngineState, accepts
 from vptenum.nested import StructuredAlphabet, well_nested_words
 from vptenum.vpt import (
@@ -9,12 +13,14 @@ from vptenum.vpt import (
     Vpt,
     io_determinize,
     is_io_deterministic,
+    level_reach,
     oracle_enumerate,
     stable_key,
 )
 
 from oracle_helpers import (
     Run,
+    TREE_VPEG,
     brackets,
     enumerate_runs,
     out_of_run,
@@ -22,6 +28,7 @@ from oracle_helpers import (
     random_nondet_vpt,
     random_vpa,
     tok_neutral,
+    well_nested_pairs,
 )
 
 ALPH = StructuredAlphabet(frozenset({"a"}), frozenset({"a"}), frozenset({"c"}))
@@ -351,3 +358,153 @@ class TestAcceptorDeterminize:
 
     def test_language_check_detects_difference(self):
         assert not same_language(single_bracket_vpa(), dyck_vpa(), 4)
+
+
+class TestLevelReach:
+    def test_matches_pair_saturation(self):
+        # on plain states: each entry's reach set is what saturating
+        # the well-nested pair relation finds from it
+        rng = random.Random(21)
+        for _ in range(60):
+            m = random_vpa(rng, n_states=rng.randint(2, 6), n_trans=rng.randint(2, 16))
+            reach = level_reach(
+                sorted(m.initial),
+                lambda q: [q2 for p, _, _, q2 in m.neutrals if p == q],
+                lambda q: [(q2, x) for p, _, _, q2, x in m.opens if p == q],
+                lambda q, x: [q2 for p, _, _, y, q2 in m.closes if (p, y) == (q, x)],
+            )
+            opened = {q2 for _, _, _, q2, _ in m.opens}
+            pairs = well_nested_pairs(m)
+            assert m.initial <= set(reach) <= m.initial | opened
+            for entry, seen in reach.items():
+                assert seen == {q for p, q in pairs if p == entry}
+
+
+def plain_outputs(vpt: Vpt) -> Vpt:
+    """The machine with each marker-set output renamed to its sorted
+    markers run together, so the text format can write it."""
+    names = {out: "".join(sorted(out)) for out in vpt.output_symbols}
+
+    def name(out):
+        return None if out is None else names[out]
+
+    return dataclasses.replace(
+        vpt,
+        output_symbols=frozenset(names.values()),
+        opens=frozenset((q, a, name(o), q2, x) for q, a, o, q2, x in vpt.opens),
+        closes=frozenset((q, a, name(o), x, q2) for q, a, o, x, q2 in vpt.closes),
+        neutrals=frozenset((q, a, name(o), q2) for q, a, o, q2 in vpt.neutrals),
+    )
+
+
+TREE_DET = """\
+states: s0 s1 s2 s3 s4 s5 s6
+initial: s5
+final: s6
+stack: t0 t1 t2 t3 t4
+outputs: ⊢x ⊣x
+open a s0 -> s0 push t0 out -
+open a s1 -> s0 push t3 out ⊢x
+open a s1 -> s1 push t1 out -
+open a s3 -> s0 push t4 out -
+open a s4 -> s0 push t4 out ⊣x
+open a s5 -> s0 push t3 out ⊢x
+open a s5 -> s1 push t2 out -
+close a s0 pop t0 -> s0 out -
+close a s0 pop t3 -> s4 out -
+close a s0 pop t4 -> s3 out -
+close a s1 pop t1 -> s1 out -
+close a s1 pop t2 -> s5 out -
+close a s3 pop t1 -> s3 out -
+close a s3 pop t2 -> s3 out -
+close a s4 pop t1 -> s3 out ⊣x
+close a s4 pop t2 -> s3 out ⊣x
+neutral # s0 -> s2 out -
+neutral c s0 -> s0 out -
+neutral # s1 -> s2 out -
+neutral c s1 -> s1 out -
+neutral # s3 -> s6 out -
+neutral c s3 -> s3 out -
+neutral # s4 -> s6 out ⊣x
+neutral c s4 -> s3 out ⊣x
+neutral c s5 -> s5 out -
+"""
+
+ELEMENT_DET = """\
+states: s0 s1 s2 s3 s4 s5 s6 s7
+initial: s5
+final: s7
+stack: t0 t1
+outputs: ⊢x ⊢x⊣x ⊣x
+open a s5 -> s0 push t0 out -
+open a s6 -> s3 push t1 out -
+close a s0 pop t0 -> s6 out ⊢x⊣x
+close a s0 pop t0 -> s5 out -
+close a s1 pop t0 -> s6 out ⊣x
+close a s3 pop t0 -> s5 out -
+close a s3 pop t1 -> s6 out -
+neutral # s0 -> s2 out ⊢x⊣x
+neutral # s0 -> s4 out -
+neutral c s0 -> s1 out ⊢x
+neutral c s0 -> s3 out -
+neutral # s1 -> s2 out ⊣x
+neutral c s1 -> s1 out -
+neutral # s3 -> s4 out -
+neutral c s3 -> s3 out -
+neutral # s6 -> s7 out -
+"""
+
+ELEMENT_VPEG = Path(__file__).resolve().parents[1] / "demos" / "data" / "element.vpeg"
+
+
+def kth_from_end(k: int) -> Vpt:
+    """Output-free: accepts when the k-th letter from the end is b. Its
+    subset construction reaches 2^k sets: q0 with any of q1..qk."""
+    states = [f"q{i}" for i in range(k + 1)]
+    neutrals = {("q0", "a", None, "q0"), ("q0", "b", None, "q0"), ("q0", "b", None, "q1")}
+    for i in range(1, k):
+        neutrals |= {(states[i], a, None, states[i + 1]) for a in "ab"}
+    return Vpt(
+        states=frozenset(states),
+        alphabet=StructuredAlphabet(frozenset(), frozenset(), frozenset({"a", "b"})),
+        stack_symbols=frozenset({"z"}),
+        output_symbols=frozenset(),
+        opens=frozenset(),
+        closes=frozenset(),
+        neutrals=frozenset(neutrals),
+        initial=frozenset({"q0"}),
+        final=frozenset({states[k]}),
+    )
+
+
+class TestDeterminizeGolden:
+    # pinned outputs: any change in the subset states, their names, the
+    # edges or the cap shows here
+
+    @pytest.mark.parametrize(
+        "grammar, want", [(TREE_VPEG, TREE_DET), (None, ELEMENT_DET)], ids=["tree", "element"]
+    )
+    def test_compiled_grammars(self, grammar, want):
+        if grammar is None:
+            grammar = ELEMENT_VPEG.read_text(encoding="utf-8")
+        det = io_determinize(spanner.compile_vpeg(spanner.parse_vpeg(grammar)))
+        assert formats.serialize_vpt(plain_outputs(det)) == want
+
+    def test_random_machines(self):
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+        for i in range(200):
+            make = random_nondet_vpt if i % 2 == 0 else random_vpa
+            m = make(rng, n_states=rng.randint(2, 6), n_trans=rng.randint(4, 24))
+            try:
+                text = formats.serialize_vpt(io_determinize(m, max_states=32))
+            except ResourceCapError as exc:  # 28 of the 200
+                text = f"{exc}\n"
+            digest.update(text.encode())
+        assert digest.hexdigest() == "189968f50d9f12d019dd85792a5ba38a826cf2bd2c23abf883480c59af9c9c3b"
+
+    def test_cap_boundary(self):
+        m = kth_from_end(6)
+        assert len(io_determinize(m, max_states=64).states) == 64
+        with pytest.raises(ResourceCapError, match=r"^determinization exceeded 63 subset states$"):
+            io_determinize(m, max_states=63)
