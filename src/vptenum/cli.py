@@ -13,14 +13,16 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import os
 import sys
 from contextlib import ExitStack, contextmanager
 from itertools import islice, repeat
 from typing import Callable, Iterator
 
-from vptenum import engine, formats, spanner
+from vptenum import engine, formats, nested, spanner
 from vptenum.ecs import EMPTY
 from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator
 from vptenum.nested import StructuredAlphabet, Token, TokenKind, TokenizeError, tokenize
@@ -72,14 +74,33 @@ def render_word(word) -> str:
     return " ".join(f"{sym}@{pos}" for sym, pos in word)
 
 
+def _arriving(stdin) -> Iterator[str]:
+    """A text stream's characters as they arrive.
+
+    Each read returns what the underlying pipe or terminal has (at most
+    BLOCK_CHARS bytes) instead of waiting for a full block, so a writer
+    that keeps the pipe open gets each complete token read. Decoding and
+    newline handling are those of the stream's own reads: Python
+    translates newlines on stdin on Windows only.
+    """
+    decode = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder(stdin.encoding)(stdin.errors), translate=os.name == "nt"
+    ).decode
+    read1 = stdin.buffer.read1
+    while chunk := read1(nested.BLOCK_CHARS):
+        yield decode(chunk)
+    yield decode(b"", final=True)
+
+
 @contextmanager
 def _document(path: str, alphabet: StructuredAlphabet):
-    """Token stream for a document path; '-' reads stdin incrementally.
+    """Token stream for a document path; '-' reads stdin as it arrives.
 
     A file is closed when the block ends; stdin is left open.
     """
     if path == "-":
-        yield tokenize(sys.stdin, alphabet)
+        stdin = sys.stdin  # a stand-in without a byte buffer is read as it is
+        yield tokenize(_arriving(stdin) if hasattr(stdin, "buffer") else stdin, alphabet)
         return
     with open(path, "r", encoding="utf-8") as handle:
         yield tokenize(handle, alphabet)

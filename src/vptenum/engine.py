@@ -46,6 +46,10 @@ end arrives. The tokenizer hands out one object per distinct word, so a
 long stretch of padding costs O(1) Python work per run, not per token.
 Equal tokens that are distinct objects take the step each time.
 
+Letters. ``preprocess(..., alphabet=...)`` checks a token's letter only
+where a plan is built for it, once per (shape, letter): no plan exists
+for a letter that failed, so a cached plan needs no check.
+
 Observers. ``preprocess(vpt, tokens, observer=None)`` keeps O(1) totals.
 An observer is called after every token with the position, the
 ``EngineState`` and the token's ``SymbolStats``, so a CSV row or a
@@ -61,7 +65,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from vptenum.ecs import EMPTY, EcsArena
 from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator, OutputWord
-from vptenum.nested import TokenKind
+from vptenum.nested import StructuredAlphabet, TokenKind
 from vptenum.vpt import NO_MOVES, Vpt, is_io_deterministic, io_determinize, stable_key
 
 OPEN, NEUTRAL = TokenKind.OPEN, TokenKind.NEUTRAL
@@ -73,6 +77,14 @@ class NestingError(ValueError):
 
 class AmbiguityError(ValueError):
     """The transducer could not be verified safe for single-pass use."""
+
+
+class SymbolError(ValueError):
+    """A token whose letter is outside the alphabet the pass checks."""
+
+    def __init__(self, token, k: int):
+        super().__init__(f"unknown {token.kind.value} symbol {token.name!r} at position {k}")
+        self.token = token
 
 
 @dataclass
@@ -354,10 +366,10 @@ def run_close(state: EngineState, plan: Plan, k: int) -> tuple:
     return counts
 
 
-def _summary_shape(state: EngineState, k: int) -> int:
-    if not state.stack:
-        raise NestingError(f"unbalanced close at position {k}")
-    return state.stack[-1][0]
+def _check(alphabet: StructuredAlphabet | None, tok, k: int) -> None:
+    """Refuse tok at position k if its letter is outside ``alphabet``."""
+    if alphabet is not None and not alphabet.kind_of(tok.name, tok.kind):
+        raise SymbolError(tok, k)
 
 
 @dataclass
@@ -368,11 +380,16 @@ class PreprocessResult:
     length: int
 
 
-def preprocess(vpt: Vpt, tokens, observer: Callable | None = None) -> PreprocessResult:
+def preprocess(
+    vpt: Vpt, tokens, observer: Callable | None = None, alphabet: StructuredAlphabet | None = None
+) -> PreprocessResult:
     """Run the single pass and return the collected result handle.
 
     The caller vouches that vpt admits at most one accepting run per
     (document, output) pair; ``evaluate`` enforces that contract.
+
+    A letter the machine has no moves for empties the table; with an
+    ``alphabet``, a letter outside it raises SymbolError before its step.
 
     The result's stats hold the pass's running totals. An ``observer``
     is called after each token as ``observer(k, state, counts)``: the
@@ -415,6 +432,7 @@ def preprocess(vpt: Vpt, tokens, observer: Callable | None = None) -> Preprocess
             key = (state.shape, tok.name)
             plan = neutral_plans.get(key)
             if plan is None:
+                _check(alphabet, tok, k)
                 plan = neutral_plans[key] = neutral_plan(shapes, key[0], nidx.get(key[1], NO_MOVES))
             visits, scans, calls = run_neutral(state, plan, k)
             if plan.gather is None and observer is None:
@@ -426,12 +444,17 @@ def preprocess(vpt: Vpt, tokens, observer: Callable | None = None) -> Preprocess
             key = (state.shape, tok.name)
             plan = open_plans.get(key)
             if plan is None:
+                _check(alphabet, tok, k)
                 plan = open_plans[key] = open_plan(shapes, key[0], oidx.get(key[1], NO_MOVES))
             visits, scans, calls = run_open(state, plan, k)
         else:
-            key = (_summary_shape(state, k), state.shape, tok.name)
+            if not state.stack:
+                _check(alphabet, tok, k)  # a foreign letter is named before the nesting
+                raise NestingError(f"unbalanced close at position {k}")
+            key = (state.stack[-1][0], state.shape, tok.name)
             plan = close_plans.get(key)
             if plan is None:
+                _check(alphabet, tok, k)
                 plan = close_plans[key] = close_plan(shapes, key[0], key[1], cidx.get(key[2], NO_MOVES))
             visits, scans, calls = run_close(state, plan, k)
         total_visits += visits
@@ -500,10 +523,12 @@ def evaluate(
     mode: str = "check",
     smoothing: int = DEFAULT_SMOOTHING,
     stats_out: EngineStats | None = None,
+    alphabet: StructuredAlphabet | None = None,
 ) -> Iterator[OutputWord]:
-    """Evaluate vpt on the document and stream the distinct results."""
+    """Evaluate vpt on the document and stream the distinct results;
+    ``alphabet`` is checked as by ``preprocess``."""
     vpt = resolve_mode(vpt, mode)
-    result = preprocess(vpt, tokens)
+    result = preprocess(vpt, tokens, alphabet=alphabet)
     if stats_out is not None:
         vars(stats_out).update(vars(result.stats))
     return iter(Enumerator(result.arena, result.root, smoothing=smoothing))

@@ -177,12 +177,3 @@ class Enumerator:
         if held is not None:
             self._note_emit(held, steps)
             yield held
-
-
-def enumerate_words(
-    arena: EcsArena,
-    v: int,
-    smoothing: int = DEFAULT_SMOOTHING,
-) -> Iterator[OutputWord]:
-    """Enumerate L(v) with no repetitions; the sentinel yields nothing."""
-    return iter(Enumerator(arena, v, smoothing=smoothing))

@@ -1,4 +1,4 @@
-"""Structured alphabets, tokenization, and well-nestedness bookkeeping.
+"""Structured alphabets, tokens, spans, and the tokenizer.
 
 A document is a sequence of tokens over a structured alphabet: every
 symbol is an open, a close, or a neutral. Opens push, closes pop, and a
@@ -9,6 +9,11 @@ so ``Span(i, j)`` covers tokens ``i .. j-1`` and ``Span(i, i)`` is empty.
 A symbol is identified by its class together with its name; the written
 forms ``<a`` (open), ``a>`` (close) and ``a`` (neutral) keep the classes
 apart, so the same base name may appear in more than one class.
+
+``tokenize_blocks`` turns text into one list of tokens per block of
+text, with one split and one C-level map over a word table per block;
+``tokenize`` chains those lists into a token stream. Before a bad word
+the tokens ahead of it in its block still come out, then the error.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice, product as _cartesian
+from itertools import chain, islice
 from typing import Iterable, Iterator, Union
 
 
@@ -124,114 +129,74 @@ class _WordTokens(dict):
 
 
 _WORD = re.compile(r"\S+")  # \s is exactly str.isspace, as in str.split
+_COMMENT = re.compile(r"(?<!\S)#[^\n]*")  # a "#" that begins a token, to the line's end
 
 
-def tokenize(text: TextSource, alphabet: StructuredAlphabet) -> Iterator[Token]:
-    """Pull-based tokenizer: whitespace-separated tokens, ``#`` comments.
+def tokenize_blocks(text: TextSource, alphabet: StructuredAlphabet) -> Iterator[list[Token]]:
+    """The tokens of each text block, as one list per block.
 
-    The source is read in blocks of at most BLOCK_CHARS characters,
-    each split with ``str.split``; tokens come out before the next
-    block is read, so the stream may be unbounded (e.g. stdin). Only a
-    partial token and an in-comment flag carry over from one block to
-    the next. A comment starts at a ``#`` that begins a token and ends
-    at the next ``"\n"``; no other line break ends it. Generator
-    exhaustion is the end-of-input signal.
+    The source is read in blocks of at most BLOCK_CHARS characters (an
+    iterable source in the pieces it yields), and a block's list comes
+    out before the next block is read, so the stream may be unbounded
+    (e.g. stdin, read as it arrives). Only a partial token and an
+    in-comment flag carry over from one block to the next. Tokens are
+    whitespace-separated words; a comment starts at a ``#`` that begins
+    a token and ends at the next ``"\n"``, no other line break ends it.
+    One Token object stands for each distinct word.
 
-    Errors name the 1-based token index and line:col of the bad token.
+    On a bad word the tokens before it in its block come out first, as
+    one more list; then TokenizeError names the 1-based token index and
+    the line:col of the bad word.
     """
     tokens = _WordTokens(alphabet)
     carry = ""  # a token that may continue in the next block
     in_comment = False
-    count = 0  # tokens produced before the current line piece
-    line = 1
-    col0 = 0  # characters of the current line read so far
+    count = 0  # tokens produced before the current piece
+    line, col = 1, 0  # the current piece's start: its line, and characters before it on that line
     # a final separator flushes the token carried at the end of input
     for block in chain(_blocks(text), [" "]):
-        pieces = block.split("\n")
-        last = len(pieces) - 1
-        for i, piece in enumerate(pieces):
-            if i:
-                in_comment = False
-                line += 1
-                col0 = 0
-            if in_comment:
+        piece = carry + block
+        if in_comment:
+            cut = piece.find("\n")
+            if cut < 0:
+                col += len(piece)
                 continue
-            start = col0 - len(carry)
-            col0 += len(piece)
-            piece = carry + piece
-            carry = ""
-            words = piece.split()
-            if "#" in piece:
-                for j, word in enumerate(words):
-                    if word[0] == "#":
-                        del words[j:]
-                        in_comment = True
-                        break
-            if i == last and not in_comment and piece and not piece[-1].isspace():
-                carry = words.pop()
-            try:
-                yield from map(tokens.__getitem__, words)
-            except TokenizeError as exc:
-                j = next(j for j, word in enumerate(words) if word not in tokens)
-                col = start + next(islice(_WORD.finditer(piece), j, None)).start() + 1
-                raise TokenizeError(f"{exc} at token {count + j + 1}, line {line}:{col}") from None
-            count += len(words)
+            in_comment = False
+            col += cut
+            piece = piece[cut:]
+        if "#" in piece:
+            # a comment that starts on the piece's last line runs to its end
+            in_comment = _COMMENT.search(piece, piece.rfind("\n") + 1) is not None
+            piece = _COMMENT.sub(lambda comment: " " * len(comment[0]), piece)  # columns stay exact
+        words = piece.split()
+        carry = words.pop() if piece and not piece[-1].isspace() else ""
+        try:
+            block_tokens = list(map(tokens.__getitem__, words))
+        except TokenizeError as exc:
+            j = next(j for j, word in enumerate(words) if word not in tokens)
+            yield list(map(tokens.__getitem__, words[:j]))
+            at = next(islice(_WORD.finditer(piece), j, None)).start()
+            lines = piece.count("\n", 0, at)
+            at_col = at - piece.rfind("\n", 0, at) if lines else col + at + 1
+            raise TokenizeError(f"{exc} at token {count + j + 1}, line {line + lines}:{at_col}") from None
+        count += len(block_tokens)
+        lines = piece.count("\n")
+        if lines:
+            line += lines
+            col = len(piece) - piece.rfind("\n") - 1 - len(carry)
+        else:
+            col += len(piece) - len(carry)
+        del words  # the block's word strings go before the pass runs
+        yield block_tokens
+        del block_tokens  # and its token list before the next one is built
 
 
-def serialize_token(token: Token) -> str:
-    if token.kind is TokenKind.OPEN:
-        return f"<{token.name}"
-    if token.kind is TokenKind.CLOSE:
-        return f"{token.name}>"
-    return token.name
+def tokenize(text: TextSource, alphabet: StructuredAlphabet) -> Iterator[Token]:
+    """Pull-based tokenizer: the tokens of ``tokenize_blocks``, one by one.
 
-
-def serialize(tokens: Iterable[Token]) -> str:
-    return " ".join(serialize_token(t) for t in tokens)
-
-
-def validate_nestedness(tokens: Iterable[Token]) -> bool:
-    """True iff opens and closes balance (any open pairs with any close)."""
-    depth = 0
-    for tok in tokens:
-        if tok.kind is TokenKind.OPEN:
-            depth += 1
-        elif tok.kind is TokenKind.CLOSE:
-            if depth == 0:
-                return False
-            depth -= 1
-    return depth == 0
-
-
-def well_nested_words(alphabet: StructuredAlphabet, max_len: int) -> list[tuple[Token, ...]]:
-    """Every well-nested token sequence of length at most max_len."""
-    opens = sorted(alphabet.opens)
-    closes = sorted(alphabet.closes)
-    neutrals = sorted(alphabet.neutrals)
-    memo: dict[int, list[tuple[Token, ...]]] = {0: [()]}
-
-    def of_len(n: int) -> list[tuple[Token, ...]]:
-        if n in memo:
-            return memo[n]
-        words: list[tuple[Token, ...]] = []
-        for c in neutrals:
-            head = (Token(TokenKind.NEUTRAL, c),)
-            for rest in of_len(n - 1):
-                words.append(head + rest)
-        for m in range(0, n - 1):
-            for a, b in _cartesian(opens, closes):
-                for inner in of_len(m):
-                    bracketed = (
-                        (Token(TokenKind.OPEN, a),)
-                        + inner
-                        + (Token(TokenKind.CLOSE, b),)
-                    )
-                    for rest in of_len(n - 2 - m):
-                        words.append(bracketed + rest)
-        memo[n] = words
-        return words
-
-    all_words: list[tuple[Token, ...]] = []
-    for n in range(max_len + 1):
-        all_words.extend(of_len(n))
-    return all_words
+    The blocks' lists are chained at C level, so a consumer's ``for``
+    loop pulls each token without resuming a Python frame. The tokens
+    before a bad word come out before the TokenizeError; exhaustion is
+    the end-of-input signal.
+    """
+    return chain.from_iterable(tokenize_blocks(text, alphabet))

@@ -28,7 +28,9 @@ from vptenum.enumtree import DEFAULT_SMOOTHING
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, level_reach, stable_key
 
 END_MARKER = "#"
-OPEN, CLOSE = TokenKind.OPEN, TokenKind.CLOSE
+# evaluate_spanner's own end marker: no document token can name it, so
+# the pass refuses END_MARKER in a document like any foreign letter
+_END = object()
 
 
 class GrammarError(ValueError):
@@ -337,7 +339,7 @@ def check_functional(evpa: Vpt, variables) -> None:
         )
 
 
-def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000) -> Vpt:
+def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000, end_letter=END_MARKER) -> Vpt:
     """Fuse marker chains into the following letter transition.
 
     Marker transitions must form an acyclic graph over states (else a
@@ -347,7 +349,7 @@ def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000) -> Vpt:
     whose source is the chain's start and whose output is the set of
     markers along the chain. Letter transitions also survive unfused
     with empty output, and a fresh final state is reachable only by the
-    synthetic end marker, fused or not.
+    synthetic end marker, the neutral ``end_letter``, fused or not.
     """
     edges = _marker_edges(evpa, variables)
     adj: dict = {}
@@ -418,14 +420,14 @@ def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000) -> Vpt:
             outputs.add(fused)
             neutrals.add((start, a, fused, q2))
     for q in evpa.final:
-        neutrals.add((q, END_MARKER, None, final))
+        neutrals.add((q, end_letter, None, final))
         for start, fused in ending_at.get(q, ()):
             outputs.add(fused)
-            neutrals.add((start, END_MARKER, fused, final))
+            neutrals.add((start, end_letter, fused, final))
     alphabet = StructuredAlphabet(
         opens=evpa.alphabet.opens,
         closes=evpa.alphabet.closes,
-        neutrals=(evpa.alphabet.neutrals - marker_letters) | {END_MARKER},
+        neutrals=(evpa.alphabet.neutrals - marker_letters) | {end_letter},
     )
     return Vpt(
         states=evpa.states | {final},
@@ -554,10 +556,10 @@ def decode_mapping(output_word, variables) -> SpanMapping:
     return _layout(frozenset(variables)).decode(output_word)
 
 
-def compile_vpeg(vpeg: Vpeg) -> Vpt:
+def compile_vpeg(vpeg: Vpeg, end_letter=END_MARKER) -> Vpt:
     evpa = to_evpa(vpeg)
     check_functional(evpa, vpeg.variables)
-    return evpa_to_vpt(evpa, vpeg.variables)
+    return evpa_to_vpt(evpa, vpeg.variables, end_letter=end_letter)
 
 
 def evaluate_spanner(
@@ -565,34 +567,24 @@ def evaluate_spanner(
 ) -> Iterator[SpanMapping]:
     """Stream the grammar's span assignments over the document.
 
-    The document is checked token by token as the pass pulls it and
-    gets the synthetic end marker appended. Structurally deterministic
-    compilations run as-is; anything else goes through determinization
-    first, which also squeezes out duplicate results that grammar-level
-    ambiguity would produce.
+    The document gets a synthetic end marker appended. The pass checks
+    its letters against the grammar's alphabet where it first meets
+    each one, so a foreign symbol, END_MARKER included, is refused when
+    it is pulled. Structurally deterministic compilations run as-is;
+    anything else goes through determinization first, which also
+    squeezes out duplicate results that grammar-level ambiguity would
+    produce.
     """
-    vpt = compile_vpeg(vpeg)
+    vpt = compile_vpeg(vpeg, end_letter=_END)
     layout = SpanLayout(vpeg.variables)
     for out in vpt.output_symbols:  # determinization keeps them
         layout.compile(out)
     decode = layout.decode
-    doc = chain(_in_alphabet(tokens, vpt.alphabet), [Token(TokenKind.NEUTRAL, END_MARKER)])
+    doc = chain(tokens, [Token(TokenKind.NEUTRAL, _END)])
     mode = "check" if is_io_deterministic(vpt) else "determinize"
-    for word in engine.evaluate(vpt, doc, mode=mode, smoothing=smoothing):
+    try:
+        words = engine.evaluate(vpt, doc, mode=mode, smoothing=smoothing, alphabet=vpt.alphabet)
+    except engine.SymbolError as exc:
+        raise GrammarError(f"document symbol {exc.token.name!r} not in grammar alphabet") from None
+    for word in words:
         yield decode(word)
-
-
-def _in_alphabet(tokens, alphabet: StructuredAlphabet) -> Iterator[Token]:
-    """The document tokens, each checked against the grammar's alphabet;
-    the end marker is never a document symbol."""
-    opens = alphabet.opens - {END_MARKER}
-    closes = alphabet.closes - {END_MARKER}
-    neutrals = alphabet.neutrals - {END_MARKER}
-    for tok in tokens:
-        kind = tok.kind
-        letters = opens if kind is OPEN else closes if kind is CLOSE else neutrals
-        if tok.name not in letters:
-            raise GrammarError(
-                f"document symbol {tok.name!r} not in grammar alphabet"
-            )
-        yield tok

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product as _cartesian
+from typing import Iterable, Iterator
 
 from vptenum.ecs import EcsArena, EMPTY
+from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator
 from vptenum.engine import EngineStats, NestingError, PreprocessResult, SymbolStats
 from vptenum.nested import (
     Span,
@@ -29,6 +32,72 @@ from vptenum.spanner import (
     open_marker,
 )
 from vptenum.vpt import NO_MOVES, OutputWord, ResourceCapError, Vpt, stable_key
+
+
+# ------------------------------------------- tokens and documents
+
+def serialize_token(token: Token) -> str:
+    if token.kind is TokenKind.OPEN:
+        return f"<{token.name}"
+    if token.kind is TokenKind.CLOSE:
+        return f"{token.name}>"
+    return token.name
+
+
+def serialize(tokens: Iterable[Token]) -> str:
+    return " ".join(serialize_token(t) for t in tokens)
+
+
+def validate_nestedness(tokens: Iterable[Token]) -> bool:
+    """True iff opens and closes balance (any open pairs with any close)."""
+    depth = 0
+    for tok in tokens:
+        if tok.kind is TokenKind.OPEN:
+            depth += 1
+        elif tok.kind is TokenKind.CLOSE:
+            if depth == 0:
+                return False
+            depth -= 1
+    return depth == 0
+
+
+def well_nested_words(alphabet: StructuredAlphabet, max_len: int) -> list[tuple[Token, ...]]:
+    """Every well-nested token sequence of length at most max_len."""
+    opens = sorted(alphabet.opens)
+    closes = sorted(alphabet.closes)
+    neutrals = sorted(alphabet.neutrals)
+    memo: dict[int, list[tuple[Token, ...]]] = {0: [()]}
+
+    def of_len(n: int) -> list[tuple[Token, ...]]:
+        if n in memo:
+            return memo[n]
+        words: list[tuple[Token, ...]] = []
+        for c in neutrals:
+            head = (Token(TokenKind.NEUTRAL, c),)
+            for rest in of_len(n - 1):
+                words.append(head + rest)
+        for m in range(0, n - 1):
+            for a, b in _cartesian(opens, closes):
+                for inner in of_len(m):
+                    bracketed = (
+                        (Token(TokenKind.OPEN, a),)
+                        + inner
+                        + (Token(TokenKind.CLOSE, b),)
+                    )
+                    for rest in of_len(n - 2 - m):
+                        words.append(bracketed + rest)
+        memo[n] = words
+        return words
+
+    all_words: list[tuple[Token, ...]] = []
+    for n in range(max_len + 1):
+        all_words.extend(of_len(n))
+    return all_words
+
+
+def enumerate_words(arena: EcsArena, v: int, smoothing: int = DEFAULT_SMOOTHING) -> Iterator[OutputWord]:
+    """Enumerate L(v) with no repetitions; the sentinel yields nothing."""
+    return iter(Enumerator(arena, v, smoothing=smoothing))
 
 
 # ---------------------------------------------------------------- spans
@@ -700,8 +769,6 @@ class Checkpoints(list):
 # ------------------------------------------- engine table invariants
 
 def table_languages(arena, table: dict) -> dict:
-    from vptenum.enumtree import enumerate_words
-
     out = {}
     for key, handle in table.items():
         assert handle != EMPTY, f"table stores the empty sentinel at {key}"

@@ -26,12 +26,13 @@ from oracle_helpers import (
     random_vpeg,
     random_well_nested,
     union_of_unions,
+    well_nested_words,
 )
 from vptenum import engine
 from vptenum.cli import _bench_doc, _bench_vpt
 from vptenum.engine import accepts
 from vptenum.enumtree import Enumerator
-from vptenum.nested import StructuredAlphabet, well_nested_words
+from vptenum.nested import StructuredAlphabet
 from vptenum.spanner import evaluate_spanner, to_evpa
 from vptenum.vpt import io_determinize, oracle_enumerate
 

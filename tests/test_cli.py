@@ -6,6 +6,7 @@ import io
 import itertools
 import os
 import random
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -692,6 +693,30 @@ def test_document_file_closed(files, command):
     proc = run_module("-X", "dev", "-m", "vptenum", command, *argv)
     assert proc.returncode == 0
     assert "ResourceWarning" not in proc.stderr
+
+
+def test_stdin_read_as_it_arrives(files):
+    # the writer keeps the pipe open: what it has sent is read, and the
+    # checkpoint lines of its tokens printed, before any more arrives
+    argv = ["run", "-t", files("m.vpt", CHOICE_VPT), "-d", "-", "--checkpoint"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "vptenum", *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(),
+    ) as proc:
+        proc.stdin.write(b"<r b c\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stderr], [], [], 20)
+        assert ready, "no checkpoint line while the pipe is open"
+        assert proc.stderr.readline() == b"checkpoint k=1 depth=1 accepting=no\n"
+        proc.stdin.write(b"b r>\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert proc.stderr.read().splitlines()[-1] == b"checkpoint k=5 depth=0 accepting=yes"
+        results = sorted(proc.stdout.read().splitlines()[1:-1])
+        assert results == [b"u@2 u@4", b"u@2 v@4", b"v@2 u@4", b"v@2 v@4"]
 
 
 def test_broken_pipe_exits_quietly():

@@ -12,6 +12,7 @@ from vptenum.engine import (
     EngineState,
     EngineStats,
     NestingError,
+    SymbolError,
     SymbolStats,
     accepts,
     evaluate,
@@ -22,8 +23,7 @@ from vptenum.engine import (
     run_neutral,
     run_open,
 )
-from vptenum.enumtree import enumerate_words
-from vptenum.nested import StructuredAlphabet, Token, TokenKind, tokenize
+from vptenum.nested import StructuredAlphabet, Token, TokenKind, TokenizeError, tokenize
 from vptenum.vpt import Vpt, io_determinize, is_io_deterministic, oracle_enumerate
 
 from oracle_helpers import (
@@ -34,6 +34,7 @@ from oracle_helpers import (
     TREE_VPEG,
     brackets,
     check_state_invariants,
+    enumerate_words,
     random_det_vpt,
     random_nondet_vpt,
     random_vpa,
@@ -647,3 +648,56 @@ class TestIdentityRuns:
         calls.clear()
         preprocess(m, doc, lambda k, state, counts: None)
         assert len(calls) == 20_001  # with an observer every token takes its step
+
+
+class TestFrontEnd:
+    """The tokenizer's stream as the pass pulls it, and the letter check."""
+
+    def test_observer_sees_the_tokens_before_a_bad_word(self):
+        # the bad word sits in the middle of the only block: its block's
+        # tokens before it still reach the pass, one observer call each
+        m = _bench_vpt()
+        seen = []
+        with pytest.raises(TokenizeError, match=r"^unknown neutral symbol 'q' at token 5, line 2:3$"):
+            preprocess(m, tokenize("<r b c\nb q c r>", m.alphabet), lambda k, state, counts: seen.append(k))
+        assert seen == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([tok_open("r"), tok_neutral("z")], "unknown neutral symbol 'z' at position 2"),
+            ([tok_open("r"), tok_open("b")], "unknown open symbol 'b' at position 2"),
+            ([tok_open("r"), tok_close("c")], "unknown close symbol 'c' at position 2"),
+            # a foreign close with nothing open is named before the nesting
+            ([tok_close("z"), tok_open("r")], "unknown close symbol 'z' at position 1"),
+        ],
+    )
+    def test_letters_outside_the_alphabet(self, doc, message):
+        m = _bench_vpt()
+        with pytest.raises(SymbolError, match=f"^{message}$"):
+            preprocess(m, doc, alphabet=m.alphabet)
+        try:
+            preprocess(m, doc)  # without an alphabet the letter only finds no moves
+        except NestingError:
+            pass
+
+    def test_stray_close_of_a_known_letter_is_a_nesting_error(self):
+        m = _bench_vpt()
+        with pytest.raises(NestingError, match="unbalanced close at position 1"):
+            preprocess(m, [tok_close("r")], alphabet=m.alphabet)
+
+    def test_letter_checked_once_per_plan(self, monkeypatch):
+        checks = []
+        real = engine._check
+
+        def counted(alphabet, tok, k):
+            checks.append(k)
+            real(alphabet, tok, k)
+
+        monkeypatch.setattr(engine, "_check", counted)
+        m = _bench_vpt()
+        doc = list(_bench_doc(2_000, 12))
+        result = preprocess(m, doc, alphabet=m.alphabet)
+        assert len(checks) == result.stats.plans < 10
+        assert preprocess(m, doc).stats == result.stats  # without an alphabet, the same pass
+

@@ -1,9 +1,9 @@
 import random
 
 from vptenum.ecs import EMPTY, EcsArena
-from vptenum.enumtree import Enumerator, enumerate_words
+from vptenum.enumtree import Enumerator
 
-from oracle_helpers import ShadowEcs, union_of_unions
+from oracle_helpers import ShadowEcs, enumerate_words, union_of_unions
 
 
 def payload(i):

@@ -13,11 +13,9 @@ from vptenum.nested import (
     Token,
     TokenKind,
     TokenizeError,
-    serialize,
     token_of_word,
     tokenize,
-    validate_nestedness,
-    well_nested_words,
+    tokenize_blocks,
 )
 
 from oracle_helpers import (
@@ -28,10 +26,13 @@ from oracle_helpers import (
     lowerlevel,
     lowerlevel_by_scan,
     random_well_nested,
+    serialize,
     tok_close,
     tok_neutral,
     tok_open,
     tokenize_by_chars,
+    validate_nestedness,
+    well_nested_words,
 )
 
 ALPH = StructuredAlphabet(
@@ -149,8 +150,89 @@ def _reference(text):
         return ("error", str(exc))
 
 
+def _prefix_and_error(tokens):
+    """The tokens that come out, and the error message after them or None."""
+    got = []
+    try:
+        for tok in tokens:
+            got.append(tok)
+    except TokenizeError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _flat_blocks(source):
+    """``_prefix_and_error`` over the blocks' lists, checking that each is a list."""
+    got = []
+    try:
+        for block in tokenize_blocks(source, ALPH):
+            assert type(block) is list
+            got.extend(block)
+    except TokenizeError as exc:
+        return got, str(exc)
+    return got, None
+
+
+# comments long enough to cross blocks of 7 characters, with words and
+# hashes inside them and a line break or a block edge behind them
+_LONG_COMMENTS = ["# <a c a> item q", "#" * 9, "#c <b\t##", "#\u2028<a c"]
+
+
+def _random_text_long_comments(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.6:
+            parts.append(rng.choice(_WORDS))
+        elif roll < 0.7:
+            parts.append(rng.choice(_BAD))
+        else:
+            parts.append(rng.choice(_LONG_COMMENTS + _COMMENTS))
+        parts.append(rng.choice(_SPACES))
+    return "".join(parts)
+
+
 class TestTokenizeAgainstCharLoop:
     """The block tokenizer against the character loop it replaced."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, nested.BLOCK_CHARS])
+    def test_blocks_flatten_to_the_reference(self, block, monkeypatch):
+        # one list per block; before an error, exactly the tokens the
+        # character loop yields before its error, then the same message
+        monkeypatch.setattr(nested, "BLOCK_CHARS", block)
+        rng = random.Random(2010_06038 + block)
+        for _ in range(300):
+            text = _random_text_long_comments(rng)
+            want = _prefix_and_error(tokenize_by_chars(text, ALPH))
+            assert _flat_blocks(text) == want, repr(text)
+            assert _flat_blocks(io.StringIO(text)) == want, repr(text)
+            assert _prefix_and_error(tokenize(text, ALPH)) == want, repr(text)
+            for cut in range(len(text) + 1):
+                assert _flat_blocks(iter([text[:cut], text[cut:]])) == want, (repr(text), cut)
+
+    @pytest.mark.parametrize("shift", range(-3, 4))
+    def test_comment_across_a_full_block_edge(self, shift):
+        # a comment that starts a few characters before or after the end
+        # of the first BLOCK_CHARS block and ends on the next line
+        head = "c " * ((nested.BLOCK_CHARS + shift) // 2)
+        for tail in ("# <b> q #\n<a c #x\nq a>", "#\n#\n\titem <z", "#" * 5 + "\nc"):
+            text = head + tail
+            want = _prefix_and_error(tokenize_by_chars(text, ALPH))
+            assert _flat_blocks(text) == want
+            assert _flat_blocks(io.StringIO(text)) == want
+
+    def test_one_list_per_block(self, monkeypatch):
+        monkeypatch.setattr(nested, "BLOCK_CHARS", 4)
+        blocks = list(tokenize_blocks("<a c c a>", ALPH))
+        # blocks "<a c", " c a", ">" and the end: a word cut by a block
+        # edge comes out with the block that completes it
+        assert blocks == [[tok_open("a")], [tok_neutral("c"), tok_neutral("c")], [], [tok_close("a")]]
+
+    def test_prefix_of_the_bad_block_comes_first(self):
+        blocks = tokenize_blocks("<a c\nc q a>", ALPH)
+        assert next(blocks) == [tok_open("a"), tok_neutral("c"), tok_neutral("c")]
+        with pytest.raises(TokenizeError, match=r"^unknown neutral symbol 'q' at token 4, line 2:3$"):
+            next(blocks)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, nested.BLOCK_CHARS])
     def test_random_texts(self, block, monkeypatch):

@@ -15,9 +15,10 @@ from oracle_helpers import (
     tok_close,
     tok_neutral,
     tok_open,
+    well_nested_words,
 )
 from vptenum.engine import NestingError, accepts
-from vptenum.nested import Span, well_nested_words
+from vptenum.nested import Span
 from vptenum.spanner import (
     END_MARKER,
     ChainProduction,
@@ -511,6 +512,14 @@ class TestEvaluateSpanner:
         g = parse_vpeg(ELEMENT_GRAMMAR)
         with pytest.raises(GrammarError, match=f"{tok.name!r} not in grammar alphabet"):
             list(evaluate_spanner(g, [tok_open("a"), tok, tok_close("a")]))
+
+    @pytest.mark.parametrize("tok", [tok_close("z"), tok_close(END_MARKER), tok_close("c")], ids=repr)
+    def test_stray_foreign_close_named_for_its_letter(self, tok):
+        # nothing is open, yet the letter is refused first: the pass
+        # checks it before it looks for the open to pop
+        g = parse_vpeg(ELEMENT_GRAMMAR)
+        with pytest.raises(GrammarError, match=f"{tok.name!r} not in grammar alphabet"):
+            list(evaluate_spanner(g, [tok, tok_open("a")]))
 
     def test_not_functional_surfaces(self):
         g = parse_vpeg("var x\nstart S\nS -> eps")

@@ -7,7 +7,7 @@ import pytest
 
 from vptenum import formats, spanner
 from vptenum.engine import EngineState, accepts
-from vptenum.nested import StructuredAlphabet, well_nested_words
+from vptenum.nested import StructuredAlphabet
 from vptenum.vpt import (
     ResourceCapError,
     Vpt,
@@ -29,6 +29,7 @@ from oracle_helpers import (
     random_vpa,
     tok_neutral,
     well_nested_pairs,
+    well_nested_words,
 )
 
 ALPH = StructuredAlphabet(frozenset({"a"}), frozenset({"a"}), frozenset({"c"}))
