@@ -250,15 +250,14 @@ def cmd_spanner(args) -> int:
     with open(args.grammar, "r", encoding="utf-8") as fh:
         vpeg = spanner.parse_vpeg(fh.read())
     write = sys.stdout.write  # one call per result line
-    emitted = 0
     with _document(args.document, vpeg.alphabet) as doc:
-        for mapping in spanner.evaluate_spanner(vpeg, doc):
-            # checked before the write: the pass runs before the first
-            # result, so even --limit 0 reads and checks the whole document
-            if emitted == args.limit:
-                break
+        mappings = spanner.evaluate_spanner(vpeg, doc)
+        if args.limit == 0:
+            # the pass runs before the first result, so pulling one
+            # reads and checks the whole document
+            next(mappings, None)
+        for mapping in islice(mappings, args.limit):
             write(mapping.render() + "\n")
-            emitted += 1
     return EXIT_OK
 
 

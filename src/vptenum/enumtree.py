@@ -31,11 +31,15 @@ skeleton of 2k - 1 nodes, and advancing touches only rebuilt nodes, so
 the work between two words is linear in the new word, whatever the
 nesting depth of the document or the history of the arena.
 
-Build, climb (to the next owner), word output and advance are operations
-on one explicit stack in one loop, so tree depth is bounded only by memory.
-One unit step is one operation popped from that stack; each does O(1)
-work besides copying the finished word out. On top of that raw stream
-sits a smoothing hold: a found word is released once
+Build, climb (to the next owner), word output and advance are the
+operations of one loop. The next operation is held in locals, and so is
+the one climb waiting for the subtree in hand to be built: every build
+deferred since that climb started lies inside its subtree. Only those
+deferred builds, the right children of products, go on an explicit
+stack, so tree depth is bounded only by memory. One unit step is one
+operation the loop carries out, whether or not it waited on the stack;
+each does O(1) work besides copying the finished word out. On top of
+that raw stream sits a smoothing hold: a found word is released once
 ``smoothing * len(word)`` further steps have passed, or earlier when its
 successor is found. That caps the gap in front of every emission at a
 constant times the length of the emitted word, independent of arena
@@ -52,8 +56,6 @@ OutputWord = tuple  # tuple of (symbol, position) pairs; () is the empty word
 
 DEFAULT_SMOOTHING = 4
 
-# stack operations; a skeleton node is a list [arena node, left, right, owner]
-_BUILD, _CLIMB, _WORD, _ADVANCE = range(4)
 _NEVER = 1 << 62
 
 
@@ -62,8 +64,9 @@ class Enumerator:
 
     ``last_gap`` is, after each emission, the pair (unit steps since
     the previous emission, emitted length counting the empty word as 1);
-    ``gaps`` records every such pair and ``tree_sizes`` records (skeleton nodes, word length) per word found
-    when instrumentation is on.
+    ``gaps`` records every such pair and ``tree_sizes`` records
+    (skeleton nodes, word length) per word found when instrumentation
+    is on.
     """
 
     def __init__(
@@ -82,15 +85,14 @@ class Enumerator:
         self.last_gap: tuple[int, int] | None = None
         self.gaps: list[tuple[int, int]] = []
         self.tree_sizes: list[tuple[int, int]] = []
-        self._last_emit_steps = 0
 
     def _note_emit(self, word: OutputWord, steps: int) -> None:
+        # self.steps holds the step count of the previous emission
+        self.last_gap = gap = (steps - self.steps, len(word) or 1)
         self.steps = steps
         self.emitted += 1
-        self.last_gap = (steps - self._last_emit_steps, max(1, len(word)))
         if self.instrument:
-            self.gaps.append(self.last_gap)
-        self._last_emit_steps = steps
+            self.gaps.append(gap)
 
     def __iter__(self) -> Iterator[OutputWord]:
         arena = self.arena
@@ -110,8 +112,8 @@ class Enumerator:
         # symbol leaf, and a symbol leaf's payload sits in ``lefts``
         kinds, lefts, rights = arena.kinds, arena.lefts, arena.rights
         smoothing, instrument, tree_sizes = self.smoothing, self.instrument, self.tree_sizes
-        root = [v, None, None, None]
-        stack = [(_CLIMB, root), (_BUILD, root)]
+        root = [v, None, None, None]  # a skeleton node: [arena node, left, right, owner]
+        stack: list[list] = []  # right children whose builds are deferred
         push, pop = stack.append, stack.pop
         # (skeleton node, union, skeleton nodes before it, symbols before it)
         pending: list[tuple[list, int, int, int]] = []
@@ -120,44 +122,55 @@ class Enumerator:
         held: OutputWord | None = None
         deadline = _NEVER
         steps = self.steps
-        while stack:
+        # the loop's operations, and the labels it tests, as locals: the
+        # loop reads them every step
+        BUILD, CLIMB, WORD, ADVANCE = range(4)
+        union, product = UNION, PRODUCT
+        # the next operation, on node t; climb is the node to climb from
+        # once the stack is empty, that is once its subtree is built
+        op, t, climb = BUILD, root, root
+        while True:
             if steps >= deadline:
                 self._note_emit(held, steps)
                 yield held
                 held, deadline = None, _NEVER
-            op, t = pop()
             steps += 1
-            if op == _BUILD:
+            if op == BUILD:
                 u = t[0]
-                if kinds[u] == UNION:
+                kind = kinds[u]
+                if kind == union:
                     before = len(out)
-                    while kinds[u] == UNION:
+                    while kind == union:
                         pending.append((t, u, nodes, before))
                         u = lefts[u]
+                        kind = kinds[u]
                     t[0] = u
                 nodes += 1
-                if kinds[u] == PRODUCT:
+                if kind == product:
                     left, right = t[1], t[2]
                     if left is None:
                         # reused children are exhausted: nothing of theirs is pending
                         left = t[1] = [0, None, None, t]
                         right = t[2] = [0, None, None, t[3]]
                     left[0], right[0] = lefts[u], rights[u]
-                    push((_BUILD, right))
-                    push((_BUILD, left))
+                    push(right)
+                    t = left
                 else:
                     t[1] = t[2] = None
                     out.append(lefts[u])
-            elif op == _CLIMB:
+                    if stack:
+                        t = pop()
+                    else:
+                        op, t = CLIMB, climb
+            elif op == CLIMB:
                 owner = t[3]
                 if owner is None:
-                    push((_WORD, t))
+                    op = WORD
                 else:
-                    right = owner[2]
-                    right[0] = rights[owner[0]]
-                    push((_CLIMB, right))
-                    push((_BUILD, right))
-            elif op == _WORD:  # the skeleton is complete
+                    t = climb = owner[2]
+                    t[0] = rights[owner[0]]
+                    op = BUILD
+            elif op == WORD:  # the skeleton is complete
                 word = tuple(out)
                 if instrument:
                     tree_sizes.append((nodes, len(word)))
@@ -166,14 +179,15 @@ class Enumerator:
                     self._note_emit(held, steps)
                     yield held
                 held, deadline = word, steps + smoothing * len(word)
-                push((_ADVANCE, None))
-            elif pending:  # _ADVANCE; with nothing pending, the words are exhausted
+                op = ADVANCE
+            elif pending:  # ADVANCE
                 t, u, nodes, before = pending.pop()
                 del out[before:]
                 t[0] = rights[u]
-                push((_CLIMB, t))
-                push((_BUILD, t))
-        self.steps = steps
+                op, climb = BUILD, t
+            else:  # ADVANCE with nothing pending: the words are exhausted
+                break
         if held is not None:
             self._note_emit(held, steps)
             yield held
+        self.steps = steps

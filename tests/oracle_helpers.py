@@ -24,6 +24,7 @@ from vptenum.nested import (
     token_of_word,
 )
 from vptenum.spanner import (
+    END_MARKER,
     ChainProduction,
     EpsProduction,
     NestProduction,
@@ -1058,6 +1059,25 @@ E -> <a D a> F
 F -> x) D
 D -> c D | <a D a> D | eps
 """
+
+
+def tree_document(rng: random.Random, length: int, depth_cap: int) -> list[Token]:
+    """A random <a / a> / c document that drifts down to depth_cap,
+    closed at the end and followed by the spanner's end marker."""
+    tokens, depth = [], 0
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.4 and depth < depth_cap:
+            tokens.append(tok_open("a"))
+            depth += 1
+        elif 0.4 <= r < 0.7 and depth > 0:
+            tokens.append(tok_close("a"))
+            depth -= 1
+        else:
+            tokens.append(tok_neutral("c"))
+    tokens += [tok_close("a")] * depth
+    tokens.append(Token(TokenKind.NEUTRAL, END_MARKER))
+    return tokens
 
 
 def grammar_mappings(vpeg: Vpeg, doc) -> frozenset:

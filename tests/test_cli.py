@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import vptenum
-from vptenum import engine
+from vptenum import engine, spanner
 from vptenum.cli import (
     EXIT_CAP,
     EXIT_DIFF,
@@ -474,6 +474,23 @@ class TestSpanner:
         assert code == EXIT_INPUT
         assert out == []
         assert err[0].startswith("vptenum: error: unbalanced open")
+
+    @pytest.mark.parametrize("limit, decoded", [(0, 1), (1, 1), (3, 3), (5, 5)])
+    def test_limit_decodes_only_what_it_prints(self, capsys, files, monkeypatch, limit, decoded):
+        calls = []
+        real_decode = spanner.SpanLayout.decode
+
+        def decode(layout, word):
+            calls.append(word)
+            return real_decode(layout, word)
+
+        monkeypatch.setattr(spanner.SpanLayout, "decode", decode)
+        g = files("g.vpeg", GRAMMAR)
+        d = files("d.txt", "<a c a> " * 5)
+        code, out, _ = run_main(capsys, ["spanner", "-g", g, "-d", d, "--limit", str(limit)])
+        assert code == EXIT_OK
+        assert len(out) == limit
+        assert len(calls) == decoded
 
     def test_rejected_document_prints_nothing(self, capsys, files):
         g = files("g.vpeg", GRAMMAR)

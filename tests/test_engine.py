@@ -43,6 +43,7 @@ from oracle_helpers import (
     tok_close,
     tok_neutral,
     tok_open,
+    tree_document,
 )
 from test_vpt import ALPH, choice_vpt, dyck_vpa, marker_vpt, single_bracket_vpa
 
@@ -298,25 +299,6 @@ class TestStats:
             assert result.length == n
             del result
         assert abs(kept[400_000] - kept[100_000]) < 64 * 1024, kept
-
-
-def tree_document(rng: random.Random, length: int, depth_cap: int) -> list[Token]:
-    """A random <a / a> / c document that drifts down to depth_cap,
-    closed at the end and followed by the spanner's end marker."""
-    tokens, depth = [], 0
-    for _ in range(length):
-        r = rng.random()
-        if r < 0.4 and depth < depth_cap:
-            tokens.append(tok_open("a"))
-            depth += 1
-        elif 0.4 <= r < 0.7 and depth > 0:
-            tokens.append(tok_close("a"))
-            depth -= 1
-        else:
-            tokens.append(tok_neutral("c"))
-    tokens += [tok_close("a")] * depth
-    tokens.append(Token(TokenKind.NEUTRAL, spanner.END_MARKER))
-    return tokens
 
 
 class TestRetainedMemory:

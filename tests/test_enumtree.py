@@ -1,9 +1,24 @@
+import hashlib
 import random
 
-from vptenum.ecs import EMPTY, EcsArena
-from vptenum.enumtree import Enumerator
+import pytest
 
-from oracle_helpers import ShadowEcs, enumerate_words, union_of_unions
+from vptenum import spanner
+from vptenum.cli import _bench_doc, _bench_vpt
+from vptenum.ecs import EMPTY, EcsArena
+from vptenum.engine import preprocess
+from vptenum.enumtree import Enumerator
+from vptenum.vpt import io_determinize
+
+from oracle_helpers import (
+    TREE_VPEG,
+    ShadowEcs,
+    enumerate_words,
+    random_det_vpt,
+    random_well_nested,
+    tree_document,
+    union_of_unions,
+)
 
 
 def payload(i):
@@ -159,3 +174,58 @@ class TestInstrumentation:
         fast = list(enumerate_words(a, v, smoothing=1))
         slow = list(enumerate_words(a, v, smoothing=10))
         assert fast == slow
+
+
+def _pass(vpt, tokens):
+    result = preprocess(vpt, tokens)
+    return [(result.arena, result.root)]
+
+
+def _random_det_passes():
+    rng = random.Random(29)
+    roots = []
+    for _ in range(24):
+        # few states and many transitions, so most documents have results
+        m = random_det_vpt(rng, n_states=3, n_trans=40)
+        roots += _pass(m, random_well_nested(rng, m.alphabet, rng.randint(4, 14)))
+    return roots
+
+
+def _tree_pass():
+    vpt = io_determinize(spanner.compile_vpeg(spanner.parse_vpeg(TREE_VPEG)))
+    return _pass(vpt, tree_document(random.Random(31), 1_500, 48))
+
+
+# sha256 of every word, its order, and the unit-step accounting around
+# it, at smoothing 1, 2, 4 and 9
+PINNED = {
+    "union_of_unions": (
+        lambda: [union_of_unions(16)],
+        "ab6fe0c5f59f1683fbcc974eaf3ba24a2691d36e2b144e25c12865c259ac5c47",
+    ),
+    "bench": (
+        lambda: _pass(_bench_vpt(), _bench_doc(1_000, 12)),
+        "b4f67c6903cfcf43907144fb0796a9715c90bc0541ff72675d6fd182add38055",
+    ),
+    "tree": (
+        _tree_pass,
+        "6d999a7622aaa1bd23056d97163dcb67d7864999af840c0774e567f92d24530f",
+    ),
+    "random_det": (
+        _random_det_passes,
+        "5738e7e10d58abe94bc496dd7e584747cdfe29c823788a7d1984668c5f3ddf6e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_unit_steps_pinned(name):
+    arenas, want = PINNED[name]
+    runs = []
+    for arena, root in arenas():
+        for smoothing in (1, 2, 4, 9):
+            en = Enumerator(arena, root, smoothing=smoothing, instrument=True)
+            words = list(en)
+            runs.append((words, en.gaps, en.tree_sizes, en.steps, en.emitted))
+    # a repr, not a pickle, so every supported Python reads the same bytes
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == want
