@@ -36,7 +36,13 @@ Callers must guarantee the usual unambiguity preconditions: operands of
 union have disjoint languages (up to the shared epsilon), and operands
 of prod concatenate with unique splits. These are not checked at
 runtime; the evaluation engine guarantees them for I/O-unambiguous
-transducers, and the test suite checks them with a shadow oracle.
+transducers, and the test suite checks them with a shadow oracle. The
+pass appends, for each output, a symbol leaf at the token's position
+and a product of the handle it extends with that leaf; outputs that
+extend the same source slots into the same target slot share one
+product over the union of their leaves. That union is disjoint, since
+the leaves' outputs differ, and the product splits uniquely, since its
+right factor is one symbol long.
 """
 
 from __future__ import annotations

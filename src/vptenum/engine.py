@@ -23,11 +23,16 @@ epsilons is one. What is left a copy of a source handle becomes a slot
 move, and all moves run as one ``operator.itemgetter`` gather; only the
 instructions that create nodes (a symbol leaf, a product of two
 non-epsilon handles, a union) remain as per-token *work*, in the order
-the keys and moves are met. A neutral step that maps every key to
-itself keeps the handle list as it is. ``preprocess`` caches its plans
-in dicts of its own, keyed by (shape, letter) for neutrals and opens and
-by (summary shape, shape, letter) for closes: the lazy subset
-construction of on-the-fly DFA matchers, applied to the level summaries.
+the keys and moves are met. Sibling outputs are factored there too:
+moves that print into the same slot after the same operands become one
+instruction, the product of that prefix and the union of their leaves,
+``prod(X, u | v)`` rather than ``prod(X, u) | prod(X, v)``, so the
+enumerator switches one leaf where it would rebuild all of X. A neutral
+step that maps every key to itself keeps the handle list as it is.
+``preprocess`` caches its plans in dicts of its own, keyed by (shape,
+letter) for neutrals and opens and by (summary shape, shape, letter)
+for closes: the lazy subset construction of on-the-fly DFA matchers,
+applied to the level summaries.
 
 The input is pulled exactly once per token plus one probe that detects
 the end. A token costs at most one plan build, bounded by the table and
@@ -199,7 +204,7 @@ class Plan(NamedTuple):
     of shape ``seed``."""
 
     gather: Callable | None
-    work: tuple  # (a, b, out, tgt, join), see _run
+    work: tuple  # (a, b, out, tgt, join), or a group (None, (a, b), outs, tgt, join): see _assemble
     shape: int  # the target's shape id
     counts: tuple  # the step's (visits, scans, arena calls)
     seed: int = -1
@@ -211,7 +216,8 @@ class Plan(NamedTuple):
 # any, with a fresh symbol leaf (2 calls) and unions it into the target
 # slot (1 call; a vacant slot just takes it, as a union with EMPTY
 # would). Table handles are never EMPTY. The counts are those of this
-# model, whatever the folding of epsilon operands leaves to run.
+# model, whatever the folding of epsilon operands and the merging of
+# sibling outputs leave to run.
 
 
 def _gatherer(take: list) -> Callable:
@@ -222,21 +228,35 @@ def _gatherer(take: list) -> Callable:
 
 
 def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple:
-    """Fold the epsilon operands out of a step's instructions and split
-    them into a gather and work; returns both and the target's shape id.
+    """Fold the epsilon operands out of a step's instructions, merge the
+    sibling outputs and split the rest into a gather and work; returns
+    both and the target's shape id.
 
     An instruction (a, b, out, tgt) puts pool[a] . pool[b] . leaf(out)
-    into slot tgt, by a union if the slot is taken; b, out may be None."""
+    into slot tgt, by a union if the slot is taken; b, out may be None.
+    After the folding, instructions that carry an output and share their
+    operands (a, b) and slot tgt become one, where the first of them
+    stood: a group (None, (a, b), outs, tgt, join) that puts pool[a] .
+    pool[b] . (leaf(o1) | leaf(o2) | ...) into tgt. The leaves' outputs
+    differ, so their union is disjoint, and each is one symbol long, so
+    the product splits uniquely; an advance of the enumerator then
+    switches one leaf instead of rebuilding the shared prefix."""
     take = [0] * len(keys)  # a slot that work fills first gathers a placeholder
     eps: list = [None] * len(keys)  # None while the slot is vacant
     work = []
+    outs: dict = {}  # (a, b, tgt) of each output-carrying instruction -> its outputs
     for a, b, out, tgt in code:
         if b is not None and pool_eps[a]:
             a, b = b, None
         elif b is not None and pool_eps[b]:
             b = None
-        if out is not None and b is None and pool_eps[a]:
-            a = None  # epsilon . leaf is the leaf
+        if out is not None:
+            if b is None and pool_eps[a]:
+                a = None  # epsilon . leaf is the leaf
+            if (a, b, tgt) in outs:
+                outs[a, b, tgt].append(out)
+                continue
+            outs[a, b, tgt] = [out]
         copy = out is None and b is None
         if eps[tgt] is None:
             eps[tgt] = copy and pool_eps[a]
@@ -247,6 +267,9 @@ def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple
         elif not (eps[tgt] and copy and pool_eps[a]):
             eps[tgt] = False
             work.append((a, b, out, tgt, True))
+    for i, (a, b, out, tgt, join) in enumerate(work):
+        if out is not None and len(outs[a, b, tgt]) > 1:
+            work[i] = (None, (a, b), tuple(outs[a, b, tgt]), tgt, join)
     return _gatherer(take), tuple(work), shapes.intern(keys, tuple(eps))
 
 
@@ -327,15 +350,28 @@ def _run(arena: EcsArena, gather: Callable, work: tuple, pool: list, k: int) -> 
     if work:
         add, prod, union = arena.add, arena.prod, arena.union
         for a, b, out, tgt, join in work:
-            if b is not None:
-                v = prod(pool[a], pool[b])
-            elif a is not None:
-                v = pool[a]
-            if out is not None:
-                leaf = add((out, k))
-                v = leaf if a is None else prod(v, leaf)
+            if out is None:  # a copy into a taken slot, or a product of two handles
+                v = pool[a] if b is None else prod(pool[a], pool[b])
+            elif b is None:  # a leaf, after pool[a] unless a is None
+                v = add((out, k)) if a is None else prod(pool[a], add((out, k)))
+            elif a is not None:  # a leaf after pool[a] . pool[b]
+                v = prod(prod(pool[a], pool[b]), add((out, k)))
+            else:  # a group: b is its operands, out its outputs
+                v = _group(arena, pool, b, out, k)
             new[tgt] = union(new[tgt], v) if join else v
     return new
+
+
+def _group(arena: EcsArena, pool: list, operands: tuple, outs: tuple, k: int) -> int:
+    """pool[a] . pool[b] . (leaf(o1) | leaf(o2) | ...) at position k,
+    where a, b may be None."""
+    a, b = operands
+    prefix = None if a is None else pool[a] if b is None else arena.prod(pool[a], pool[b])
+    add, union = arena.add, arena.union
+    v = add((outs[0], k))
+    for out in outs[1:]:
+        v = union(v, add((out, k)))
+    return v if prefix is None else arena.prod(prefix, v)
 
 
 # Each runner applies its plan to the state at position k and returns

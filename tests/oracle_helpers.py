@@ -865,15 +865,57 @@ class ReferenceState:
 # its (visits, scans, arena calls). A visit extends the entry's handle
 # by the move's output, if any, with a fresh symbol leaf (2 calls) and
 # unions it into the new entry (1 call; a vacant entry just takes it,
-# as a union with EMPTY would). Table handles are never EMPTY.
+# as a union with EMPTY would). Table handles are never EMPTY. The
+# steps list their visits, and ``reference_fill`` builds the new table.
 
 
-def reference_open_step(state: ReferenceState, moves, k: int) -> tuple[int, int, int]:
+def reference_fill(state: ReferenceState, visited: list, k: int, grouped: bool = True) -> dict:
+    """The new table from a step's visits (operands, out, key), in
+    order. Operands are (name, handle) pairs, the name that of the
+    source entry. A visit puts the product of its operands' handles,
+    then the leaf (out, k) if out is given, into entry key, by a union
+    if the entry is taken.
+
+    Grouped, the visits that carry an output into the same key, and
+    whose operands other than the epsilon leaf name the same entries,
+    are one visit where the first of them stands: the union of their
+    leaves under the product of those operands, as the compiled pass
+    builds them. Ungrouped, every visit builds its own product."""
+    arena, eps = state.arena, state.epsilon
+    outs: dict = {}  # group -> the outputs of its visits
+    groups = []
+    for i, (operands, out, key) in enumerate(visited):
+        group = None
+        if out is not None:
+            prefix = tuple(name for name, handle in operands if handle != eps)
+            group = (prefix, key) if grouped else i
+            outs.setdefault(group, []).append(out)
+        groups.append(group)
+    nxt: dict = {}
+    for (operands, out, key), group in zip(visited, groups):
+        if out is not None:
+            group_outs = outs.pop(group, None)
+            if group_outs is None:
+                continue  # built with the first visit of its group
+        v = operands[0][1]
+        for _, handle in operands[1:]:
+            v = arena.prod(v, handle)
+        if out is not None:
+            leaves = arena.add((group_outs[0], k))
+            for o in group_outs[1:]:
+                leaves = arena.union(leaves, arena.add((o, k)))
+            v = arena.prod(v, leaves)
+        old = nxt.get(key)
+        nxt[key] = v if old is None else arena.union(old, v)
+    return nxt
+
+
+def reference_open_step(
+    state: ReferenceState, moves, k: int, grouped: bool = True
+) -> tuple[int, int, int]:
     """Consume an open letter: stash the level summary, seed a new level."""
-    arena = state.arena
-    eps = state.epsilon
     visits = scans = calls = 0
-    summary: dict = {}
+    visited = []
     seed: dict = {}
     for (p, p2), handle in state.table.items():
         rules = moves.get(p2)
@@ -883,29 +925,27 @@ def reference_open_step(state: ReferenceState, moves, k: int) -> tuple[int, int,
         for out, q2, x in rules:
             visits += 1
             calls += 1 if out is None else 3
-            v = handle if out is None else arena.prod(handle, arena.add((out, k)))
-            key = (p, x, q2)
-            old = summary.get(key)
-            summary[key] = v if old is None else arena.union(old, v)
-            seed[(q2, q2)] = eps
-    state.frames.append(summary)
+            visited.append(((((p, p2), handle),), out, (p, x, q2)))
+            seed[(q2, q2)] = state.epsilon
+    state.frames.append(reference_fill(state, visited, k, grouped))
     state.open_positions.append(k)
     state.table = seed
     return visits, scans, calls
 
 
-def reference_close_step(state: ReferenceState, moves, k: int) -> tuple[int, int, int]:
+def reference_close_step(
+    state: ReferenceState, moves, k: int, grouped: bool = True
+) -> tuple[int, int, int]:
     """Consume a close letter: fold the finished level into the saved one."""
     if not state.frames:
         raise NestingError(f"unbalanced close at position {k}")
     summary = state.frames.pop()
     state.open_positions.pop()
-    arena = state.arena
     visits = scans = calls = 0
     by_first: dict = {}
     for (p2, q2), handle in state.table.items():
         by_first.setdefault(p2, []).append((q2, handle))
-    nxt: dict = {}
+    visited = []
     for (p, x, p2), upper in summary.items():
         inner = by_first.get(p2)
         if not inner:
@@ -919,21 +959,18 @@ def reference_close_step(state: ReferenceState, moves, k: int) -> tuple[int, int
             for out, q3 in rules:
                 visits += 1
                 calls += 2 if out is None else 4
-                v = arena.prod(upper, lower)
-                if out is not None:
-                    v = arena.prod(v, arena.add((out, k)))
-                key = (p, q3)
-                old = nxt.get(key)
-                nxt[key] = v if old is None else arena.union(old, v)
-    state.table = nxt
+                operands = (("summary", (p, x, p2)), upper), (("level", (p2, q2)), lower)
+                visited.append((operands, out, (p, q3)))
+    state.table = reference_fill(state, visited, k, grouped)
     return visits, scans, calls
 
 
-def reference_neutral_step(state: ReferenceState, moves, k: int) -> tuple[int, int, int]:
+def reference_neutral_step(
+    state: ReferenceState, moves, k: int, grouped: bool = True
+) -> tuple[int, int, int]:
     """Consume a neutral letter: extend the level in place, stack untouched."""
-    arena = state.arena
     visits = scans = calls = 0
-    nxt: dict = {}
+    visited = []
     for (p, q), handle in state.table.items():
         rules = moves.get(q)
         if not rules:
@@ -942,19 +979,18 @@ def reference_neutral_step(state: ReferenceState, moves, k: int) -> tuple[int, i
         for out, q2 in rules:
             visits += 1
             calls += 1 if out is None else 3
-            v = handle if out is None else arena.prod(handle, arena.add((out, k)))
-            key = (p, q2)
-            old = nxt.get(key)
-            nxt[key] = v if old is None else arena.union(old, v)
-    state.table = nxt
+            visited.append(((((p, q), handle),), out, (p, q2)))
+    state.table = reference_fill(state, visited, k, grouped)
     return visits, scans, calls
 
 
-def reference_preprocess(vpt: Vpt, tokens, observer=None) -> PreprocessResult:
+def reference_preprocess(vpt: Vpt, tokens, observer=None, grouped: bool = True) -> PreprocessResult:
     """The single pass over {key: handle} dicts, each step a loop over
     the table's keys: the reference that the compiled pass of
     ``engine.preprocess`` is tested against. Same arguments and result;
-    ``stats.plans`` stays 0."""
+    ``stats.plans`` stays 0. ``grouped=False`` builds every output under
+    its own product, as the compiled pass did before it merged sibling
+    outputs (see ``reference_fill``)."""
     state = ReferenceState.initial(vpt)
     oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
     nodes = state.arena.kinds
@@ -966,11 +1002,12 @@ def reference_preprocess(vpt: Vpt, tokens, observer=None) -> PreprocessResult:
         before = len(nodes)
         kind = tok.kind
         if kind is TokenKind.NEUTRAL:
-            visits, scans, calls = reference_neutral_step(state, nidx.get(tok.name, NO_MOVES), k)
+            step, index = reference_neutral_step, nidx
         elif kind is TokenKind.OPEN:
-            visits, scans, calls = reference_open_step(state, oidx.get(tok.name, NO_MOVES), k)
+            step, index = reference_open_step, oidx
         else:
-            visits, scans, calls = reference_close_step(state, cidx.get(tok.name, NO_MOVES), k)
+            step, index = reference_close_step, cidx
+        visits, scans, calls = step(state, index.get(tok.name, NO_MOVES), k, grouped)
         added = len(nodes) - before
         stats.visits += visits
         stats.scans += scans

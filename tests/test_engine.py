@@ -1,6 +1,9 @@
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from functools import partial
+from itertools import product
 
 import pytest
 
@@ -421,6 +424,15 @@ def with_runs(rng: random.Random, doc: list) -> list:
     return interned(out)
 
 
+def random_machines():
+    """240 random machines, each as (i, machine, three random documents)."""
+    rng = random.Random(71)
+    makers = (random_det_vpt, random_nondet_vpt, random_vpa)
+    for i in range(240):
+        m = makers[i % 3](rng)
+        yield i, m, [random_well_nested(rng, m.alphabet, rng.randint(0, 14)) for _ in range(3)]
+
+
 class TestPlansMatchReference:
     """The compiled pass against the dict-keyed reference pass."""
 
@@ -446,12 +458,8 @@ class TestPlansMatchReference:
             assert got.stats.pulls == ref.stats.pulls
 
     def test_random_machines(self):
-        rng = random.Random(71)
-        makers = (random_det_vpt, random_nondet_vpt, random_vpa)
-        for i in range(240):
-            m = makers[i % 3](rng)
-            for _ in range(3):
-                doc = random_well_nested(rng, m.alphabet, rng.randint(0, 14))
+        for i, m, docs in random_machines():
+            for doc in docs:
                 self.assert_same(m, doc)
                 assert_eps_flags_exact(m, doc)
             # the last document again, interned and with runs of repeated
@@ -526,6 +534,47 @@ class TestPlansMatchReference:
         preprocess(tree, tree_document(random.Random(2), 500, 16))
         assert calls
         assert IS_EPS not in {case for pair in calls for case in pair}
+
+
+class TestSiblingOutputs:
+    """The pass merges sibling outputs under one product, and enumerates
+    the words of the ungrouped reference, which gives each output a
+    product of its own."""
+
+    def assert_same_words(self, vpt, doc):
+        got, got_err = _outcome(preprocess, vpt, doc, None)
+        ref, ref_err = _outcome(partial(reference_preprocess, grouped=False), vpt, doc, None)
+        assert got_err == ref_err
+        if got is None:
+            return
+        words = Counter(enumerate_words(got.arena, got.root))
+        assert words == Counter(enumerate_words(ref.arena, ref.root))
+        # the model's counts; only the nodes appended go down
+        totals, ref_totals = got.stats.totals(), ref.stats.totals()
+        assert totals.nodes_added <= ref_totals.nodes_added
+        assert replace(totals, nodes_added=0) == replace(ref_totals, nodes_added=0)
+        return got, ref
+
+    def test_random_machines(self):
+        for _, m, docs in random_machines():
+            for doc in docs:
+                self.assert_same_words(m, doc)
+
+    def test_bench_document(self):
+        got, ref = self.assert_same_words(_bench_vpt(), list(_bench_doc(2_000, 16)))
+        # two leaves, their union and one product: one node fewer per
+        # choice, except the first, where the leaves' union is all
+        assert len(ref.arena) - len(got.arena) == 16 - 1
+
+    def test_tree_document(self):
+        tree = io_determinize(spanner.compile_vpeg(spanner.parse_vpeg(TREE_VPEG)))
+        self.assert_same_words(tree, tree_document(random.Random(31), 1_500, 48))
+
+    def test_order_switches_the_last_choice_first(self):
+        m = _bench_vpt()
+        res = preprocess(m, words(m, "<r b c b b r>"))
+        want = [tuple(zip(outs, (2, 4, 5))) for outs in product("uv", repeat=3)]
+        assert list(enumerate_words(res.arena, res.root)) == want  # u@2 u@4 u@5, u@2 u@4 v@5, ...
 
 
 class TestPlanCount:

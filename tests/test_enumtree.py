@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from oracle_helpers import (
     enumerate_words,
     random_det_vpt,
     random_well_nested,
+    reference_preprocess,
     tree_document,
     union_of_unions,
 )
@@ -176,18 +178,24 @@ class TestInstrumentation:
         assert fast == slow
 
 
-def _pass(vpt, tokens):
-    result = preprocess(vpt, tokens)
+def _pass(vpt, tokens, run=preprocess):
+    result = run(vpt, tokens)
     return [(result.arena, result.root)]
 
 
-def _random_det_passes():
+def _ungrouped(vpt, tokens):
+    # node for node the arena of the compiled pass before it merged
+    # sibling outputs, so the hashes below pin the enumerator alone
+    return reference_preprocess(vpt, tokens, grouped=False)
+
+
+def _random_det_passes(run=preprocess):
     rng = random.Random(29)
     roots = []
     for _ in range(24):
         # few states and many transitions, so most documents have results
         m = random_det_vpt(rng, n_states=3, n_trans=40)
-        roots += _pass(m, random_well_nested(rng, m.alphabet, rng.randint(4, 14)))
+        roots += _pass(m, random_well_nested(rng, m.alphabet, rng.randint(4, 14)), run)
     return roots
 
 
@@ -197,14 +205,15 @@ def _tree_pass():
 
 
 # sha256 of every word, its order, and the unit-step accounting around
-# it, at smoothing 1, 2, 4 and 9
+# it, at smoothing 1, 2, 4 and 9. The ``grouped`` cases enumerate what
+# the compiled pass builds, sibling outputs merged under one product.
 PINNED = {
     "union_of_unions": (
         lambda: [union_of_unions(16)],
         "ab6fe0c5f59f1683fbcc974eaf3ba24a2691d36e2b144e25c12865c259ac5c47",
     ),
     "bench": (
-        lambda: _pass(_bench_vpt(), _bench_doc(1_000, 12)),
+        lambda: _pass(_bench_vpt(), _bench_doc(1_000, 12), _ungrouped),
         "b4f67c6903cfcf43907144fb0796a9715c90bc0541ff72675d6fd182add38055",
     ),
     "tree": (
@@ -212,8 +221,16 @@ PINNED = {
         "6d999a7622aaa1bd23056d97163dcb67d7864999af840c0774e567f92d24530f",
     ),
     "random_det": (
-        _random_det_passes,
+        lambda: _random_det_passes(_ungrouped),
         "5738e7e10d58abe94bc496dd7e584747cdfe29c823788a7d1984668c5f3ddf6e",
+    ),
+    "bench_grouped": (
+        lambda: _pass(_bench_vpt(), _bench_doc(1_000, 12)),
+        "2db5a2efff111e5c21cac6533bc0c650cf10cb9dca293c425a16967125f25d5c",
+    ),
+    "random_det_grouped": (
+        _random_det_passes,
+        "d0ad47c8fe40e6817f8586650ff6f2ca791268c2ee9f46ef3f77c18c95b1c43a",
     ),
 }
 
@@ -229,3 +246,13 @@ def test_unit_steps_pinned(name):
             runs.append((words, en.gaps, en.tree_sizes, en.steps, en.emitted))
     # a repr, not a pickle, so every supported Python reads the same bytes
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == want
+
+
+def test_an_advance_rebuilds_one_choice():
+    # each choice is one union of two leaves under the shared prefix, so
+    # the next word switches the last choice instead of rebuilding the
+    # whole skeleton: 82 steps a word before the merge, 6 after it
+    result = preprocess(_bench_vpt(), _bench_doc(2_000, 40))
+    en = Enumerator(result.arena, result.root)
+    assert sum(1 for _ in itertools.islice(en, 4_000)) == 4_000
+    assert en.steps <= 8 * 4_000
