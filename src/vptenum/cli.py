@@ -214,8 +214,19 @@ def cmd_run(args) -> int:
             words = _output_rows(writer, enum, words)
         write = sys.stdout.write  # one call per result line
         print("#")
+        # the texts of the symbols each word keeps of the previous one;
+        # only the new suffix is looked up, and each leaf formatted once
+        pieces, texts = [], {}
         for word in words:
-            write(render_word(word) + "\n")
+            cut = enum.last_cut
+            del pieces[cut:]
+            for item in word[cut:]:
+                text = texts.get(item)
+                if text is None:
+                    out, k = item
+                    text = texts[item] = f"{out}@{k}"
+                pieces.append(text)
+            write((" ".join(pieces) or "ε") + "\n")
         print("#")
     return EXIT_OK
 

@@ -23,7 +23,9 @@ ancestor whose right subtree comes next in pre-order.
   right child of u, then rebuilds the right subtree of t's owner, of
   that subtree's owner, and so on up to the root. Nodes before t in
   pre-order are kept, and so is the word they printed: it is cut back
-  to the symbols before t, and the builds append the rest.
+  to the symbols before t, and the builds append the rest. The kept
+  length is the word's ``last_cut``: a printer can keep the text of
+  those symbols and format only the new suffix.
 
 The deepest pending union switches right first, which is the order of
 the left-first walk over output trees. A word of k symbols has a
@@ -43,7 +45,8 @@ that raw stream sits a smoothing hold: a found word is released once
 ``smoothing * len(word)`` further steps have passed, or earlier when its
 successor is found. That caps the gap in front of every emission at a
 constant times the length of the emitted word, independent of arena
-size.
+size. A held word keeps its cut, so ``last_cut`` always belongs to the
+word just yielded.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ class Enumerator:
 
     ``last_gap`` is, after each emission, the pair (unit steps since
     the previous emission, emitted length counting the empty word as 1);
+    ``last_cut`` is the number of leading symbols the emitted word
+    shares with the previous one, as kept by the advance that found it
+    (0 for the empty word and the first epsilon-free word);
     ``gaps`` records every such pair and ``tree_sizes`` records
     (skeleton nodes, word length) per word found when instrumentation
     is on.
@@ -83,12 +89,14 @@ class Enumerator:
         self.steps = 0
         self.emitted = 0
         self.last_gap: tuple[int, int] | None = None
+        self.last_cut = 0
         self.gaps: list[tuple[int, int]] = []
         self.tree_sizes: list[tuple[int, int]] = []
 
-    def _note_emit(self, word: OutputWord, steps: int) -> None:
+    def _note_emit(self, word: OutputWord, steps: int, cut: int) -> None:
         # self.steps holds the step count of the previous emission
         self.last_gap = gap = (steps - self.steps, len(word) or 1)
+        self.last_cut = cut
         self.steps = steps
         self.emitted += 1
         if self.instrument:
@@ -102,7 +110,7 @@ class Enumerator:
         kind = arena.kinds[v]
         if kind == EPS_LEAF or kind == EPS_UNION_NODE:
             # the empty word first, then the epsilon-free remainder
-            self._note_emit((), self.steps + 1)
+            self._note_emit((), self.steps + 1, 0)
             yield ()
             if kind == EPS_LEAF:
                 return
@@ -120,6 +128,7 @@ class Enumerator:
         out: list = []  # the word printed by the skeleton built so far
         nodes = 0
         held: OutputWord | None = None
+        held_cut = cut = 0  # symbols the held / next word keeps of its predecessor
         deadline = _NEVER
         steps = self.steps
         # the loop's operations, and the labels it tests, as locals: the
@@ -131,7 +140,7 @@ class Enumerator:
         op, t, climb = BUILD, root, root
         while True:
             if steps >= deadline:
-                self._note_emit(held, steps)
+                self._note_emit(held, steps, held_cut)
                 yield held
                 held, deadline = None, _NEVER
             steps += 1
@@ -176,18 +185,18 @@ class Enumerator:
                     tree_sizes.append((nodes, len(word)))
                 if held is not None:
                     # the successor arrived early; release the held word now
-                    self._note_emit(held, steps)
+                    self._note_emit(held, steps, held_cut)
                     yield held
-                held, deadline = word, steps + smoothing * len(word)
+                held, held_cut, deadline = word, cut, steps + smoothing * len(word)
                 op = ADVANCE
             elif pending:  # ADVANCE
-                t, u, nodes, before = pending.pop()
-                del out[before:]
+                t, u, nodes, cut = pending.pop()
+                del out[cut:]
                 t[0] = rights[u]
                 op, climb = BUILD, t
             else:  # ADVANCE with nothing pending: the words are exhausted
                 break
         if held is not None:
-            self._note_emit(held, steps)
+            self._note_emit(held, steps, held_cut)
             yield held
         self.steps = steps

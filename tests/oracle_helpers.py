@@ -650,6 +650,15 @@ def random_vpa(rng: random.Random, n_states: int = 5, n_trans: int = 12) -> Vpt:
     )
 
 
+def random_machines():
+    """240 random machines, each as (i, machine, three random documents)."""
+    rng = random.Random(71)
+    makers = (random_det_vpt, random_nondet_vpt, random_vpa)
+    for i in range(240):
+        m = makers[i % 3](rng)
+        yield i, m, [random_well_nested(rng, m.alphabet, rng.randint(0, 14)) for _ in range(3)]
+
+
 def well_nested_pairs(vpa: Vpt) -> set:
     """Every (p, q) such that some well-nested word leads from p to q.
 

@@ -27,10 +27,12 @@ from vptenum.cli import (
     render_word,
 )
 from vptenum.enumtree import Enumerator
-from vptenum.formats import parse_vpt
+from vptenum.formats import parse_vpt, serialize_vpt
 from vptenum.nested import tokenize
 from vptenum.spanner import evaluate_spanner, parse_vpeg
 from vptenum.vpt import is_io_deterministic
+
+from oracle_helpers import random_det_vpt, random_machines, random_well_nested, serialize
 
 # one bracket pair, two outputs per b, silent c padding
 CHOICE_VPT = """\
@@ -663,6 +665,51 @@ class TestRenderWord:
 
     def test_positions(self):
         assert render_word((("o", 1), ("p", 12))) == "o@1 p@12"
+
+
+def run_cases():
+    """(machine text, document text) pairs: the random machines of the
+    engine tests, denser machines with more results, and the choice
+    machine over random runs of choices."""
+    for _, m, docs in random_machines():
+        for doc in docs:
+            yield serialize_vpt(m), serialize(doc)
+    rng = random.Random(47)
+    for _ in range(24):
+        m = random_det_vpt(rng, n_states=3, n_trans=40)
+        yield serialize_vpt(m), serialize(random_well_nested(rng, m.alphabet, rng.randint(4, 14)))
+    for _ in range(12):
+        yield CHOICE_VPT, " ".join(["<r", *rng.choices("bbc", k=rng.randint(0, 9)), "r>"])
+
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--limit", "5"], ["--smoothing", "1"], ["--smoothing", "9"], ["--stats", "--stats-out", "stats.csv"]],
+)
+def test_run_prints_what_render_word_renders(capsys, tmp_path, options):
+    # run prints each word from the texts it kept of the previous one;
+    # the reference renders every word whole
+    machine, document = tmp_path / "m.vpt", tmp_path / "d.txt"
+    options = [str(tmp_path / opt) if opt.endswith(".csv") else opt for opt in options]
+    limit = int(options[1]) if options[:1] == ["--limit"] else None
+    printed = epsilon_first = 0
+    for machine_text, document_text in run_cases():
+        vpt = parse_vpt(machine_text)
+        try:
+            result = engine.preprocess(vpt, tokenize(document_text, vpt.alphabet))
+        except ValueError:  # NestingError, or an arena operand check
+            continue
+        words = list(itertools.islice(Enumerator(result.arena, result.root), limit))
+        machine.write_text(machine_text, encoding="utf-8")
+        document.write_text(document_text, encoding="utf-8")
+        code = main(["run", "-t", str(machine), "-d", str(document), "--trust-unambiguous", *options])
+        out, _ = capsys.readouterr()
+        assert code == EXIT_OK
+        assert out == "".join(f"{line}\n" for line in ["#", *map(render_word, words), "#"])
+        printed += len(words)
+        epsilon_first += len(words) > 1 and words[0] == ()
+    assert printed > 200
+    assert epsilon_first
 
 
 def module_env(**env_vars) -> dict:

@@ -39,6 +39,7 @@ from oracle_helpers import (
     check_state_invariants,
     enumerate_words,
     random_det_vpt,
+    random_machines,
     random_nondet_vpt,
     random_vpa,
     random_well_nested,
@@ -422,15 +423,6 @@ def with_runs(rng: random.Random, doc: list) -> list:
     if rng.random() < 0.5:
         out += [tok_neutral(IDLE)] * rng.randint(1, 5)
     return interned(out)
-
-
-def random_machines():
-    """240 random machines, each as (i, machine, three random documents)."""
-    rng = random.Random(71)
-    makers = (random_det_vpt, random_nondet_vpt, random_vpa)
-    for i in range(240):
-        m = makers[i % 3](rng)
-        yield i, m, [random_well_nested(rng, m.alphabet, rng.randint(0, 14)) for _ in range(3)]
 
 
 class TestPlansMatchReference:

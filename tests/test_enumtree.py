@@ -16,6 +16,7 @@ from oracle_helpers import (
     ShadowEcs,
     enumerate_words,
     random_det_vpt,
+    random_machines,
     random_well_nested,
     reference_preprocess,
     tree_document,
@@ -256,3 +257,55 @@ def test_an_advance_rebuilds_one_choice():
     en = Enumerator(result.arena, result.root)
     assert sum(1 for _ in itertools.islice(en, 4_000)) == 4_000
     assert en.steps <= 8 * 4_000
+
+
+
+def _random_machine_passes():
+    for _, m, docs in random_machines():
+        for doc in docs:
+            try:
+                yield from _pass(m, doc)
+            except ValueError:  # NestingError, or an arena operand check
+                pass
+
+
+def words_and_cuts(en, limit=None):
+    """Each word of ``en`` with its ``last_cut``, read as the word is yielded."""
+    return [(word, en.last_cut) for word in itertools.islice(en, limit)]
+
+
+def assert_cuts_shared(pairs):
+    """Each word's cut is a prefix it shares with the word before it."""
+    previous = ()
+    for word, cut in pairs:
+        assert cut <= min(len(previous), len(word))
+        assert word[:cut] == previous[:cut]
+        previous = word
+
+
+class TestLastCut:
+    def test_cuts_of_a_small_arena(self):
+        # the empty word, then a shared leaf before a switched one
+        a = EcsArena()
+        v = a.prod(a.add(payload(3)), a.union(a.add(payload(1)), a.add(payload(2))))
+        pairs = words_and_cuts(Enumerator(a, a.union(a.epsilon_node(), v)))
+        assert pairs == [((), 0), ((payload(3), payload(1)), 0), ((payload(3), payload(2)), 1)]
+
+    @pytest.mark.parametrize("name", ["random_machines", *sorted(PINNED)])
+    def test_cut_is_a_shared_prefix(self, name):
+        arenas = _random_machine_passes() if name == "random_machines" else PINNED[name][0]()
+        for arena, root in arenas:
+            runs = [words_and_cuts(Enumerator(arena, root, smoothing=smoothing)) for smoothing in (1, 2, 4, 9)]
+            for pairs in runs:
+                assert_cuts_shared(pairs)
+                assert all(cut == 0 for word, cut in pairs if not word)
+            # a held word keeps its own cut, whatever releases it
+            assert all(pairs == runs[0] for pairs in runs)
+
+    def test_cut_leaves_a_short_suffix(self):
+        # a binary counter over 40 choices: 2.0 new symbols a word on average
+        result = preprocess(_bench_vpt(), _bench_doc(2_000, 40))
+        pairs = words_and_cuts(Enumerator(result.arena, result.root), 4_000)
+        assert len(pairs) == 4_000
+        assert_cuts_shared(pairs)
+        assert sum(len(word) - cut for word, cut in pairs) <= 3 * 4_000
