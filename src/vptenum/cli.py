@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 from vptenum import engine, formats, nested, spanner
 from vptenum.ecs import EMPTY
-from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator
+from vptenum.enumtree import Enumerator
 from vptenum.nested import StructuredAlphabet, Token, TokenKind, TokenizeError, tokenize
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, io_determinize, oracle_enumerate
 
@@ -52,14 +52,6 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    return value
-
-
-def _positive(text: str) -> int:
-    """An int option value of at least 1."""
-    value = _count(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
     return value
 
 
@@ -206,7 +198,7 @@ def cmd_run(args) -> int:
             observers.append(_checkpoint_lines(vpt))
         with _document(args.document, vpt.alphabet) as doc:
             result = engine.preprocess(vpt, doc, _all_of(observers))
-        enum = Enumerator(result.arena, result.root, smoothing=args.smoothing)
+        enum = Enumerator(result.arena, result.root)
         words = islice(enum, args.limit)
         if writer is not None:
             fin = result.stats.finalize
@@ -342,7 +334,6 @@ def build_parser() -> _Parser:
     run.add_argument("-d", "--document", required=True, help="document file, or - for stdin")
     _add_mode_flags(run)
     run.add_argument("--limit", type=_count, default=None, help="stop after this many results")
-    run.add_argument("--smoothing", type=_positive, default=DEFAULT_SMOOTHING, help="delay smoothing factor")
     run.add_argument("--checkpoint", action="store_true", help="report per-symbol acceptance on stderr")
     run.add_argument("--stats", action="store_true", help="emit instrumentation CSV")
     run.add_argument("--stats-out", default=None, help="write the CSV here instead of stderr")

@@ -69,7 +69,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from vptenum.ecs import EMPTY, EcsArena
-from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator, OutputWord
+from vptenum.enumtree import Enumerator, OutputWord
 from vptenum.nested import StructuredAlphabet, TokenKind
 from vptenum.vpt import NO_MOVES, Vpt, is_io_deterministic, io_determinize, stable_key
 
@@ -557,7 +557,6 @@ def evaluate(
     vpt: Vpt,
     tokens,
     mode: str = "check",
-    smoothing: int = DEFAULT_SMOOTHING,
     stats_out: EngineStats | None = None,
     alphabet: StructuredAlphabet | None = None,
 ) -> Iterator[OutputWord]:
@@ -567,4 +566,4 @@ def evaluate(
     result = preprocess(vpt, tokens, alphabet=alphabet)
     if stats_out is not None:
         vars(stats_out).update(vars(result.stats))
-    return iter(Enumerator(result.arena, result.root, smoothing=smoothing))
+    return iter(Enumerator(result.arena, result.root))

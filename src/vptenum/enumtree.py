@@ -40,13 +40,11 @@ deferred since that climb started lies inside its subtree. Only those
 deferred builds, the right children of products, go on an explicit
 stack, so tree depth is bounded only by memory. One unit step is one
 operation the loop carries out, whether or not it waited on the stack;
-each does O(1) work besides copying the finished word out. On top of
-that raw stream sits a smoothing hold: a found word is released once
-``smoothing * len(word)`` further steps have passed, or earlier when its
-successor is found. That caps the gap in front of every emission at a
-constant times the length of the emitted word, independent of arena
-size. A held word keeps its cut, so ``last_cut`` always belongs to the
-word just yielded.
+each does O(1) work besides copying the finished word out. A word is
+yielded as soon as its skeleton is complete. From one word to the next
+the loop takes one advance, one word step, and builds and climbs that
+come to two per new symbol (there is at least one), so the gap in front
+of a word is at most 2 * max(1, new symbols) + 2 unit steps.
 """
 
 from __future__ import annotations
@@ -57,13 +55,9 @@ from vptenum.ecs import EMPTY, EPS_LEAF, EPS_UNION_NODE, PRODUCT, UNION, EcsAren
 
 OutputWord = tuple  # tuple of (symbol, position) pairs; () is the empty word
 
-DEFAULT_SMOOTHING = 4
-
-_NEVER = 1 << 62
-
 
 class Enumerator:
-    """Streams L(v) once per word, with smoothing and instrumentation.
+    """Streams L(v) once per word, with instrumentation.
 
     ``last_gap`` is, after each emission, the pair (unit steps since
     the previous emission, emitted length counting the empty word as 1);
@@ -75,16 +69,9 @@ class Enumerator:
     is on.
     """
 
-    def __init__(
-        self,
-        arena: EcsArena,
-        v: int,
-        smoothing: int = DEFAULT_SMOOTHING,
-        instrument: bool = False,
-    ):
+    def __init__(self, arena: EcsArena, v: int, instrument: bool = False):
         self.arena = arena
         self.root = v
-        self.smoothing = max(1, smoothing)
         self.instrument = instrument
         self.steps = 0
         self.emitted = 0
@@ -119,17 +106,14 @@ class Enumerator:
         # below here every node is an epsilon-free union, product or
         # symbol leaf, and a symbol leaf's payload sits in ``lefts``
         kinds, lefts, rights = arena.kinds, arena.lefts, arena.rights
-        smoothing, instrument, tree_sizes = self.smoothing, self.instrument, self.tree_sizes
+        instrument, tree_sizes = self.instrument, self.tree_sizes
         root = [v, None, None, None]  # a skeleton node: [arena node, left, right, owner]
         stack: list[list] = []  # right children whose builds are deferred
         push, pop = stack.append, stack.pop
         # (skeleton node, union, skeleton nodes before it, symbols before it)
         pending: list[tuple[list, int, int, int]] = []
         out: list = []  # the word printed by the skeleton built so far
-        nodes = 0
-        held: OutputWord | None = None
-        held_cut = cut = 0  # symbols the held / next word keeps of its predecessor
-        deadline = _NEVER
+        nodes = cut = 0  # cut: symbols the next word keeps of its predecessor
         steps = self.steps
         # the loop's operations, and the labels it tests, as locals: the
         # loop reads them every step
@@ -139,10 +123,6 @@ class Enumerator:
         # once the stack is empty, that is once its subtree is built
         op, t, climb = BUILD, root, root
         while True:
-            if steps >= deadline:
-                self._note_emit(held, steps, held_cut)
-                yield held
-                held, deadline = None, _NEVER
             steps += 1
             if op == BUILD:
                 u = t[0]
@@ -183,11 +163,8 @@ class Enumerator:
                 word = tuple(out)
                 if instrument:
                     tree_sizes.append((nodes, len(word)))
-                if held is not None:
-                    # the successor arrived early; release the held word now
-                    self._note_emit(held, steps, held_cut)
-                    yield held
-                held, held_cut, deadline = word, cut, steps + smoothing * len(word)
+                self._note_emit(word, steps, cut)
+                yield word
                 op = ADVANCE
             elif pending:  # ADVANCE
                 t, u, nodes, cut = pending.pop()
@@ -196,7 +173,4 @@ class Enumerator:
                 op, climb = BUILD, t
             else:  # ADVANCE with nothing pending: the words are exhausted
                 break
-        if held is not None:
-            self._note_emit(held, steps, held_cut)
-            yield held
         self.steps = steps

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, Iterator, Union
 
@@ -52,6 +53,11 @@ class StructuredAlphabet:
         if kind is TokenKind.CLOSE:
             return name in self.closes
         return name in self.neutrals
+
+    @cached_property
+    def longest_word(self) -> int:
+        """No written symbol is longer: the longest name plus a bracket."""
+        return 1 + max(map(len, self.opens | self.closes | self.neutrals), default=0)
 
 
 @dataclass(frozen=True)
@@ -99,8 +105,13 @@ def _blocks(source: TextSource) -> Iterator[str]:
 def token_of_word(word: str, alphabet: StructuredAlphabet) -> Token:
     """Map one whitespace-delimited word to a token.
 
-    ``<x`` opens x, ``x>`` closes x, a bare name is neutral.
+    ``<x`` opens x, ``x>`` closes x, a bare name is neutral. A word
+    longer than any symbol is named by its first characters only, as
+    many as the tokenizer has seen when it refuses such a word early.
     """
+    longest = alphabet.longest_word
+    if len(word) > longest:
+        raise TokenizeError(f"word starting {word[:min(longest, 40)]!r} is longer than any symbol")
     if word.startswith("<") and word.endswith(">"):
         raise TokenizeError(f"malformed token {word!r}")
     if word.startswith("<"):
@@ -142,13 +153,16 @@ def tokenize_blocks(text: TextSource, alphabet: StructuredAlphabet) -> Iterator[
     in-comment flag carry over from one block to the next. Tokens are
     whitespace-separated words; a comment starts at a ``#`` that begins
     a token and ends at the next ``"\n"``, no other line break ends it.
-    One Token object stands for each distinct word.
+    One Token object stands for each distinct word. A partial token
+    longer than any symbol is refused at once instead of carried into
+    the next block, so one long word costs at most one block's work.
 
     On a bad word the tokens before it in its block come out first, as
     one more list; then TokenizeError names the 1-based token index and
     the line:col of the bad word.
     """
     tokens = _WordTokens(alphabet)
+    longest = alphabet.longest_word
     carry = ""  # a token that may continue in the next block
     in_comment = False
     count = 0  # tokens produced before the current piece
@@ -170,6 +184,8 @@ def tokenize_blocks(text: TextSource, alphabet: StructuredAlphabet) -> Iterator[
             piece = _COMMENT.sub(lambda comment: " " * len(comment[0]), piece)  # columns stay exact
         words = piece.split()
         carry = words.pop() if piece and not piece[-1].isspace() else ""
+        if len(carry) > longest:
+            words.append(carry)  # no symbol is that long: refused below
         try:
             block_tokens = list(map(tokens.__getitem__, words))
         except TokenizeError as exc:

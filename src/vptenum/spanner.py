@@ -24,7 +24,6 @@ from typing import Iterator
 
 from vptenum.nested import Span, StructuredAlphabet, Token, TokenKind
 from vptenum import engine
-from vptenum.enumtree import DEFAULT_SMOOTHING
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, level_reach, stable_key
 
 END_MARKER = "#"
@@ -562,9 +561,7 @@ def compile_vpeg(vpeg: Vpeg, end_letter=END_MARKER) -> Vpt:
     return evpa_to_vpt(evpa, vpeg.variables, end_letter=end_letter)
 
 
-def evaluate_spanner(
-    vpeg: Vpeg, tokens, smoothing: int = DEFAULT_SMOOTHING
-) -> Iterator[SpanMapping]:
+def evaluate_spanner(vpeg: Vpeg, tokens) -> Iterator[SpanMapping]:
     """Stream the grammar's span assignments over the document.
 
     The document gets a synthetic end marker appended. The pass checks
@@ -583,7 +580,7 @@ def evaluate_spanner(
     doc = chain(tokens, [Token(TokenKind.NEUTRAL, _END)])
     mode = "check" if is_io_deterministic(vpt) else "determinize"
     try:
-        words = engine.evaluate(vpt, doc, mode=mode, smoothing=smoothing, alphabet=vpt.alphabet)
+        words = engine.evaluate(vpt, doc, mode=mode, alphabet=vpt.alphabet)
     except engine.SymbolError as exc:
         raise GrammarError(f"document symbol {exc.token.name!r} not in grammar alphabet") from None
     for word in words:

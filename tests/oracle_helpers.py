@@ -13,7 +13,7 @@ from itertools import product as _cartesian
 from typing import Iterable, Iterator
 
 from vptenum.ecs import EcsArena, EMPTY
-from vptenum.enumtree import DEFAULT_SMOOTHING, Enumerator
+from vptenum.enumtree import Enumerator
 from vptenum.engine import EngineStats, NestingError, PreprocessResult, SymbolStats
 from vptenum.nested import (
     Span,
@@ -96,9 +96,9 @@ def well_nested_words(alphabet: StructuredAlphabet, max_len: int) -> list[tuple[
     return all_words
 
 
-def enumerate_words(arena: EcsArena, v: int, smoothing: int = DEFAULT_SMOOTHING) -> Iterator[OutputWord]:
+def enumerate_words(arena: EcsArena, v: int) -> Iterator[OutputWord]:
     """Enumerate L(v) with no repetitions; the sentinel yields nothing."""
-    return iter(Enumerator(arena, v, smoothing=smoothing))
+    return iter(Enumerator(arena, v))
 
 
 # ---------------------------------------------------------------- spans

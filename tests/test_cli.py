@@ -167,13 +167,6 @@ class TestRun:
         flags = [line.rsplit("=", 1)[1] for line in err]
         assert flags == ["no", "no", "yes", "no", "no"]
 
-    def test_smoothing_flag(self, capsys, files):
-        t = files("m.vpt", CHOICE_VPT)
-        d = files("d.txt", "<r b b r>")
-        code, out, _ = run_main(capsys, ["run", "-t", t, "-d", d, "--smoothing", "9"])
-        assert code == EXIT_OK
-        assert len(out) == 6
-
     def test_stats_csv_schema(self, capsys, files, tmp_path):
         t = files("m.vpt", CHOICE_VPT)
         d = files("d.txt", "<r b b r>")
@@ -284,14 +277,14 @@ class TestRun:
         t = files("m.vpt", CHOICE_VPT)
         d = files("d.txt", "<r b c b b r>")
         stats = tmp_path / "stats.csv"
-        argv = ["run", "-t", t, "-d", d, "--stats", "--stats-out", str(stats), "--smoothing", "2"]
+        argv = ["run", "-t", t, "-d", d, "--stats", "--stats-out", str(stats)]
         assert run_main(capsys, [*argv, "--limit", "5"])[0] == EXIT_OK
         with stats.open(newline="") as fh:
             rows = [row for row in csv.reader(fh) if row[0] == "output"]
         vpt = parse_vpt(CHOICE_VPT)
         with open(d, encoding="utf-8") as fh:
             result = engine.preprocess(vpt, tokenize(fh, vpt.alphabet))
-        enum = Enumerator(result.arena, result.root, smoothing=2, instrument=True)
+        enum = Enumerator(result.arena, result.root, instrument=True)
         assert len(list(itertools.islice(enum, 5))) == 5
         assert [(int(r[1]), int(r[6]), int(r[7])) for r in rows] == [
             (i, gap, length) for i, (gap, length) in enumerate(enum.gaps, start=1)
@@ -621,6 +614,16 @@ class TestUsage:
             main(["run", "--frobnicate"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_smoothing_flag_is_gone(self, capsys, files):
+        t = files("m.vpt", CHOICE_VPT)
+        d = files("d.txt", "<r b b r>")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-t", t, "-d", d, "--smoothing", "4"])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--smoothing" in err
+
     def test_conflicting_mode_flags(self, files):
         t = files("m.vpt", CHOICE_VPT)
         with pytest.raises(SystemExit) as exc:
@@ -638,8 +641,6 @@ class TestUsage:
             # the other count options
             pytest.param("oracle", "--max-configs", "-1", id="max-configs-oracle"),
             pytest.param("determinize", "--max-states", "-1", id="max-states-determinize"),
-            pytest.param("run", "--smoothing", "-3", id="smoothing-run"),
-            pytest.param("run", "--smoothing", "0", id="smoothing-0-run"),
         ],
     )
     def test_limit_must_be_a_count(self, capsys, files, command, option, value):
@@ -684,7 +685,7 @@ def run_cases():
 
 @pytest.mark.parametrize(
     "options",
-    [[], ["--limit", "5"], ["--smoothing", "1"], ["--smoothing", "9"], ["--stats", "--stats-out", "stats.csv"]],
+    [[], ["--limit", "5"], ["--stats"], ["--checkpoint"], ["--stats", "--stats-out", "stats.csv"]],
 )
 def test_run_prints_what_render_word_renders(capsys, tmp_path, options):
     # run prints each word from the texts it kept of the previous one;

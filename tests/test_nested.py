@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import time
 
 from vptenum import nested
 
@@ -112,6 +113,37 @@ class TestTokenize:
     def test_mid_token_hash_is_part_of_the_token(self):
         with pytest.raises(TokenizeError, match=r"'c#d' at token 2, line 1:4"):
             list(tokenize("<a c#d a>", ALPH))
+
+    def test_a_long_word_is_refused_early(self):
+        # a 10 MB word is refused once it outgrows every symbol, not carried
+        # to its end, and the message names only its first characters
+        text = "<a c\n " + "x" * 10_000_000 + " a>"
+        start = time.perf_counter()
+        with pytest.raises(TokenizeError) as exc:
+            list(tokenize(text, ALPH))
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == "word starting 'xxxxx' is longer than any symbol at token 3, line 2:2"
+
+    def test_a_long_word_in_a_stream_is_refused_after_one_piece(self):
+        pulled = []
+
+        def pieces():
+            yield "<a c\n "
+            for _ in range(10_000):  # one word of 10 MB
+                pulled.append(1)
+                yield "x" * 1_000
+
+        with pytest.raises(TokenizeError, match=r"^word starting 'xxxxx' .* at token 3, line 2:2$"):
+            list(tokenize(pieces(), ALPH))
+        assert len(pulled) == 1
+
+    def test_a_word_past_the_longest_symbol_is_named_by_its_start(self):
+        # the same message whether the word ends in its block or is cut
+        # off by a block edge, so it cannot depend on the word's end
+        assert str(pytest.raises(TokenizeError, token_of_word, "itemitem>", ALPH).value) == (
+            "word starting 'itemi' is longer than any symbol"
+        )
+        assert ALPH.longest_word == 5
 
 
 # fragments for random documents: words, bad words, comment starts,
