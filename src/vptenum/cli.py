@@ -23,7 +23,6 @@ from itertools import islice, repeat
 from typing import Callable, Iterator
 
 from vptenum import engine, formats, nested, spanner
-from vptenum.ecs import EMPTY
 from vptenum.enumtree import Enumerator
 from vptenum.nested import StructuredAlphabet, Token, TokenKind, TokenizeError, tokenize
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, io_determinize, oracle_enumerate
@@ -151,9 +150,10 @@ def _checkpoint_lines(vpt: Vpt) -> Callable:
     read so far is accepted."""
 
     def observe(k, state, counts):
-        handle = state.accepting(vpt)
+        # table handles are never EMPTY, so an accepting key is enough
         depth = len(state.stack)
-        accepting = "yes" if depth == 0 and handle != EMPTY else "no"
+        keys = state.shapes.keys[state.shape]
+        accepting = "yes" if depth == 0 and any(p in vpt.initial and q in vpt.final for p, q in keys) else "no"
         print(f"checkpoint k={k} depth={depth} accepting={accepting}", file=sys.stderr)
 
     return observe
@@ -171,9 +171,12 @@ def _all_of(observers: list) -> Callable | None:
     return observe
 
 
-def _output_rows(writer, enum: Enumerator, words, *prefix) -> Iterator:
-    """Pass ``words``, taken from ``enum``, through and write one CSV
-    ``output`` row as each is emitted: its ``enum.last_gap``."""
+def _result_rows(writer, result, enum: Enumerator, words, *prefix) -> Iterator:
+    """Once iterated, write the pass's CSV ``finalize`` row, then pass
+    ``words``, taken from ``enum``, through and write one ``output`` row
+    as each is emitted: its ``enum.last_gap``."""
+    fin = result.stats.finalize
+    writer.writerow(["finalize", *prefix, "", fin.visits, fin.scans, fin.ecs_calls, fin.nodes_added, "", ""])
     for i, word in enumerate(words, start=1):
         writer.writerow(["output", *prefix, i, "", "", "", "", *enum.last_gap])
         yield word
@@ -201,9 +204,7 @@ def cmd_run(args) -> int:
         enum = Enumerator(result.arena, result.root)
         words = islice(enum, args.limit)
         if writer is not None:
-            fin = result.stats.finalize
-            writer.writerow(["finalize", "", fin.visits, fin.scans, fin.ecs_calls, fin.nodes_added, "", ""])
-            words = _output_rows(writer, enum, words)
+            words = _result_rows(writer, result, enum, words)
         write = sys.stdout.write  # one call per result line
         print("#")
         # the texts of the symbols each word keeps of the previous one;
@@ -317,7 +318,7 @@ def cmd_bench(args) -> int:
         for length in args.lengths:
             result = engine.preprocess(vpt, _bench_doc(length, args.choices), _symbol_rows(writer, length))
             enum = Enumerator(result.arena, result.root)
-            for _ in _output_rows(writer, enum, islice(enum, args.limit), length):
+            for _ in _result_rows(writer, result, enum, islice(enum, args.limit), length):
                 pass
     finally:
         if dest is not sys.stdout:

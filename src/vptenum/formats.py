@@ -78,6 +78,9 @@ def _parse_lines(text: str):
     final = frozenset(headers["final"])
     stack = frozenset(headers.get("stack", []))
     outputs = frozenset(headers.get("outputs", []))
+    for head, named in (("initial", initial), ("final", final)):
+        if not named <= states:
+            raise FormatError(f"{head}: header names undeclared state(s) {' '.join(sorted(named - states))}")
 
     open_letters = {a for _, a, *_ in opens}
     close_letters = {a for _, a, *_ in closes}

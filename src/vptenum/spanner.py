@@ -190,28 +190,14 @@ def parse_vpeg(text: str) -> Vpeg:
     )
 
 
-def nullable_set(vpeg: Vpeg, *, ops: list | None = None) -> frozenset:
-    """Nonterminals that derive the empty ref-word, as a least fixpoint.
+def nullable_set(vpeg: Vpeg) -> frozenset:
+    """Nonterminals that derive the empty ref-word.
 
-    With the three production shapes only direct erasure qualifies
-    (every other shape emits at least one ref-word symbol), so the
-    fixpoint closes after one round; the loop is kept for the day a
-    shape with erasable items appears. When `ops` is given, the number
-    of loop iterations executed is appended to it.
+    Every production shape but erasure emits at least one ref-word
+    symbol, so these are exactly the heads of erase productions, found
+    in one pass over the productions.
     """
-    nullable: set[str] = set()
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for p in vpeg.productions:
-            steps += 1
-            if isinstance(p, EpsProduction) and p.head not in nullable:
-                nullable.add(p.head)
-                changed = True
-    if ops is not None:
-        ops.append(steps)
-    return frozenset(nullable)
+    return frozenset(p.head for p in vpeg.productions if isinstance(p, EpsProduction))
 
 
 def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpt:
@@ -223,11 +209,10 @@ def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpt:
     open and pops it into the continuation from every erasing state.
     One pass over the productions, so construction is linear in them;
     when `ops` is given, the number of loop iterations executed
-    (including those of the erasable-set fixpoint) is appended to it.
+    (including the erasable-set pass) is appended to it.
     """
-    sub: list[int] = []
-    finals = nullable_set(vpeg, ops=sub)
-    steps = sub[0]
+    finals = nullable_set(vpeg)
+    steps = len(vpeg.productions)  # the erasable-set pass
     opens, closes, neutrals = set(), set(), set()
     stack_symbols = set()
     marker_letters = set()
@@ -342,13 +327,12 @@ def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000, end_letter=END_
     """Fuse marker chains into the following letter transition.
 
     Marker transitions must form an acyclic graph over states (else a
-    chain could be pumped forever); a cycle is rejected outright. For
-    every maximal-or-shorter chain ending at p and every letter
-    transition leaving p, the result gets a copy of that transition
+    chain could be pumped forever); a cycle is rejected outright. Each
+    letter transition leaving p gets one copy per chain ending at p,
     whose source is the chain's start and whose output is the set of
-    markers along the chain. Letter transitions also survive unfused
-    with empty output, and a fresh final state is reachable only by the
-    synthetic end marker, the neutral ``end_letter``, fused or not.
+    markers along the chain; the empty chain leaves the transition as
+    it is, with empty output. A fresh final state is reachable only by
+    the synthetic end marker, the neutral ``end_letter``, fused or not.
     """
     edges = _marker_edges(evpa, variables)
     adj: dict = {}
@@ -379,13 +363,14 @@ def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000, end_letter=END_
                 color[q] = 2
                 stack.pop()
 
-    # (chain start, fused marker set) per chain end state
-    ending_at: dict = {}
+    # (chain start, fused marker set) per chain end state, each state's
+    # empty chain (q, None) included
+    ending_at = {q: {(q, None)} for q in evpa.states}
     count = 0
     work = [(q, frozenset({a}), q2) for q, a, q2 in edges]
     while work:
         start, fused, end = work.pop()
-        bucket = ending_at.setdefault(end, set())
+        bucket = ending_at[end]
         if (start, fused) in bucket:
             continue
         bucket.add((start, fused))
@@ -398,31 +383,13 @@ def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000, end_letter=END_
     final = "qf"
     while final in evpa.states:
         final += "_"
-    opens, closes, neutrals = set(), set(), set()
-    outputs = set()
-    for q, a, _, q2, x in evpa.opens:
-        opens.add((q, a, None, q2, x))
-        for start, fused in ending_at.get(q, ()):
-            outputs.add(fused)
-            opens.add((start, a, fused, q2, x))
-    for q, a, _, x, q2 in evpa.closes:
-        closes.add((q, a, None, x, q2))
-        for start, fused in ending_at.get(q, ()):
-            outputs.add(fused)
-            closes.add((start, a, fused, x, q2))
     marker_letters = {a for _, a, _ in edges}
-    for q, a, _, q2 in evpa.neutrals:
-        if a in marker_letters:
-            continue
-        neutrals.add((q, a, None, q2))
-        for start, fused in ending_at.get(q, ()):
-            outputs.add(fused)
-            neutrals.add((start, a, fused, q2))
-    for q in evpa.final:
-        neutrals.add((q, end_letter, None, final))
-        for start, fused in ending_at.get(q, ()):
-            outputs.add(fused)
-            neutrals.add((start, end_letter, fused, final))
+    moves = [t for t in evpa.neutrals if t[1] not in marker_letters]
+    moves += [(q, end_letter, None, final) for q in evpa.final]
+    opens = {(s, a, out, q2, x) for q, a, _, q2, x in evpa.opens for s, out in ending_at[q]}
+    closes = {(s, a, out, x, q2) for q, a, _, x, q2 in evpa.closes for s, out in ending_at[q]}
+    neutrals = {(s, a, out, q2) for q, a, _, q2 in moves for s, out in ending_at[q]}
+    outputs = {t[2] for t in chain(opens, closes, neutrals)} - {None}
     alphabet = StructuredAlphabet(
         opens=evpa.alphabet.opens,
         closes=evpa.alphabet.closes,

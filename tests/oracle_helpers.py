@@ -746,6 +746,22 @@ def enumerate_runs(vpt: Vpt, tokens, max_runs: int | None = None) -> list[Run]:
 # is called after every token as observer(k, state, counts).
 
 
+class PullCounter:
+    """An iterator over ``items`` that counts the calls to its
+    ``__next__``, the one that finds the end included."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.pulls = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.pulls += 1
+        return next(self._items)
+
+
 class SymbolRecords(list):
     """The SymbolStats of every token, in order."""
 

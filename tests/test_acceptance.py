@@ -12,6 +12,7 @@ import time
 
 from oracle_helpers import (
     EcsOpSuite,
+    PullCounter,
     SymbolRecords,
     check_state_invariants,
     contract_word,
@@ -205,8 +206,10 @@ def test_criterion_4_one_pass_update_time():
         vpt = random_det_vpt(rng)
         word = random_well_nested(rng, DET_ALPH, rng.randint(0, 12))
         records = SymbolRecords()
-        result = engine.preprocess(engine.resolve_mode(vpt, "check"), word, records)
+        pulled = PullCounter(word)
+        result = engine.preprocess(engine.resolve_mode(vpt, "check"), pulled, records)
         list(Enumerator(result.arena, result.root))
+        assert pulled.pulls == len(word) + 1
         assert result.stats.pulls == len(word) + 1
         assert len(records) == len(word)
         size = len(vpt.opens) + len(vpt.closes) + len(vpt.neutrals)
@@ -219,7 +222,9 @@ def test_criterion_4_one_pass_update_time():
     lengths = list(range(1_000, 10_001, 1_000))
     steps = []
     for n in lengths:
-        result = engine.preprocess(vpt, _bench_doc(n, 40))
+        pulled = PullCounter(_bench_doc(n, 40))
+        result = engine.preprocess(vpt, pulled)
+        assert pulled.pulls == n + 1
         assert result.stats.pulls == n + 1
         t = result.stats.totals()
         steps.append(t.visits + t.scans + t.ecs_calls)

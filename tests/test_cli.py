@@ -23,9 +23,11 @@ from vptenum.cli import (
     EXIT_MODE,
     EXIT_OK,
     EXIT_USAGE,
+    _checkpoint_lines,
     main,
     render_word,
 )
+from vptenum.ecs import EMPTY
 from vptenum.enumtree import Enumerator
 from vptenum.formats import parse_vpt, serialize_vpt
 from vptenum.nested import tokenize
@@ -166,6 +168,27 @@ class TestRun:
         assert code == EXIT_OK
         flags = [line.rsplit("=", 1)[1] for line in err]
         assert flags == ["no", "no", "yes", "no", "no"]
+
+    def test_checkpoint_adds_no_arena_nodes(self, capsys):
+        # acceptance is read off the table's keys: the lines are those a
+        # fold of the accepting handles gives, but no node is added
+        fold_grew = False
+        for _, m, docs in random_machines():
+            vpt = engine.resolve_mode(m, "determinize")
+            for doc in docs:
+                folded = []
+
+                def fold(k, state, counts):
+                    accepting = "yes" if state.accepting(vpt) != EMPTY and not state.stack else "no"
+                    folded.append(f"checkpoint k={k} depth={len(state.stack)} accepting={accepting}")
+
+                fold_size = len(engine.preprocess(vpt, doc, fold).arena)
+                capsys.readouterr()
+                checked = engine.preprocess(vpt, doc, _checkpoint_lines(vpt))
+                assert capsys.readouterr().err.splitlines() == folded
+                assert len(checked.arena) == len(engine.preprocess(vpt, doc).arena)
+                fold_grew |= fold_size > len(checked.arena)
+        assert fold_grew
 
     def test_stats_csv_schema(self, capsys, files, tmp_path):
         t = files("m.vpt", CHOICE_VPT)
@@ -359,6 +382,16 @@ class TestRun:
         code, _, err = run_main(capsys, ["run", "-t", t, "-d", d])
         assert code == EXIT_INPUT
         assert "vptenum: error:" in err[0]
+
+    @pytest.mark.parametrize("command", ["run", "determinize"])
+    def test_undeclared_initial_state(self, capsys, files, command):
+        argv = [command, "-t", files("m.vpt", "states: q0\ninitial: q9\nfinal: q0\n")]
+        if command == "run":
+            argv += ["-d", files("d.txt", "c")]
+        code, out, err = run_main(capsys, argv)
+        assert code == EXIT_INPUT
+        assert out == []
+        assert err == ["vptenum: error: initial: header names undeclared state(s) q9"]
 
 
 class TestScanDocument:
@@ -582,7 +615,7 @@ class TestBench:
         )
         assert code == EXIT_OK
         records = [line.split(",")[0] for line in out[1:]]
-        assert records == ["symbol"] * 10
+        assert records == ["symbol"] * 10 + ["finalize"]
 
     @pytest.mark.parametrize(
         "argv, message",

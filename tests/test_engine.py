@@ -31,6 +31,7 @@ from vptenum.vpt import Vpt, io_determinize, is_io_deterministic, oracle_enumera
 
 from oracle_helpers import (
     Checkpoints,
+    PullCounter,
     ReferenceState,
     Snapshots,
     SymbolRecords,
@@ -148,7 +149,9 @@ class TestPreprocess:
     def test_pull_count_exact(self):
         for text in ["", ".", "()", "(.)", "((.).)"]:
             doc = brackets(text)
-            res = preprocess(marker_vpt(), doc)
+            pulled = PullCounter(doc)
+            res = preprocess(marker_vpt(), pulled)
+            assert pulled.pulls == len(doc) + 1
             assert res.stats.pulls == len(doc) + 1
             assert res.length == len(doc)
 

@@ -81,6 +81,12 @@ class TestParse:
             with pytest.raises(FormatError, match=f"missing {missing}: header"):
                 parse_vpt(text)
 
+    @pytest.mark.parametrize("header", ["initial", "final"])
+    def test_undeclared_initial_or_final_state(self, header):
+        text = VPA_TEXT.replace(f"{header}: q", f"{header}: q9 q")
+        with pytest.raises(FormatError, match=f"{header}: header names undeclared state\\(s\\) q9"):
+            parse_vpt(text)
+
     def test_duplicate_header(self):
         with pytest.raises(FormatError, match="line 2: duplicate states: header"):
             parse_vpt("states: q0\nstates: q0\ninitial: q0\nfinal: q0\n")

@@ -1,15 +1,19 @@
 """Extraction grammars: parsing, compilation, span decoding, evaluation."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from oracle_helpers import (
+    TREE_VPEG,
     enumerate_refwords,
     grammar_mappings,
     markers_as_letters,
     random_doc_for_vpeg,
     random_functional_vpeg,
+    random_machines,
     random_vpeg,
     random_well_nested,
     tok_close,
@@ -40,7 +44,7 @@ from vptenum.spanner import (
     parse_vpeg,
     to_evpa,
 )
-from vptenum.vpt import ResourceCapError, is_io_deterministic, oracle_enumerate
+from vptenum.vpt import ResourceCapError, is_io_deterministic, oracle_enumerate, stable_key
 
 # Captures the content of exactly one top-level element of the document,
 # one mapping per element; used throughout as the worked example.
@@ -223,9 +227,9 @@ class TestToEvpa:
     def test_operation_count_frozen(self):
         ops = []
         to_evpa(parse_vpeg(ELEMENT_GRAMMAR), ops=ops)
-        # erasable-set fixpoint: two passes over 10 productions; main
-        # loop: 10 productions + 3 bracket productions x 3 erasing states
-        assert ops == [39]
+        # erasable set: one pass over 10 productions; main loop: 10
+        # productions + 3 bracket productions x 3 erasing states
+        assert ops == [29]
 
     def test_operation_count_linear(self):
         rng = random.Random(6)
@@ -326,6 +330,47 @@ class TestEvpaToVpt:
             evpa_to_vpt(evpa, g.variables, max_vpaths=5)
         # the four-marker chain has 4+3+2+1 contiguous pieces
         evpa_to_vpt(evpa, g.variables, max_vpaths=10)
+
+
+class TestCompilePin:
+    # compiled machines and determinism verdicts, pinned by their hashes:
+    # a change to marker fusion, the erasable set or the determinism
+    # test shows here, at any hash seed
+    GRAMMARS = (
+        ELEMENT_GRAMMAR,
+        TREE_VPEG,
+        "start S\nS -> <a S a> S | c S | eps",
+        "start S\nS -> c S | eps",
+        "start S\nS -> <a S a> S",
+        "start qf\nqf -> eps",
+        "start S\nS -> c A | c B\nA -> d C\nB -> d C\nC -> eps",
+        "var x\nstart S\nS -> (x A\nA -> c B\nB -> x) C\nC -> eps",
+        "var x\nstart S\nS -> c A\nA -> (x B\nB -> x) C\nC -> eps",
+        "var x\nstart S\nS -> (x A\nA -> x) B\nB -> <g C g> D\nC -> eps\nD -> eps",
+        "var x y\nstart S\nS -> (x A\nA -> x) B\nB -> (y C\nC -> y) D\nD -> eps",
+        "var x y\nstart S\nS -> (x A\nA -> c B\nB -> x) C\nC -> (y D\nD -> c E\nE -> y) F\nF -> eps",
+    )
+
+    @staticmethod
+    def machine_key(vpt) -> bytes:
+        parts = (vpt.states, vpt.initial, vpt.final, vpt.stack_symbols, vpt.output_symbols)
+        parts += (vpt.opens, vpt.closes, vpt.neutrals)
+        return repr([sorted(map(stable_key, part)) for part in parts]).encode()
+
+    def test_compiled_machines_and_verdicts(self):
+        element = Path(__file__).resolve().parents[1] / "demos" / "data" / "element.vpeg"
+        grammars = [parse_vpeg(text) for text in self.GRAMMARS]
+        grammars.append(parse_vpeg(element.read_text(encoding="utf-8")))
+        rng = random.Random(1717)
+        for i in range(24):
+            grammars.append(random_vpeg(rng, i % 3) if i % 2 else random_functional_vpeg(rng, i % 3 and 1))
+        machines = hashlib.sha256()
+        for g in grammars:
+            vpt = compile_vpeg(g)
+            machines.update(self.machine_key(vpt) + (b"1" if is_io_deterministic(vpt) else b"0"))
+        verdicts = "".join("01"[is_io_deterministic(m)] for _, m, _ in random_machines())
+        assert machines.hexdigest()[:16] == "9885a5a9b5bdb2d2"
+        assert hashlib.sha256(verdicts.encode()).hexdigest()[:16] == "47f2aa5eae61ea21"
 
 
 # -------------------------------------------------------- span decoding
