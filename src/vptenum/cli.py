@@ -12,14 +12,13 @@ mismatch.
 
 from __future__ import annotations
 
-import argparse
 import codecs
-import csv
 import io
 import os
 import sys
 from contextlib import ExitStack, contextmanager
 from itertools import islice, repeat
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 from vptenum import engine, formats, nested, spanner
@@ -35,12 +34,16 @@ EXIT_MODE = 4
 EXIT_DIFF = 5
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is taken
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+class NotTextError(ValueError):
+    """An input file whose bytes are not UTF-8 text."""
+
+
+def _bad_value(message: str) -> Exception:
+    """argparse's error for a bad option value. Only values that
+    argparse reads can be bad, so only then is argparse imported."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 def _count(text: str) -> int:
@@ -48,9 +51,9 @@ def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise _bad_value(f"not an integer: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+        raise _bad_value(f"must not be negative: {value}")
     return value
 
 
@@ -84,6 +87,19 @@ def _arriving(stdin) -> Iterator[str]:
 
 
 @contextmanager
+def _text_file(path: str):
+    """``path`` open as UTF-8 text; bytes that do not decode are bad
+    input that names the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the decoder's chunk, not the file
+            bad = " ".join(f"0x{byte:02x}" for byte in exc.object[exc.start : exc.end])
+            raise NotTextError(f"{path}: not UTF-8 text ({exc.reason}: {bad})") from None
+
+
+@contextmanager
 def _document(path: str, alphabet: StructuredAlphabet):
     """Token stream for a document path; '-' reads stdin as it arrives.
 
@@ -93,12 +109,12 @@ def _document(path: str, alphabet: StructuredAlphabet):
         stdin = sys.stdin  # a stand-in without a byte buffer is read as it is
         yield tokenize(_arriving(stdin) if hasattr(stdin, "buffer") else stdin, alphabet)
         return
-    with open(path, "r", encoding="utf-8") as handle:
+    with _text_file(path) as handle:
         yield tokenize(handle, alphabet)
 
 
 def _load_vpt(path: str) -> Vpt:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text_file(path) as fh:
         return formats.parse_vpt(fh.read())
 
 
@@ -108,25 +124,6 @@ def _mode_of(args) -> str:
     if args.determinize_first:
         return "determinize"
     return "check"
-
-
-def _add_mode_flags(sub) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument(
-        "--check-deterministic",
-        action="store_true",
-        help="refuse transducers that are not deterministic in (letter, output); the default",
-    )
-    group.add_argument(
-        "--trust-unambiguous",
-        action="store_true",
-        help="skip the check; the caller vouches for one accepting run per result",
-    )
-    group.add_argument(
-        "--determinize-first",
-        action="store_true",
-        help="determinize before evaluating",
-    )
 
 
 # Each observer writes as the pass consumes a token and keeps nothing
@@ -191,6 +188,8 @@ def cmd_run(args) -> int:
     with ExitStack() as stack:
         writer, observers = None, []
         if args.stats:
+            import csv
+
             dest = sys.stderr
             if args.stats_out:
                 dest = stack.enter_context(open(args.stats_out, "w", encoding="utf-8", newline=""))
@@ -251,7 +250,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_spanner(args) -> int:
-    with open(args.grammar, "r", encoding="utf-8") as fh:
+    with _text_file(args.grammar) as fh:
         vpeg = spanner.parse_vpeg(fh.read())
     write = sys.stdout.write  # one call per result line
     with _document(args.document, vpeg.alphabet) as doc:
@@ -310,6 +309,8 @@ def cmd_bench(args) -> int:
     for length in args.lengths:
         if length < args.choices + 2:
             args.usage_error(f"length {length} is shorter than --choices + 2 = {args.choices + 2}")
+    import csv
+
     vpt = _bench_vpt()
     dest = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -326,53 +327,181 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="vptenum", description=__doc__.splitlines()[0])
+def _bench_usage_error(message: str):
+    """Exit as argparse does for a bad ``bench`` command line."""
+    build_parser().subcommands["bench"].error(message)
+
+
+# The command line, declared once. Each subcommand has its help, the
+# defaults its namespace carries and its options in help order; an
+# option is its flags and its argparse add_argument keywords, where
+# "exclusive" puts a flag in the subcommand's mutually exclusive group.
+# build_parser builds argparse from this table; _parse_plain reads the
+# same table for the command lines it accepts.
+COMMANDS = {
+    "run": (
+        "evaluate a transducer over a document",
+        {"func": cmd_run},
+        (
+            (("-t", "--transducer"), {"required": True, "help": "transducer file"}),
+            (("-d", "--document"), {"required": True, "help": "document file, or - for stdin"}),
+            (
+                ("--check-deterministic",),
+                {
+                    "action": "store_true",
+                    "exclusive": True,
+                    "help": "refuse transducers that are not deterministic in (letter, output); the default",
+                },
+            ),
+            (
+                ("--trust-unambiguous",),
+                {
+                    "action": "store_true",
+                    "exclusive": True,
+                    "help": "skip the check; the caller vouches for one accepting run per result",
+                },
+            ),
+            (
+                ("--determinize-first",),
+                {"action": "store_true", "exclusive": True, "help": "determinize before evaluating"},
+            ),
+            (("--limit",), {"type": _count, "help": "stop after this many results"}),
+            (("--checkpoint",), {"action": "store_true", "help": "report per-symbol acceptance on stderr"}),
+            (("--stats",), {"action": "store_true", "help": "emit instrumentation CSV"}),
+            (("--stats-out",), {"help": "write the CSV here instead of stderr"}),
+        ),
+    ),
+    "oracle": (
+        "brute-force reference output set",
+        {"func": cmd_oracle},
+        (
+            (("-t", "--transducer"), {"required": True}),
+            (("-d", "--document"), {"required": True}),
+            (("--diff",), {"action": "store_true", "help": "also run the engine and compare"}),
+            (("--max-configs",), {"type": _count, "default": 5_000_000}),
+        ),
+    ),
+    "spanner": (
+        "evaluate an extraction grammar",
+        {"func": cmd_spanner},
+        (
+            (("-g", "--grammar"), {"required": True, "help": "grammar file"}),
+            (("-d", "--document"), {"required": True}),
+            (("--limit",), {"type": _count, "help": "stop after this many results"}),
+        ),
+    ),
+    "determinize": (
+        "rewrite a transducer deterministically",
+        {"func": cmd_determinize},
+        (
+            (("-t", "--transducer"), {"required": True}),
+            (("-o", "--out"), {"help": "output file (default stdout)"}),
+            (("--max-states",), {"type": _count, "default": 4096}),
+        ),
+    ),
+    "bench": (
+        "instrumented synthetic runs",
+        {"func": cmd_bench, "usage_error": _bench_usage_error},
+        (
+            (
+                ("--lengths",),
+                {"type": _lengths, "default": "1000,10000,100000", "help": "comma-separated document lengths"},
+            ),
+            (("--choices",), {"type": _count, "default": 40, "help": "binary choice positions per document"}),
+            (("--limit",), {"type": _count, "default": 10_000, "help": "results enumerated per document"}),
+            (("-o", "--out"), {"help": "CSV file (default stdout)"}),
+        ),
+    ),
+}
+
+
+def _dest(flags: tuple) -> str:
+    """The attribute argparse names an option by: its first long flag."""
+    return next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
+
+
+def build_parser():
+    """The argparse parser for COMMANDS: it gives the help, the usage
+    lines and the error messages."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors by default; 2 is taken
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+    parser = Parser(prog="vptenum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="evaluate a transducer over a document")
-    run.add_argument("-t", "--transducer", required=True, help="transducer file")
-    run.add_argument("-d", "--document", required=True, help="document file, or - for stdin")
-    _add_mode_flags(run)
-    run.add_argument("--limit", type=_count, default=None, help="stop after this many results")
-    run.add_argument("--checkpoint", action="store_true", help="report per-symbol acceptance on stderr")
-    run.add_argument("--stats", action="store_true", help="emit instrumentation CSV")
-    run.add_argument("--stats-out", default=None, help="write the CSV here instead of stderr")
-    run.set_defaults(func=cmd_run)
-
-    oracle = sub.add_parser("oracle", help="brute-force reference output set")
-    oracle.add_argument("-t", "--transducer", required=True)
-    oracle.add_argument("-d", "--document", required=True)
-    oracle.add_argument("--diff", action="store_true", help="also run the engine and compare")
-    oracle.add_argument("--max-configs", type=_count, default=5_000_000)
-    oracle.set_defaults(func=cmd_oracle)
-
-    span = sub.add_parser("spanner", help="evaluate an extraction grammar")
-    span.add_argument("-g", "--grammar", required=True, help="grammar file")
-    span.add_argument("-d", "--document", required=True)
-    span.add_argument("--limit", type=_count, default=None, help="stop after this many results")
-    span.set_defaults(func=cmd_spanner)
-
-    det = sub.add_parser("determinize", help="rewrite a transducer deterministically")
-    det.add_argument("-t", "--transducer", required=True)
-    det.add_argument("-o", "--out", default=None, help="output file (default stdout)")
-    det.add_argument("--max-states", type=_count, default=4096)
-    det.set_defaults(func=cmd_determinize)
-
-    bench = sub.add_parser("bench", help="instrumented synthetic runs")
-    bench.add_argument(
-        "--lengths", type=_lengths, default="1000,10000,100000", help="comma-separated document lengths"
-    )
-    bench.add_argument("--choices", type=_count, default=40, help="binary choice positions per document")
-    bench.add_argument("--limit", type=_count, default=10_000, help="results enumerated per document")
-    bench.add_argument("-o", "--out", default=None, help="CSV file (default stdout)")
-    bench.set_defaults(func=cmd_bench, usage_error=bench.error)
+    for name, (help_text, defaults, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        group = None
+        for flags, keywords in options:
+            keywords = dict(keywords)
+            target = command
+            if keywords.pop("exclusive", False):
+                group = group or command.add_mutually_exclusive_group()
+                target = group
+            target.add_argument(*flags, **keywords)
+        command.set_defaults(**defaults)
+    parser.subcommands = sub.choices
     return parser
 
 
+def _parse_plain(argv: list):
+    """The namespace argparse gives for ``argv``, read without argparse;
+    None unless ``argv`` is a subcommand followed by its options, each at
+    most once, by its full flag, and each value as the next argument, with
+    every required option given and at most one exclusive flag. A value
+    may not start with '-' unless it is '-', and a count is ASCII digits.
+    Anything else, help included, is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, defaults, options = COMMANDS[argv[0]]
+    values = {"command": argv[0], **defaults}
+    by_flag = {}
+    for flags, keywords in options:
+        dest = _dest(flags)
+        default = False if keywords.get("action") == "store_true" else keywords.get("default")
+        convert = keywords.get("type")
+        values[dest] = convert(default) if convert and isinstance(default, str) else default
+        for flag in flags:
+            by_flag[flag] = dest, keywords
+    given: set = set()
+    exclusive = 0
+    args = iter(argv[1:])
+    for arg in args:
+        if arg not in by_flag:
+            return None
+        dest, keywords = by_flag[arg]
+        if dest in given:
+            return None
+        given.add(dest)
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            exclusive += keywords.get("exclusive", False)
+            continue
+        text = next(args, None)
+        if text is None or (text.startswith("-") and text != "-"):
+            return None
+        convert = keywords.get("type")
+        if convert:
+            parts = text.split(",") if convert is _lengths else (text,)
+            if not all(part.isascii() and part.isdigit() for part in parts):
+                return None
+            text = convert(text)
+        values[dest] = text
+    required = {_dest(flags) for flags, keywords in options if keywords.get("required")}
+    if exclusive > 1 or not required <= given:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (
@@ -381,6 +510,7 @@ def main(argv=None) -> int:
         formats.FormatError,
         spanner.GrammarError,
         spanner.NotFunctionalError,
+        NotTextError,
     ) as exc:
         print(f"vptenum: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 from vptenum.nested import StructuredAlphabet, TokenKind
@@ -91,31 +90,21 @@ class Vpt:
         if not self.initial <= self.states or not self.final <= self.states:
             raise ValueError("initial and final states must be declared states")
 
-    # indices are built once per machine and keyed by letter first, so
-    # the pass looks a letter up once per token: open_index[a][q],
-    # close_index[a][(q, x)] and neutral_index[a][q] list the moves, in
-    # stable order so that the order of the results does not depend on
-    # the process; as non-fields they stay out of equality and hashing
-    @cached_property
-    def open_index(self) -> dict:
-        idx: dict = {}
-        for q, a, out, q2, x in self.opens:
-            idx.setdefault(a, {}).setdefault(q, []).append((out, q2, x))
-        return _stable_rows(idx)
+    # the indexes are keyed by letter first, so the pass looks a letter
+    # up once per token: open_index[a][q], close_index[a][(q, x)] and
+    # neutral_index[a][q] list the moves, in stable order so that the
+    # order of the results does not depend on the process. The three
+    # are built together on first use, not at construction, so set-up
+    # does not pay for them; as non-fields they stay out of equality
+    # and hashing.
+    def __getattr__(self, name):
+        if name not in _INDEXES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(zip(_INDEXES, _transition_indexes(self)))
+        return self.__dict__[name]
 
-    @cached_property
-    def close_index(self) -> dict:
-        idx: dict = {}
-        for q, a, out, x, q2 in self.closes:
-            idx.setdefault(a, {}).setdefault((q, x), []).append((out, q2))
-        return _stable_rows(idx)
 
-    @cached_property
-    def neutral_index(self) -> dict:
-        idx: dict = {}
-        for q, a, out, q2 in self.neutrals:
-            idx.setdefault(a, {}).setdefault(q, []).append((out, q2))
-        return _stable_rows(idx)
+_INDEXES = ("open_index", "close_index", "neutral_index")
 
 
 def stable_key(value) -> tuple:
@@ -136,23 +125,25 @@ def stable_key(value) -> tuple:
     return (1, repr(value))
 
 
-def _stable_rows(idx: dict) -> dict:
-    """Sort every index row of two or more moves part by part in
-    stable_key order; each distinct output, state or stack symbol is
-    keyed once."""
-    keys: dict = {}
-
-    def key_of(part):
-        key = keys.get(part)
-        if key is None:
-            key = keys[part] = stable_key(part)
-        return key
-
-    for row in idx.values():
-        for moves in row.values():
-            if len(moves) > 1:
-                moves.sort(key=lambda move: tuple(map(key_of, move)))
-    return idx
+def _transition_indexes(vpt: Vpt) -> tuple:
+    """The open, close and neutral indexes of ``vpt``. Each row of two
+    or more moves is sorted in stable_key order, which keys a move part
+    by part."""
+    oidx: dict = {}
+    cidx: dict = {}
+    nidx: dict = {}
+    for q, a, out, q2, x in vpt.opens:
+        oidx.setdefault(a, {}).setdefault(q, []).append((out, q2, x))
+    for q, a, out, x, q2 in vpt.closes:
+        cidx.setdefault(a, {}).setdefault((q, x), []).append((out, q2))
+    for q, a, out, q2 in vpt.neutrals:
+        nidx.setdefault(a, {}).setdefault(q, []).append((out, q2))
+    for idx in (oidx, cidx, nidx):
+        for row in idx.values():
+            for moves in row.values():
+                if len(moves) > 1:
+                    moves.sort(key=stable_key)
+    return oidx, cidx, nidx
 
 
 def oracle_enumerate(vpt: Vpt, tokens, max_configs: int = 5_000_000) -> frozenset:

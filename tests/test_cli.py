@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import itertools
+import json
 import os
 import random
 import select
@@ -13,10 +14,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vptenum
 from vptenum import engine, spanner
 from vptenum.cli import (
+    COMMANDS,
     EXIT_CAP,
     EXIT_DIFF,
     EXIT_INPUT,
@@ -24,13 +27,15 @@ from vptenum.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _checkpoint_lines,
+    _parse_plain,
+    build_parser,
     main,
     render_word,
 )
 from vptenum.ecs import EMPTY
 from vptenum.enumtree import Enumerator
 from vptenum.formats import parse_vpt, serialize_vpt
-from vptenum.nested import tokenize
+from vptenum.nested import BLOCK_CHARS, tokenize
 from vptenum.spanner import evaluate_spanner, parse_vpeg
 from vptenum.vpt import is_io_deterministic
 
@@ -938,3 +943,171 @@ def test_broken_pipe_on_result_lines(files, command, document):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_OK
     assert err == b""
+
+
+class TestNotUtf8:
+    """A file that does not decode as UTF-8 is bad input: one error line
+    that names the file, nothing on stdout, exit 2."""
+
+    @pytest.mark.parametrize(
+        "command, flag, content",
+        [
+            pytest.param("run", "-d", b"<r b \xff c r>\n", id="run-document"),
+            # past the first blocks, where the decoder's position is not
+            # the file's
+            pytest.param("run", "-d", b"<r " + b"c " * 3 * BLOCK_CHARS + b"\xff r>\n", id="run-late-byte"),
+            pytest.param("run", "-t", CHOICE_VPT.encode() + b"# \xff\n", id="run-machine"),
+            pytest.param("spanner", "-g", GRAMMAR.encode() + b"# \xff\n", id="spanner-grammar"),
+            pytest.param("spanner", "-d", b"<a c \xff a>\n", id="spanner-document"),
+            pytest.param("oracle", "-d", b"<r b \xff c r>\n", id="oracle-document"),
+            pytest.param("determinize", "-t", CHOICE_VPT.encode() + b"# \xff\n", id="determinize-machine"),
+        ],
+    )
+    def test_exit_2_naming_the_file(self, capsys, files, tmp_path, command, flag, content):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        argv = {
+            "run": ["-t", files("m.vpt", CHOICE_VPT), "-d", files("d.txt", "<r b r>")],
+            "oracle": ["-t", files("m.vpt", CHOICE_VPT), "-d", files("d.txt", "<r b r>")],
+            "spanner": ["-g", files("g.vpeg", GRAMMAR), "-d", files("d.txt", "<a c a>")],
+            "determinize": ["-t", files("m.vpt", CHOICE_VPT)],
+        }[command]
+        argv[argv.index(flag) + 1] = str(bad)
+        code, out, err = run_main(capsys, [command, *argv])
+        assert code == EXIT_INPUT
+        assert out == []
+        assert err == [f"vptenum: error: {bad}: not UTF-8 text (invalid start byte: 0xff)"]
+
+
+def _arguments(argv):
+    """argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+# values that each read differently: the stdin mark, counts, and
+# strings that argparse reads as a value, an option or an error
+VALUES = ["-", "5", "05", "-3", "+5", "1_000", " 7", "²", "x", "", "100,5", "1000,,10", "m.vpt", "-x", "--stats"]
+# spellings that argparse accepts or refuses and the small parser leaves to it
+STRAYS = ["-h", "--help", "--", "--lim", "--trans", "--determ", "-tm.vpt", "--limit=5", "-dd.txt", "--out=x"]
+FLAGS = sorted({flag for _, _, options in COMMANDS.values() for flags, _ in options for flag in flags})
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and options of its own, each with a value when it
+    takes one, mixed with other flags, odd spellings and stray values."""
+    name = draw(st.sampled_from([*COMMANDS, *COMMANDS, "frob", "-h"]))
+    options = COMMANDS.get(name, ("", {}, ()))[2]
+    # half the values are ones the option takes, so that many lines parse
+    own = [
+        st.sampled_from(flags).map(lambda flag: [flag])
+        if keywords.get("action") == "store_true"
+        else st.tuples(
+            st.sampled_from(flags), st.just("5" if "type" in keywords else "m.vpt") | st.sampled_from(VALUES)
+        ).map(list)
+        for flags, keywords in options
+    ]
+    parts = draw(st.lists(st.one_of(*own), max_size=5)) if own else []
+    parts += draw(st.lists(st.sampled_from([*FLAGS, *STRAYS, *VALUES]).map(lambda token: [token]), max_size=1))
+    if draw(st.integers(0, 3)):
+        parts += [[flags[-1], "m.vpt"] for flags, keywords in options if keywords.get("required")]
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(parts)))]
+
+
+class TestParser:
+    """The small parser reads what argparse would; argparse reads the rest."""
+
+    @settings(max_examples=400)
+    @given(command_lines())
+    def test_agrees_with_argparse(self, argv):
+        plain = _parse_plain(argv)
+        expected = _arguments(argv)
+        if expected is None:
+            assert plain is None
+        elif plain is not None:
+            assert plain.func is expected.func
+            assert vars(plain) == vars(expected)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "-t", "m.vpt", "-d", "d.txt"],
+            ["run", "--document", "-", "--transducer", "m.vpt", "--limit", "05", "--determinize-first"],
+            ["run", "-t", "m", "-d", "d", "--checkpoint", "--stats", "--stats-out", "s.csv", "--limit", "0"],
+            ["oracle", "-t", "m.vpt", "-d", "d.txt", "--diff", "--max-configs", "10"],
+            ["spanner", "-g", "g.vpeg", "-d", "d.txt", "--limit", "4000"],
+            ["determinize", "-t", "m.vpt", "-o", "out.vpt", "--max-states", "7"],
+            ["bench"],
+            ["bench", "--lengths", "100,5", "--choices", "2", "--limit", "3", "-o", "b.csv"],
+        ],
+    )
+    def test_reads_the_usual_lines_without_argparse(self, argv):
+        plain = _parse_plain(argv)
+        assert plain is not None
+        assert vars(plain) == vars(_arguments(argv))
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["-h"],
+            ["--frobnicate"],
+            ["--lim", "3"],
+            ["--limit=3"],
+            ["-tm.vpt"],
+            ["--", "x"],
+            ["--limit", "3", "--limit", "4"],
+            ["--stats", "--stats"],
+            ["--limit"],
+            ["--trust-unambiguous", "--determinize-first"],
+            ["--stats-out", "-x"],
+            ["--limit", "-3"],
+            *(["--limit", count] for count in ("+5", "1_000", " 7", "²", "", "x")),
+        ],
+    )
+    def test_leaves_other_lines_to_argparse(self, options):
+        assert _parse_plain(["run", "-t", "m.vpt", "-d", "d.txt", *options]) is None
+
+    def test_string_default_goes_through_its_type(self):
+        assert _parse_plain(["bench"]).lengths == [1000, 10000, 100000]
+
+    def test_abbreviations_still_work(self, capsys, files):
+        t = files("m.vpt", CHOICE_VPT)
+        d = files("d.txt", "<r b b b r>")
+        code, out, _ = run_main(capsys, ["run", "--trans", t, "-d", d, "--lim", "3"])
+        assert code == EXIT_OK
+        assert len(out) == 5  # framing + 3 words
+
+    def test_cold_start_imports_neither_argparse_nor_csv(self, files):
+        # argparse is built only for help and errors, csv only for --stats
+        # and bench
+        script = (
+            "import sys\n"
+            "import vptenum.cli\n"
+            "seen = [m for m in ('argparse', 'csv') if m in sys.modules]\n"
+            "code = vptenum.cli.main(sys.argv[1:])\n"
+            "seen += [m for m in ('argparse', 'csv') if m in sys.modules]\n"
+            "print(code, *seen, file=sys.stderr)\n"
+        )
+        proc = run_module("-c", script, *demo_argv("run", files, "<r b c b r>"))
+        assert proc.stderr == "0\n"
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden_py311.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help and error texts differ between versions")
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(case["argv"]) or "no-arguments" for case in GOLDEN])
+def test_help_and_usage_errors_unchanged(capsys, monkeypatch, case):
+    # recorded from the argparse-only parser under Python 3.11; argparse
+    # wraps help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
