@@ -46,15 +46,18 @@ def _bad_value(message: str) -> Exception:
     return ArgumentTypeError(message)
 
 
+def _is_digits(text: str) -> bool:
+    """Whether a count is written as it must be: ASCII digits only."""
+    return text.isascii() and text.isdigit()
+
+
 def _count(text: str) -> int:
-    """A non-negative int option value."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise _bad_value(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise _bad_value(f"must not be negative: {value}")
-    return value
+    """A non-negative int option value, written in ASCII digits."""
+    if _is_digits(text):
+        return int(text)
+    if text.startswith("-") and _is_digits(text[1:]):
+        raise _bad_value(f"must not be negative: {text}")
+    raise _bad_value(f"not an integer: {text!r}")
 
 
 def _lengths(text: str) -> list[int]:
@@ -254,12 +257,9 @@ def cmd_spanner(args) -> int:
         vpeg = spanner.parse_vpeg(fh.read())
     write = sys.stdout.write  # one call per result line
     with _document(args.document, vpeg.alphabet) as doc:
-        mappings = spanner.evaluate_spanner(vpeg, doc)
-        if args.limit == 0:
-            # the pass runs before the first result, so pulling one
-            # reads and checks the whole document
-            next(mappings, None)
-        for mapping in islice(mappings, args.limit):
+        # the pass reads and checks the whole document when evaluate_spanner
+        # is called, so --limit 0 still refuses a bad one
+        for mapping in islice(spanner.evaluate_spanner(vpeg, doc), args.limit):
             write(mapping.render() + "\n")
     return EXIT_OK
 
@@ -488,7 +488,7 @@ def _parse_plain(argv: list):
         convert = keywords.get("type")
         if convert:
             parts = text.split(",") if convert is _lengths else (text,)
-            if not all(part.isascii() and part.isdigit() for part in parts):
+            if not all(map(_is_digits, parts)):
                 return None
             text = convert(text)
         values[dest] = text

@@ -261,65 +261,61 @@ def check_functional(evpa: Vpt, variables) -> None:
     """Reject unless every accepted ref-word opens and closes every
     variable exactly once, start before end.
 
-    Runs `level_reach` over pairs of an acceptor state and the books:
-    one status per variable (0 unopened, 1 open, 2 closed), or None
-    once a marker repeats or comes out of order. A marker steps the
-    books as it is read; opens and closes carry them unchanged into
-    and out of the inner level. Every accepting state that the initial
-    level reaches must hold all-closed books. Poisoned books are
-    reported first, else the unassigned variables of the smallest bad
-    book vector, so the message does not depend on set order.
+    A variable's status moves only on its own two markers, so each
+    variable is checked on its own, in sorted order, in time linear in
+    the variables. The check runs `level_reach` over pairs of an
+    acceptor state and the status: 0 unopened, 1 open, 2 closed, or
+    None once one of the variable's markers repeats or comes out of
+    order. Opens and closes carry the status unchanged into and out of
+    the inner level. Every accepting state that the initial level
+    reaches must hold status 2. A repeated or misordered capture of any
+    variable is reported first, else the first variable that some
+    accepted ref-word leaves unassigned.
     """
-    xs = sorted(variables)
-    steps = {}
-    for i, x in enumerate(xs):
-        steps[open_marker(x)] = (i, 0, 1)
-        steps[close_marker(x)] = (i, 1, 2)
-    clean = (0,) * len(xs)
-    done = (2,) * len(xs)
-
-    def bump(books, a):
-        step = steps.get(a)
-        if step is None or books is None:
-            return books
-        i, before, after = step
-        if books[i] != before:
-            return None
-        return books[:i] + (after,) + books[i + 1 :]
-
-    nidx, oidx, cidx = evpa.neutral_index, evpa.open_index, evpa.close_index
-
-    def neutral(state):
-        q, books = state
-        return [(q2, bump(books, a)) for a, row in nidx.items() for _, q2 in row.get(q, ())]
+    moves: dict = {q: [] for q in evpa.states}
+    pushes: dict = {q: [] for q in evpa.states}
+    pops: dict = {}
+    for q, a, _, q2 in evpa.neutrals:
+        moves[q].append((a, q2))
+    for q, _, _, q2, z in evpa.opens:
+        pushes[q].append((q2, z))
+    for q, _, _, z, q2 in evpa.closes:
+        pops.setdefault((q, z), []).append(q2)
+    initial = [(q0, 0) for q0 in evpa.initial]
 
     def opens(state):
-        q, books = state
-        return [((q2, books), x) for row in oidx.values() for _, q2, x in row.get(q, ())]
+        q, status = state
+        return [((q2, status), z) for q2, z in pushes[q]]
 
-    def closes(state, x):
-        q, books = state
-        return [(q2, books) for row in cidx.values() for _, q2 in row.get((q, x), ())]
+    def closes(state, z):
+        q, status = state
+        return [(q2, status) for q2 in pops.get((q, z), ())]
 
-    initial = [(q0, clean) for q0 in evpa.initial]
-    reach = level_reach(initial, neutral, opens, closes)
-    bad = {
-        books
-        for entry in initial
-        for q, books in reach[entry]
-        if q in evpa.final and books != done
-    }
-    if None in bad:
-        raise NotFunctionalError(
-            "grammar not functional: some accepted ref-word "
-            "repeats or misorders a capture"
-        )
-    if bad:
-        books = min(bad)
-        missing = [x for i, x in enumerate(xs) if books[i] != 2]
+    def accepted_statuses(x) -> set:
+        o, c = open_marker(x), close_marker(x)
+        bump = {(o, 0): 1, (c, 1): 2}  # any other status meeting o or c: None
+
+        def neutral(state):
+            q, status = state
+            return [(q2, bump.get((a, status)) if a == o or a == c else status) for a, q2 in moves[q]]
+
+        reach = level_reach(initial, neutral, opens, closes)
+        return {status for entry in initial for q, status in reach[entry] if q in evpa.final}
+
+    unassigned = None
+    for x in sorted(variables):
+        statuses = accepted_statuses(x)
+        if None in statuses:
+            raise NotFunctionalError(
+                "grammar not functional: some accepted ref-word "
+                "repeats or misorders a capture"
+            )
+        if unassigned is None and statuses - {2}:
+            unassigned = x
+    if unassigned is not None:
         raise NotFunctionalError(
             "grammar not functional: some accepted ref-word leaves "
-            f"variable(s) {', '.join(missing)} unassigned"
+            f"variable(s) {unassigned} unassigned"
         )
 
 
@@ -529,26 +525,23 @@ def compile_vpeg(vpeg: Vpeg, end_letter=END_MARKER) -> Vpt:
 
 
 def evaluate_spanner(vpeg: Vpeg, tokens) -> Iterator[SpanMapping]:
-    """Stream the grammar's span assignments over the document.
+    """The grammar's span assignments over the document, one mapping
+    per result.
 
-    The document gets a synthetic end marker appended. The pass checks
-    its letters against the grammar's alphabet where it first meets
-    each one, so a foreign symbol, END_MARKER included, is refused when
-    it is pulled. Structurally deterministic compilations run as-is;
-    anything else goes through determinization first, which also
-    squeezes out duplicate results that grammar-level ambiguity would
-    produce.
+    The pass runs when this is called, as in `engine.evaluate`, over
+    the document with a synthetic end marker appended. It checks the
+    letters against the grammar's alphabet where it first meets each
+    one, so a foreign symbol, END_MARKER included, is refused before
+    any mapping is returned. Structurally deterministic compilations
+    run as-is; anything else goes through determinization first, which
+    also squeezes out duplicate results that grammar-level ambiguity
+    would produce. Each result is decoded as it is pulled.
     """
     vpt = compile_vpeg(vpeg, end_letter=_END)
-    layout = SpanLayout(vpeg.variables)
-    for out in vpt.output_symbols:  # determinization keeps them
-        layout.compile(out)
-    decode = layout.decode
     doc = chain(tokens, [Token(TokenKind.NEUTRAL, _END)])
     mode = "check" if is_io_deterministic(vpt) else "determinize"
     try:
         words = engine.evaluate(vpt, doc, mode=mode, alphabet=vpt.alphabet)
     except engine.SymbolError as exc:
         raise GrammarError(f"document symbol {exc.token.name!r} not in grammar alphabet") from None
-    for word in words:
-        yield decode(word)
+    return map(SpanLayout(vpeg.variables).decode, words)

@@ -28,11 +28,12 @@ from vptenum.spanner import (
     ChainProduction,
     EpsProduction,
     NestProduction,
+    NotFunctionalError,
     Vpeg,
     close_marker,
     open_marker,
 )
-from vptenum.vpt import NO_MOVES, OutputWord, ResourceCapError, Vpt, stable_key
+from vptenum.vpt import NO_MOVES, OutputWord, ResourceCapError, Vpt, level_reach, stable_key
 
 
 # ------------------------------------------- tokens and documents
@@ -1414,6 +1415,76 @@ def random_functional_vpeg(rng: random.Random, n_vars: int = 2, ambiguity_window
             continue
         return vpeg
     raise RuntimeError("no functional unambiguous grammar found")
+
+
+def reference_check_functional(evpa: Vpt, variables) -> None:
+    """The functionality check over book vectors of all the variables
+    at once: the reference that `spanner.check_functional`, which checks
+    one variable at a time, is tested against.
+
+    Reject unless every accepted ref-word opens and closes every
+    variable exactly once, start before end.
+
+    Runs `level_reach` over pairs of an acceptor state and the books:
+    one status per variable (0 unopened, 1 open, 2 closed), or None
+    once a marker repeats or comes out of order. A marker steps the
+    books as it is read; opens and closes carry them unchanged into
+    and out of the inner level. Every accepting state that the initial
+    level reaches must hold all-closed books. Poisoned books are
+    reported first, else the unassigned variables of the smallest bad
+    book vector, so the message does not depend on set order.
+    """
+    xs = sorted(variables)
+    steps = {}
+    for i, x in enumerate(xs):
+        steps[open_marker(x)] = (i, 0, 1)
+        steps[close_marker(x)] = (i, 1, 2)
+    clean = (0,) * len(xs)
+    done = (2,) * len(xs)
+
+    def bump(books, a):
+        step = steps.get(a)
+        if step is None or books is None:
+            return books
+        i, before, after = step
+        if books[i] != before:
+            return None
+        return books[:i] + (after,) + books[i + 1 :]
+
+    nidx, oidx, cidx = evpa.neutral_index, evpa.open_index, evpa.close_index
+
+    def neutral(state):
+        q, books = state
+        return [(q2, bump(books, a)) for a, row in nidx.items() for _, q2 in row.get(q, ())]
+
+    def opens(state):
+        q, books = state
+        return [((q2, books), x) for row in oidx.values() for _, q2, x in row.get(q, ())]
+
+    def closes(state, x):
+        q, books = state
+        return [(q2, books) for row in cidx.values() for _, q2 in row.get((q, x), ())]
+
+    initial = [(q0, clean) for q0 in evpa.initial]
+    reach = level_reach(initial, neutral, opens, closes)
+    bad = {
+        books
+        for entry in initial
+        for q, books in reach[entry]
+        if q in evpa.final and books != done
+    }
+    if None in bad:
+        raise NotFunctionalError(
+            "grammar not functional: some accepted ref-word "
+            "repeats or misorders a capture"
+        )
+    if bad:
+        books = min(bad)
+        missing = [x for i, x in enumerate(xs) if books[i] != 2]
+        raise NotFunctionalError(
+            "grammar not functional: some accepted ref-word leaves "
+            f"variable(s) {', '.join(missing)} unassigned"
+        )
 
 
 def random_doc_for_vpeg(rng: random.Random, vpeg: Vpeg, max_len: int):

@@ -508,7 +508,7 @@ class TestSpanner:
         assert out == []
         assert err[0].startswith("vptenum: error: unbalanced open")
 
-    @pytest.mark.parametrize("limit, decoded", [(0, 1), (1, 1), (3, 3), (5, 5)])
+    @pytest.mark.parametrize("limit, decoded", [(0, 0), (1, 1), (3, 3), (5, 5)])
     def test_limit_decodes_only_what_it_prints(self, capsys, files, monkeypatch, limit, decoded):
         calls = []
         real_decode = spanner.SpanLayout.decode
@@ -679,6 +679,8 @@ class TestUsage:
             # the other count options
             pytest.param("oracle", "--max-configs", "-1", id="max-configs-oracle"),
             pytest.param("determinize", "--max-states", "-1", id="max-states-determinize"),
+            # int() reads it as 0, but a count is written in digits only
+            pytest.param("run", "--limit", "-0", id="minus-zero-run"),
         ],
     )
     def test_limit_must_be_a_count(self, capsys, files, command, option, value):
@@ -696,6 +698,24 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"argument {option}" in err
+
+    @pytest.mark.parametrize(
+        "value", [" 7", "+5", "1_000", "\u0663"], ids=["space", "plus", "underscore", "arabic-indic"]
+    )
+    @pytest.mark.parametrize(
+        "command, option", [("run", "--limit"), ("oracle", "--max-configs"), ("bench", "--choices")]
+    )
+    def test_count_is_ascii_digits(self, capsys, files, command, option, value):
+        # int() reads each of these as a number; a count is ASCII digits only
+        program = []
+        if command != "bench":
+            program = ["-t", files("m.vpt", CHOICE_VPT), "-d", files("d.txt", "<r b r>")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *program, option, value])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {option}: not an integer: {value!r}" in err
 
 
 class TestRenderWord:

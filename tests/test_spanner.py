@@ -1,7 +1,10 @@
 """Extraction grammars: parsing, compilation, span decoding, evaluation."""
 
+import ast
 import hashlib
 import random
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,8 +17,10 @@ from oracle_helpers import (
     random_doc_for_vpeg,
     random_functional_vpeg,
     random_machines,
+    random_tiny_vpeg,
     random_vpeg,
     random_well_nested,
+    reference_check_functional,
     tok_close,
     tok_neutral,
     tok_open,
@@ -151,6 +156,25 @@ class TestParseVpeg:
         with pytest.raises(GrammarError, match="empty alternative"):
             parse_vpeg("start S\nS -> eps | | c S")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("start S T\nS -> eps", "start line needs one symbol: 'start S T'"),
+            ("start S\nS T -> eps", "production needs a single head: 'S T -> eps'"),
+            ("var x\nstart S\nS -> y) S | eps", "undeclared variable 'y' in 'S'"),
+            ("start S\nS -> a S a> S | eps", "malformed bracket production 'a S a> S' in 'S'"),
+            ("start S\nS -> <a T a> S | eps", "unknown nonterminal 'T' in 'S'"),
+            ("start S\nS -> c c S | eps", "rule 'S' -> 'c c S' rejected: not a grammar shape"),
+        ],
+        ids=["two-start-symbols", "two-token-head", "undeclared-close", "malformed-bracket",
+             "bracket-unknown-nonterminal", "three-token-alternative"],
+    )
+    def test_rejected_with_message(self, text, message):
+        with pytest.raises(GrammarError) as exc:
+            parse_vpeg(text)
+        assert type(exc.value) is GrammarError
+        assert str(exc.value) == message
+
 
 # ------------------------------------------------------- erasable set
 
@@ -280,6 +304,96 @@ class TestCheckFunctional:
         g = parse_vpeg("var x\nstart S\nS -> (x A | c S | eps\nA -> x) S")
         with pytest.raises(NotFunctionalError):
             check_functional(to_evpa(g), g.variables)
+
+
+def probe_grammar(v: int) -> str:
+    # any of v variables opened or closed anywhere, any number of times
+    variables = " ".join(f"x{i}" for i in range(1, v + 1))
+    alternatives = "".join(f"(x{i} S | x{i}) S | " for i in range(1, v + 1))
+    return f"var {variables}\nstart S\nS -> {alternatives}c S | eps"
+
+
+def grammars_of_the_tests():
+    """Every string literal of the test files that parses as a grammar,
+    and the demo grammars."""
+    texts = set()
+    here = Path(__file__).resolve().parent
+    for path in sorted(here.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts.add(node.value)
+    texts.update(p.read_text(encoding="utf-8") for p in (here.parent / "demos" / "data").glob("*.vpeg"))
+    grammars = []
+    for text in sorted(texts):
+        try:
+            grammars.append(parse_vpeg(text))
+        except GrammarError:
+            pass
+    return grammars
+
+
+class TestCheckFunctionalPerVariable:
+    """`check_functional` checks one variable at a time; the reference
+    keeps one book vector of all of them. A variable's status moves only
+    on its own markers, so the two must agree."""
+
+    @staticmethod
+    def outcome(check, g):
+        try:
+            check(to_evpa(g), g.variables)
+        except NotFunctionalError as exc:
+            return str(exc)
+        return None
+
+    def agree(self, g) -> str:
+        got = self.outcome(check_functional, g)
+        want = self.outcome(reference_check_functional, g)
+        if want is None or want.endswith("repeats or misorders a capture"):
+            assert got == want
+            return "pass" if want is None else "misorders"
+        # the reference lists every unassigned variable of its smallest
+        # book vector; the first of them is the one named now
+        head, _, names = want.rpartition("variable(s) ")
+        first = names.removesuffix(" unassigned").split(", ")[0]
+        assert got == f"{head}variable(s) {first} unassigned"
+        return "unassigned, several" if ", " in names else "unassigned"
+
+    def test_random_tiny_grammars(self):
+        rng = random.Random(1919)
+        kinds = Counter(self.agree(random_tiny_vpeg(rng, i % 5)) for i in range(5000))
+        # every outcome shows up often enough for the comparison to bite
+        assert min(kinds.values()) >= 50, kinds
+        assert len(kinds) == 4, kinds
+
+    def test_grammars_of_the_tests(self):
+        grammars = grammars_of_the_tests() + [parse_vpeg(probe_grammar(v)) for v in range(1, 5)]
+        assert len(grammars) >= 30
+        kinds = Counter(map(self.agree, grammars))
+        assert set(kinds) == {"pass", "misorders", "unassigned"}, kinds
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (probe_grammar(14), "repeats or misorders a capture"),
+            # each of 20 variables captured or skipped in turn: 2^20 book
+            # vectors, and every variable must be checked to the end
+            (
+                "var " + " ".join(f"x{i}" for i in range(1, 21)) + "\nstart B0\nB20 -> eps\n"
+                + "".join(f"B{i - 1} -> (x{i} A{i} | c B{i}\nA{i} -> x{i}) B{i}\n" for i in range(1, 21)),
+                r"variable\(s\) x1 unassigned",
+            ),
+        ],
+        ids=["probe-14", "optional-20"],
+    )
+    def test_linear_in_variables(self, text, message):
+        # the reference's book vectors number up to 3^v; the statuses of
+        # one variable at a time, 4v
+        g = parse_vpeg(text)
+        evpa = to_evpa(g)
+        t0 = time.perf_counter()
+        with pytest.raises(NotFunctionalError, match=message + "$"):
+            check_functional(evpa, g.variables)
+        assert time.perf_counter() - t0 < 1.0
 
 
 # --------------------------------------------------- transducer fusion

@@ -142,6 +142,35 @@ class TestValidation:
                 final=frozenset({"q"}),
             )
 
+    @pytest.mark.parametrize(
+        "field, moves, message",
+        [
+            ("opens", {("q", "c", None, "q", "X")}, "open transition on non-open letter 'c'"),
+            ("opens", {("q", "a", None, "q", "Y")}, "open transition pushes undeclared symbol 'Y'"),
+            (
+                "closes",
+                {("q", "a", None, "X", "missing")},
+                "close transition uses undeclared state: ('q', 'a', None, 'X', 'missing')",
+            ),
+            ("closes", {("q", "c", None, "X", "q")}, "close transition on non-close letter 'c'"),
+            ("closes", {("q", "a", None, "Y", "q")}, "close transition pops undeclared symbol 'Y'"),
+            (
+                "neutrals",
+                {("missing", "c", None, "q")},
+                "neutral transition uses undeclared state: ('missing', 'c', None, 'q')",
+            ),
+            ("initial", {"missing"}, "initial and final states must be declared states"),
+            ("final", {"q", "missing"}, "initial and final states must be declared states"),
+        ],
+        ids=["open-letter", "open-push", "close-state", "close-letter", "close-pop", "neutral-state",
+             "initial-state", "final-state"],
+    )
+    def test_rejects_with_message(self, field, moves, message):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(marker_vpt(), **{field: frozenset(moves)})
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
 
 class TestRuns:
     def test_out_of_run_skips_silent(self):
