@@ -20,7 +20,7 @@ a *plan*, the target shape and the step's (visits, scans, arena calls).
 The flags are exact, so the compile folds every epsilon operand as the
 arena would: epsilon factors drop out of products and a union of two
 epsilons is one. What is left a copy of a source handle becomes a slot
-move, and all moves run as one ``operator.itemgetter`` gather; only the
+move, and the moves pick the target's handles in one gather; only the
 instructions that create nodes (a symbol leaf, a product of two
 non-epsilon handles, a union) remain as per-token *work*, in the order
 the keys and moves are met. Sibling outputs are factored there too:
@@ -34,13 +34,29 @@ letter) for neutrals and opens and by (summary shape, shape, letter)
 for closes: the lazy subset construction of on-the-fly DFA matchers,
 applied to the level summaries.
 
+Compiled steps. A plan first runs generically: an ``itemgetter``
+gather, then a loop that dispatches on each work instruction. Once it
+has run HOT times, its gather and work are generated as one Python
+function, compiled once and kept with the plan, as Thompson (CACM 1968)
+compiled a regular expression to machine code. The function appends
+leaves, products of operands that test epsilon-free and one-node
+unions straight into the arena's lists, calls the arena only where
+such a test fails, and returns the target's handles as one list
+display; a close takes the summary's handles and the level's as two
+arguments. Its nodes and their order are those of the generic run.
+HOT is the measured ratio of one compile to one generic run of the
+same plan (see the constant), so a plan compiles only after its runs
+have cost about what the compile will, and a step that occurs a few
+dozen times in a document never pays for one.
+
 The input is pulled exactly once per token plus one probe that detects
 the end. A token costs at most one plan build, bounded by the table and
 transition sizes like the step it compiles, plus one run of the same
 size, never anything that grows with the number of results collected
-so far. The cache gains at most one plan per token, and no plan is
-larger than the work of the token that built it, so what it retains
-stays within the arena's own O(work).
+so far; a plan compiles at most once, at a cost of the same bound. The
+cache gains at most one plan per token, and no plan is larger than the
+work of the token that built it, so what it retains stays within the
+arena's own O(work).
 
 Identity runs. A neutral step whose plan keeps the table as it is
 leaves the shape unchanged, so the same token right after it finds the
@@ -66,9 +82,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
-from vptenum.ecs import EMPTY, EcsArena
+from vptenum.ecs import EMPTY, EPSILON, PRODUCT, SYMBOL, UNION, EcsArena
 from vptenum.enumtree import Enumerator, OutputWord
 from vptenum.nested import StructuredAlphabet, TokenKind
 from vptenum.vpt import NO_MOVES, Vpt, is_io_deterministic, io_determinize, stable_key
@@ -195,20 +211,28 @@ class EngineState:
         return root
 
 
-class Plan(NamedTuple):
+class Plan:
     """One compiled step over a *pool* of handles: the table, or for a
     close the summary's handles followed by the level's. ``gather``
-    picks the target's handles out of the pool (None: a neutral keeps
-    the table as it is), then ``work`` runs. An open's target is the
-    summary it pushes; its new level is ``seed_width`` epsilon handles
-    of shape ``seed``."""
+    picks the target's handles out of the pool, slot i taking
+    pool[take[i]] (gather None: a neutral keeps the table as it is),
+    then ``work`` runs. An open's target is the summary it pushes; its
+    new level is ``seed_width`` epsilon handles of shape ``seed``.
+    ``runs`` counts the plan's generic runs and ``step`` is its
+    generated function, once it has one (see _compile)."""
 
-    gather: Callable | None
-    work: tuple  # (a, b, out, tgt, join), or a group (None, (a, b), outs, tgt, join): see _assemble
-    shape: int  # the target's shape id
-    counts: tuple  # the step's (visits, scans, arena calls)
-    seed: int = -1
-    seed_width: int = 0
+    __slots__ = ("gather", "take", "work", "shape", "counts", "seed", "seed_width", "runs", "step")
+
+    def __init__(self, take: list, work: tuple, shape: int, counts: tuple, seed: int = -1, seed_width: int = 0):
+        self.gather: Callable | None = _gatherer(take)
+        self.take = tuple(take)
+        self.work = work  # (a, b, out, tgt, join), or a group (None, (a, b), outs, tgt, join): see _assemble
+        self.shape = shape  # the target's shape id
+        self.counts = counts  # the step's (visits, scans, arena calls)
+        self.seed = seed
+        self.seed_width = seed_width
+        self.runs = 0
+        self.step: Callable | None = None
 
 
 # A plan visits the keys in table order and each key's moves in row
@@ -229,8 +253,9 @@ def _gatherer(take: list) -> Callable:
 
 def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple:
     """Fold the epsilon operands out of a step's instructions, merge the
-    sibling outputs and split the rest into a gather and work; returns
-    both and the target's shape id.
+    sibling outputs and split the rest into moves and work; returns the
+    pool index each target slot gathers, the work and the target's
+    shape id.
 
     An instruction (a, b, out, tgt) puts pool[a] . pool[b] . leaf(out)
     into slot tgt, by a union if the slot is taken; b, out may be None.
@@ -270,7 +295,7 @@ def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple
     for i, (a, b, out, tgt, join) in enumerate(work):
         if out is not None and len(outs[a, b, tgt]) > 1:
             work[i] = (None, (a, b), tuple(outs[a, b, tgt]), tgt, join)
-    return _gatherer(take), tuple(work), shapes.intern(keys, tuple(eps))
+    return take, tuple(work), shapes.intern(keys, tuple(eps))
 
 
 def neutral_plan(shapes: Shapes, sid: int, moves) -> Plan:
@@ -287,10 +312,11 @@ def neutral_plan(shapes: Shapes, sid: int, moves) -> Plan:
             visits += 1
             calls += 1 if out is None else 3
             code.append((i, None, out, slots.setdefault((p, q2), len(slots))))
-    gather, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
+    take, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
+    plan = Plan(take, work, shape, (visits, scans, calls))
     if shape == sid and not work and all(i == tgt for i, _, _, tgt in code):
-        gather = None  # the table stays as it is
-    return Plan(gather, work, shape, (visits, scans, calls))
+        plan.gather = None  # the table stays as it is
+    return plan
 
 
 def open_plan(shapes: Shapes, sid: int, moves) -> Plan:
@@ -309,10 +335,10 @@ def open_plan(shapes: Shapes, sid: int, moves) -> Plan:
             calls += 1 if out is None else 3
             code.append((i, None, out, slots.setdefault((p, x, q2), len(slots))))
             seed.setdefault((q2, q2))
-    gather, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
+    take, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
     seed_keys = tuple(seed)
     seed_sid = shapes.intern(seed_keys, (True,) * len(seed_keys))
-    return Plan(gather, work, shape, (visits, scans, calls), seed_sid, len(seed_keys))
+    return Plan(take, work, shape, (visits, scans, calls), seed_sid, len(seed_keys))
 
 
 def close_plan(shapes: Shapes, summary_sid: int, sid: int, moves) -> Plan:
@@ -340,16 +366,34 @@ def close_plan(shapes: Shapes, summary_sid: int, sid: int, moves) -> Plan:
                 calls += 2 if out is None else 4
                 code.append((i, j, out, slots.setdefault((p, q3), len(slots))))
     pool_eps = shapes.eps[summary_sid] + shapes.eps[sid]
-    gather, work, shape = _assemble(shapes, tuple(slots), code, pool_eps)
-    return Plan(gather, work, shape, (visits, scans, calls))
+    take, work, shape = _assemble(shapes, tuple(slots), code, pool_eps)
+    return Plan(take, work, shape, (visits, scans, calls))
 
 
-def _run(arena: EcsArena, gather: Callable, work: tuple, pool: list, k: int) -> list:
-    """The target's handles: the gathered moves, then the work at position k."""
-    new = list(gather(pool))
-    if work:
+# A plan compiles its step (_compile) once it has run HOT times, so the
+# compile costs about as much again as the generic runs before it. On
+# the 18 hot plans of the spanner-tree benchmark document (CPython
+# 3.11, a 2-vCPU x86_64 VM), one compile took 50-600 us, median 310,
+# and one generic run of the same plan 0.9-3.8 us, median 2.45: a ratio
+# of 59-151, median 137. No plan of the flat scan and enum benchmark
+# documents runs more than 39 times, so their passes never compile.
+HOT = 100
+
+
+def _run(plan: Plan, arena: EcsArena, handles: list, k: int, uppers: list | None = None) -> list:
+    """The target's handles after plan's step at position k over the
+    table's ``handles``, or for a close over the summary's ``uppers``
+    and the level's ``handles``: the gathered moves, then the work.
+    Once the plan has run HOT times, its generated step runs instead."""
+    if plan.runs >= HOT:
+        step = plan.step = _compile(plan, arena, None if uppers is None else len(uppers))
+        return step(handles, k) if uppers is None else step(uppers, handles, k)
+    plan.runs += 1
+    pool = handles if uppers is None else uppers + handles
+    new = list(plan.gather(pool))
+    if plan.work:
         add, prod, union = arena.add, arena.prod, arena.union
-        for a, b, out, tgt, join in work:
+        for a, b, out, tgt, join in plan.work:
             if out is None:  # a copy into a taken slot, or a product of two handles
                 v = pool[a] if b is None else prod(pool[a], pool[b])
             elif b is None:  # a leaf, after pool[a] unless a is None
@@ -357,16 +401,15 @@ def _run(arena: EcsArena, gather: Callable, work: tuple, pool: list, k: int) -> 
             elif a is not None:  # a leaf after pool[a] . pool[b]
                 v = prod(prod(pool[a], pool[b]), add((out, k)))
             else:  # a group: b is its operands, out its outputs
-                v = _group(arena, pool, b, out, k)
+                a, b = b
+                prefix = None if a is None else pool[a] if b is None else prod(pool[a], pool[b])
+                v = _group(arena, prefix, out, k)
             new[tgt] = union(new[tgt], v) if join else v
     return new
 
 
-def _group(arena: EcsArena, pool: list, operands: tuple, outs: tuple, k: int) -> int:
-    """pool[a] . pool[b] . (leaf(o1) | leaf(o2) | ...) at position k,
-    where a, b may be None."""
-    a, b = operands
-    prefix = None if a is None else pool[a] if b is None else arena.prod(pool[a], pool[b])
+def _group(arena: EcsArena, prefix: int | None, outs: tuple, k: int) -> int:
+    """prefix . (leaf(o1) | leaf(o2) | ...) at position k; no prefix if None."""
     add, union = arena.add, arena.union
     v = add((outs[0], k))
     for out in outs[1:]:
@@ -374,32 +417,87 @@ def _group(arena: EcsArena, pool: list, operands: tuple, outs: tuple, k: int) ->
     return v if prefix is None else arena.prod(prefix, v)
 
 
-# Each runner applies its plan to the state at position k and returns
-# the step's (visits, scans, arena calls).
+def _compile(plan: Plan, arena: EcsArena, split: int | None) -> Callable:
+    """plan's gather and work as one generated function, ``step(h, k)``
+    over the table's handles h, or for a close ``step(u, h, k)`` over
+    the summary's ``split`` handles u and the level's h. It returns the
+    target's handles as one list display.
 
+    The nodes the arena would append in one piece are appended inline:
+    a symbol leaf, a product of two operands that test epsilon-free
+    (a slot flagged non-epsilon may still hold an epsilon union), and a
+    union of two epsilon-free handles, one of them no union. The
+    arena's ``prod`` and ``union`` and ``_group`` run the rest, so the
+    nodes and their order are those of the generic run. The source is
+    built from ints and names only; each output is bound to a name in
+    the function's namespace, never written into the source."""
+    names: dict = {"kinds": arena.kinds, "lefts": arena.lefts, "rights": arena.rights}
+    names.update(arena=arena, prod=arena.prod, union=arena.union, group=_group)
 
-def run_neutral(state: EngineState, plan: Plan, k: int) -> tuple:
-    gather, work, shape, counts, _, _ = plan
-    if gather is not None:
-        state.handles = _run(state.arena, gather, work, state.handles, k)
-        state.shape = shape
-    return counts
+    def const(value) -> str:
+        name = f"o{len(names)}"
+        names[name] = value
+        return name
 
+    def pool(i: int) -> str:
+        if split is None:
+            return f"h[{i}]"
+        return f"u[{i}]" if i < split else f"h[{i - split}]"
 
-def run_open(state: EngineState, plan: Plan, k: int) -> tuple:
-    gather, work, shape, counts, seed, seed_width = plan
-    state.stack.append((shape, _run(state.arena, gather, work, state.handles, k), k))
-    state.handles = [state.epsilon] * seed_width
-    state.shape = seed
-    return counts
+    def node(v: str, kind: int, left: str, right: str) -> str:
+        return f"{v} = len(kinds); kinds.append({kind}); lefts.append({left}); rights.append({right})"
 
-
-def run_close(state: EngineState, plan: Plan, k: int) -> tuple:
-    gather, work, shape, counts, _, _ = plan
-    _, uppers, _ = state.stack.pop()
-    state.handles = _run(state.arena, gather, work, uppers + state.handles, k)
-    state.shape = shape
-    return counts
+    body = []
+    slots = [pool(i) for i in plan.take]
+    for a, b, out, tgt, join in plan.work:
+        outs = None
+        if a is None and b is not None:  # a group
+            (a, b), outs = b, out
+        val = None  # the local that holds the value built so far
+        if a is not None:
+            body.append(f"x = {pool(a)}")
+            val = "x"
+        if b is not None:
+            body += [
+                f"y = {pool(b)}",
+                f"if kinds[x] < {EPSILON} and kinds[y] < {EPSILON}:",
+                "    " + node("v", PRODUCT, "x", "y"),
+                "else:",
+                "    v = prod(x, y)",
+            ]
+            val = "v"
+        if outs is not None:
+            body.append(f"w = group(arena, {val}, {const(outs)}, k)")
+            val = "w"
+        elif out is not None:
+            body.append(node("n", SYMBOL, f"({const(out)}, k)", str(EMPTY)))
+            if val is not None:
+                body += [
+                    f"if kinds[{val}] < {EPSILON}:",
+                    "    " + node("w", PRODUCT, val, "n"),
+                    "else:",
+                    f"    w = prod({val}, n)",
+                ]
+            val = "w" if val is not None else "n"
+        dst = f"t{tgt}"
+        if join:
+            body += [
+                f"s = {slots[tgt]}",
+                f"c = kinds[s]; d = kinds[{val}]",
+                f"if 0 < c < {EPSILON} and d < {EPSILON}:",
+                "    " + node(dst, UNION, "s", val),
+                f"elif c == {UNION} and 0 < d < {EPSILON}:",
+                "    " + node(dst, UNION, val, "s"),
+                "else:",
+                f"    {dst} = union(s, {val})",
+            ]
+        else:
+            body.append(f"{dst} = {val}")
+        slots[tgt] = dst
+    head = "def step(h, k):" if split is None else "def step(u, h, k):"
+    body.append(f"return [{', '.join(slots)}]")
+    exec(compile("\n    ".join([head] + body), "<step plan>", "exec"), names)
+    return names["step"]
 
 
 def _check(alphabet: StructuredAlphabet | None, tok, k: int) -> None:
@@ -438,9 +536,10 @@ def preprocess(
     takes its step, so the observer sees each one.
     """
     state = EngineState.initial(vpt)
-    shapes = state.shapes
+    shapes, arena, stack, epsilon = state.shapes, state.arena, state.stack, state.epsilon
+    shape, handles = state.shape, state.handles  # written back to state for an observer and at the end
     oidx, cidx, nidx = vpt.open_index, vpt.close_index, vpt.neutral_index
-    nodes = state.arena.kinds
+    nodes = arena.kinds
     stats = EngineStats()
     # the plan caches: (shape, letter) for neutrals and opens,
     # (summary shape, shape, letter) for closes
@@ -465,38 +564,49 @@ def preprocess(
             same = None
         kind = tok.kind
         if kind is NEUTRAL:
-            key = (state.shape, tok.name)
+            key = (shape, tok.name)
             plan = neutral_plans.get(key)
             if plan is None:
                 _check(alphabet, tok, k)
-                plan = neutral_plans[key] = neutral_plan(shapes, key[0], nidx.get(key[1], NO_MOVES))
-            visits, scans, calls = run_neutral(state, plan, k)
-            if plan.gather is None and observer is None:
+                plan = neutral_plans[key] = neutral_plan(shapes, shape, nidx.get(tok.name, NO_MOVES))
+            if plan.gather is not None:
+                step = plan.step
+                handles = _run(plan, arena, handles, k) if step is None else step(handles, k)
+                shape = plan.shape
+            elif observer is None:
                 # the table is as it was: a repeat of this token object
                 # would find this plan again and change nothing either
                 same, resume = tok, k + 1
-                same_visits, same_scans, same_calls = visits, scans, calls
+                same_visits, same_scans, same_calls = plan.counts
         elif kind is OPEN:
-            key = (state.shape, tok.name)
+            key = (shape, tok.name)
             plan = open_plans.get(key)
             if plan is None:
                 _check(alphabet, tok, k)
-                plan = open_plans[key] = open_plan(shapes, key[0], oidx.get(key[1], NO_MOVES))
-            visits, scans, calls = run_open(state, plan, k)
+                plan = open_plans[key] = open_plan(shapes, shape, oidx.get(tok.name, NO_MOVES))
+            step = plan.step
+            stack.append((plan.shape, _run(plan, arena, handles, k) if step is None else step(handles, k), k))
+            handles = [epsilon] * plan.seed_width
+            shape = plan.seed
         else:
-            if not state.stack:
+            if not stack:
                 _check(alphabet, tok, k)  # a foreign letter is named before the nesting
                 raise NestingError(f"unbalanced close at position {k}")
-            key = (state.stack[-1][0], state.shape, tok.name)
+            summary, uppers, _ = stack.pop()
+            key = (summary, shape, tok.name)
             plan = close_plans.get(key)
             if plan is None:
                 _check(alphabet, tok, k)
-                plan = close_plans[key] = close_plan(shapes, key[0], key[1], cidx.get(key[2], NO_MOVES))
-            visits, scans, calls = run_close(state, plan, k)
+                plan = close_plans[key] = close_plan(shapes, summary, shape, cidx.get(tok.name, NO_MOVES))
+            step = plan.step
+            handles = _run(plan, arena, handles, k, uppers) if step is None else step(uppers, handles, k)
+            shape = plan.shape
+        visits, scans, calls = plan.counts
         total_visits += visits
         total_scans += scans
         total_calls += calls
         if observer is not None:
+            state.shape, state.handles = shape, handles
             size = len(nodes)
             observer(k, state, SymbolStats(visits, scans, calls, size - counted))
             counted = len(nodes)
@@ -506,6 +616,7 @@ def preprocess(
         total_visits += repeats * same_visits
         total_scans += repeats * same_scans
         total_calls += repeats * same_calls
+    state.shape, state.handles = shape, handles
     if state.stack:
         raise NestingError(f"unbalanced open at position {state.stack[0][2]}")
     stats.visits, stats.scans, stats.ecs_calls = total_visits, total_scans, total_calls

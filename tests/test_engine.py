@@ -9,7 +9,7 @@ import pytest
 
 from vptenum import engine, spanner
 from vptenum.cli import _bench_doc, _bench_vpt
-from vptenum.ecs import EMPTY, EPSILON, IS_EPS, EcsArena
+from vptenum.ecs import EMPTY, EPSILON, PRODUCT
 from vptenum.engine import (
     AmbiguityError,
     EngineState,
@@ -19,12 +19,8 @@ from vptenum.engine import (
     SymbolStats,
     accepts,
     evaluate,
-    neutral_plan,
-    open_plan,
     preprocess,
     resolve_mode,
-    run_neutral,
-    run_open,
 )
 from vptenum.nested import StructuredAlphabet, Token, TokenKind, TokenizeError, tokenize
 from vptenum.vpt import Vpt, io_determinize, is_io_deterministic, oracle_enumerate
@@ -73,40 +69,42 @@ def three_state_marker() -> Vpt:
 
 
 class TestIfProd:
-    """The output extension inlined in every step, seen through a neutral plan."""
+    """The output extension inlined in every step, seen through one neutral token."""
 
     def step(self, out):
-        m = marker_vpt()
-        state = EngineState.initial(m)
-        (q,) = m.initial
-        run_neutral(state, neutral_plan(state.shapes, state.shape, {q: [(out, q)]}), 3)
-        return state, state.table[(q, q)]
+        m = replace(marker_vpt(), neutrals=frozenset({("q", "c", out, "q")}))
+        trace = Snapshots(EngineState.initial(m))
+        res = preprocess(m, brackets("."), trace)
+        return res, trace
 
     def test_silent_is_identity(self):
-        state, v = self.step(None)
-        assert v == state.epsilon
+        _, trace = self.step(None)
+        assert trace[1] == trace[0]  # the same epsilon handle in the same slot
 
     def test_extends_epsilon(self):
-        state, v = self.step("o")
-        assert lang(state.arena, v) == {(("o", 3),)}
+        res, trace = self.step("o")
+        table, _ = trace[1]
+        assert lang(res.arena, table[("q", "q")]) == {(("o", 1),)}
 
     def test_sentinel_passes_through(self):
         # an entry without a move leaves no entry, never a stored EMPTY
-        state = EngineState.initial(marker_vpt())
-        run_neutral(state, neutral_plan(state.shapes, state.shape, {}), 3)
-        assert state.table == {}
+        m = replace(marker_vpt(), neutrals=frozenset())
+        trace = Snapshots(EngineState.initial(m))
+        preprocess(m, brackets("."), trace)
+        assert trace[1] == ({}, [])
 
 
 class TestSteps:
     def test_open_step_hand_example(self):
         m = three_state_marker()
-        state = EngineState.initial(m)
-        run_open(state, open_plan(state.shapes, state.shape, m.open_index["a"]), 1)
-        assert set(state.table) == {("q1", "q1")}
-        assert lang(state.arena, state.table[("q1", "q1")]) == {()}
-        assert len(state.frames) == 1
-        assert set(state.frames[0]) == {("q0", "X", "q1")}
-        assert lang(state.arena, state.frames[0][("q0", "X", "q1")]) == {(("o", 1),)}
+        trace = Snapshots(EngineState.initial(m))
+        res = preprocess(m, brackets("()"), trace)
+        table, frames = trace[1]
+        assert set(table) == {("q1", "q1")}
+        assert lang(res.arena, table[("q1", "q1")]) == {()}
+        assert len(frames) == 1
+        assert set(frames[0]) == {("q0", "X", "q1")}
+        assert lang(res.arena, frames[0][("q0", "X", "q1")]) == {(("o", 1),)}
 
     def test_close_folds_level(self):
         m = three_state_marker()
@@ -484,15 +482,17 @@ class TestPlansMatchReference:
     def test_an_epsilon_slot_meets_a_symbol_slot(self):
         # two runs from one origin split silently, one of them then
         # prints o, and both meet in one slot: the epsilon handle is
-        # unioned with the symbol's, whichever of the two slots is first
+        # unioned with the symbol's, whichever of the two slots is first.
+        # The slot, epsilon | o, is then extended by p, or it enters a
+        # level that splits the same way, and is a factor of the close
         for silent, loud in (("s1", "s2"), ("s2", "s1")):
             m = Vpt(
-                states=frozenset({"q0", "s1", "s2", "t1", "t2", "f"}),
+                states=frozenset({"q0", "s1", "s2", "t1", "t2", "f", "g", "h"}),
                 alphabet=ALPH,
                 stack_symbols=frozenset({"X"}),
-                output_symbols=frozenset({"o"}),
-                opens=frozenset(),
-                closes=frozenset(),
+                output_symbols=frozenset({"o", "p"}),
+                opens=frozenset({("f", "a", None, "q0", "X")}),
+                closes=frozenset({("f", "a", None, "X", "h"), ("g", "a", None, "X", "h")}),
                 neutrals=frozenset(
                     {
                         ("q0", "c", None, "s1"),
@@ -501,34 +501,100 @@ class TestPlansMatchReference:
                         (loud, "c", "o", "t2"),
                         ("t1", "c", None, "f"),
                         ("t2", "c", None, "f"),
+                        ("f", "c", "p", "g"),
                     }
                 ),
                 initial=frozenset({"q0"}),
-                final=frozenset({"f"}),
+                final=frozenset({"f", "g", "h"}),
             )
-            self.assert_same(m, brackets("..."))
+            for text in ("...", "....", "...(...)", "...(....)"):
+                self.assert_same(m, brackets(text))
             res = preprocess(m, brackets("..."))
             assert lang(res.arena, res.root) == {(), (("o", 2),)}
+            res = preprocess(m, brackets("...(....)"))
+            p = ("p", 8)
+            assert lang(res.arena, res.root) == {(p,), (("o", 2), p), (("o", 6), p), (("o", 2), ("o", 6), p)}
 
-    def test_products_never_get_an_epsilon_operand(self, monkeypatch):
-        # the plans fold every epsilon operand when they are compiled
-        calls = []
-        real_prod = EcsArena.prod
-
-        def prod(arena, v1, v2):
-            calls.append((arena.eps_case(v1), arena.eps_case(v2)))
-            return real_prod(arena, v1, v2)
-
-        monkeypatch.setattr(EcsArena, "prod", prod)
+    def test_products_never_get_an_epsilon_operand(self):
+        # the plans fold every epsilon operand when they are compiled,
+        # and a product is built only over operands that test epsilon-free
         rng = random.Random(74)
         makers = (random_det_vpt, random_nondet_vpt)
+        arenas = []
         for i in range(60):
             m = makers[i % 2](rng)
-            preprocess(m, random_well_nested(rng, m.alphabet, rng.randint(0, 14)))
+            arenas.append(preprocess(m, random_well_nested(rng, m.alphabet, rng.randint(0, 14))).arena)
         tree = io_determinize(spanner.compile_vpeg(spanner.parse_vpeg(TREE_VPEG)))
-        preprocess(tree, tree_document(random.Random(2), 500, 16))
-        assert calls
-        assert IS_EPS not in {case for pair in calls for case in pair}
+        arenas.append(preprocess(tree, tree_document(random.Random(2), 500, 16)).arena)
+        operands = [
+            (arena.kinds[arena.lefts[v]], arena.kinds[arena.rights[v]])
+            for arena in arenas
+            for v, kind in enumerate(arena.kinds)
+            if kind == PRODUCT
+        ]
+        assert operands
+        assert max(max(pair) for pair in operands) < EPSILON
+
+
+# Machine text that would change the meaning of source it was pasted into.
+AWKWARD = ("x'); raise SystemExit #", "a\nb", "{0}", "%s")
+
+
+def awkward_vpt() -> Vpt:
+    """A choice machine whose states, letters, stack symbols and outputs
+    are all AWKWARD strings; one letter has two outputs on one move."""
+    quote, newline, brace, percent = AWKWARD
+    return Vpt(
+        states=frozenset({quote, newline, brace}),
+        alphabet=StructuredAlphabet(frozenset({percent}), frozenset({percent}), frozenset({brace, newline})),
+        stack_symbols=frozenset({percent, newline}),
+        output_symbols=frozenset(AWKWARD),
+        opens=frozenset({(quote, percent, brace, newline, percent), (newline, percent, newline, newline, newline)}),
+        closes=frozenset({(newline, percent, None, percent, brace), (newline, percent, None, newline, newline)}),
+        neutrals=frozenset(
+            {
+                (newline, brace, quote, newline),
+                (newline, brace, percent, newline),
+                (newline, brace, None, newline),
+                (newline, newline, newline, newline),
+            }
+        ),
+        initial=frozenset({quote}),
+        final=frozenset({brace}),
+    )
+
+
+class TestGeneratedStepsMatchReference(TestPlansMatchReference):
+    """The same cases with every plan compiled before its first run, so
+    that every step runs as generated code."""
+
+    @pytest.fixture(autouse=True)
+    def compile_at_once(self, monkeypatch):
+        monkeypatch.setattr(engine, "HOT", 0)
+
+    def test_machine_text_stays_out_of_the_source(self, monkeypatch):
+        steps = []
+        real = engine._compile
+
+        def compiled(plan, arena, split):
+            steps.append(real(plan, arena, split))
+            return steps[-1]
+
+        monkeypatch.setattr(engine, "_compile", compiled)
+        m = awkward_vpt()
+        assert is_io_deterministic(m)
+        quote, newline, brace, percent = AWKWARD
+        doc = [tok_open(percent), tok_neutral(brace), tok_open(percent), tok_neutral(newline)]
+        doc += [tok_neutral(brace), tok_close(percent), tok_neutral(brace), tok_close(percent)]
+        self.assert_same(m, doc)
+        got, ref = preprocess(m, doc), reference_preprocess(m, doc)
+        words = list(enumerate_words(got.arena, got.root))
+        assert len(words) == 3 * 3 * 3 and words == list(enumerate_words(ref.arena, ref.root))
+        assert steps
+        for step in steps:
+            code = step.__code__
+            assert all(c is None or type(c) is int for c in code.co_consts), code.co_consts
+            assert set(code.co_names) <= set(step.__globals__) | {"len", "append"}, code.co_names
 
 
 class TestSiblingOutputs:
@@ -605,6 +671,20 @@ def words(vpt: Vpt, text: str) -> list:
     return list(tokenize(text, vpt.alphabet))
 
 
+class KindReads:
+    """A neutral token that counts the reads of its kind: the pass reads
+    a token's kind once for each step the token takes."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.reads = 0
+
+    @property
+    def kind(self) -> TokenKind:
+        self.reads += 1
+        return TokenKind.NEUTRAL
+
+
 class TestIdentityRuns:
     """A repeated token whose step leaves the table as it is skips the
     step; what it adds to the pass is the same."""
@@ -656,24 +736,17 @@ class TestIdentityRuns:
         assert got.stats == shared.stats
         self.assert_exact(m, fresh)
 
-    def test_a_run_costs_one_step(self, monkeypatch):
-        # 10^4 interned c tokens of the choice machine run the step once
-        calls = []
-        real = engine.run_neutral
-
-        def counted(state, plan, k):
-            calls.append(k)
-            return real(state, plan, k)
-
-        monkeypatch.setattr(engine, "run_neutral", counted)
+    def test_a_run_costs_one_step(self):
+        # 10^4 interned c tokens of the choice machine take the step once
         m = _bench_vpt()
-        doc = words(m, "<r " + "c " * 10_000 + "b " + "c " * 10_000 + "r>")
+        c, b = KindReads("c"), KindReads("b")
+        doc = [tok_open("r")] + [c] * 10_000 + [b] + [c] * 10_000 + [tok_close("r")]
         res = preprocess(m, doc)
-        assert calls == [2, 10_002, 10_003]  # one per run: c, b, c
+        assert (c.reads, b.reads) == (2, 1)  # one per run: c, b, c
         assert res.stats.totals().visits == 1 + 10_000 + 2 + 10_000 + 1 + 1
-        calls.clear()
+        c.reads = b.reads = 0
         preprocess(m, doc, lambda k, state, counts: None)
-        assert len(calls) == 20_001  # with an observer every token takes its step
+        assert c.reads + b.reads == 20_001  # with an observer every token takes its step
 
 
 class TestFrontEnd:
