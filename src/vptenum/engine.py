@@ -38,12 +38,12 @@ Compiled steps. A plan first runs generically: an ``itemgetter``
 gather, then a loop that dispatches on each work instruction. Once it
 has run HOT times, its gather and work are generated as one Python
 function, compiled once and kept with the plan, as Thompson (CACM 1968)
-compiled a regular expression to machine code. The function appends
-leaves, products of operands that test epsilon-free and one-node
-unions straight into the arena's lists, calls the arena only where
-such a test fails, and returns the target's handles as one list
-display; a close takes the summary's handles and the level's as two
-arguments. Its nodes and their order are those of the generic run.
+compiled a regular expression to machine code. Each work instruction
+becomes one assignment that calls the arena's ``add``, ``prod`` and
+``union`` (or ``_group``) as the generic run does, so only ``ecs``
+writes nodes and the nodes and their order are those of the generic
+run; the function returns the target's handles as one list display. A
+close takes the summary's handles and the level's as two arguments.
 HOT is the measured ratio of one compile to one generic run of the
 same plan (see the constant), so a plan compiles only after its runs
 have cost about what the compile will, and a step that occurs a few
@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from vptenum.ecs import EMPTY, EPSILON, PRODUCT, SYMBOL, UNION, EcsArena
+from vptenum.ecs import EMPTY, EcsArena
 from vptenum.enumtree import Enumerator, OutputWord
 from vptenum.nested import StructuredAlphabet, TokenKind
 from vptenum.vpt import NO_MOVES, Vpt, is_io_deterministic, io_determinize, stable_key
@@ -373,11 +373,12 @@ def close_plan(shapes: Shapes, summary_sid: int, sid: int, moves) -> Plan:
 # A plan compiles its step (_compile) once it has run HOT times, so the
 # compile costs about as much again as the generic runs before it. On
 # the 18 hot plans of the spanner-tree benchmark document (CPython
-# 3.11, a 2-vCPU x86_64 VM), one compile took 50-600 us, median 310,
-# and one generic run of the same plan 0.9-3.8 us, median 2.45: a ratio
-# of 59-151, median 137. No plan of the flat scan and enum benchmark
+# 3.11, a 2-vCPU x86_64 VM, 10 processes), one compile took 40-140 us,
+# median 75-99, and one generic run of the same plan 0.7-4.4 us, median
+# 1.9-2.8: a ratio of 27-82, median 37-42, 38 over the 10. HOT is that
+# median raised to 40: no plan of the flat scan and enum benchmark
 # documents runs more than 39 times, so their passes never compile.
-HOT = 100
+HOT = 40
 
 
 def _run(plan: Plan, arena: EcsArena, handles: list, k: int, uppers: list | None = None) -> list:
@@ -423,16 +424,14 @@ def _compile(plan: Plan, arena: EcsArena, split: int | None) -> Callable:
     the summary's ``split`` handles u and the level's h. It returns the
     target's handles as one list display.
 
-    The nodes the arena would append in one piece are appended inline:
-    a symbol leaf, a product of two operands that test epsilon-free
-    (a slot flagged non-epsilon may still hold an epsilon union), and a
-    union of two epsilon-free handles, one of them no union. The
-    arena's ``prod`` and ``union`` and ``_group`` run the rest, so the
-    nodes and their order are those of the generic run. The source is
-    built from ints and names only; each output is bound to a name in
-    the function's namespace, never written into the source."""
-    names: dict = {"kinds": arena.kinds, "lefts": arena.lefts, "rights": arena.rights}
-    names.update(arena=arena, prod=arena.prod, union=arena.union, group=_group)
+    Each work instruction is one assignment that calls the arena, the
+    same calls in the same order as the generic run, so the nodes are
+    those of ``_run``: ``tN = prod(h[a], u[b])``, a leaf ``add((oK,
+    k))`` or ``prod(x, add((oK, k)))``, a group ``group(arena, x, oK,
+    k)``, and ``tN = union(t, value)`` where the slot is taken. The
+    source is built from ints and names only; each output is bound to a
+    name in the function's namespace, never written into the source."""
+    names: dict = {"arena": arena, "add": arena.add, "prod": arena.prod, "union": arena.union, "group": _group}
 
     def const(value) -> str:
         name = f"o{len(names)}"
@@ -444,55 +443,20 @@ def _compile(plan: Plan, arena: EcsArena, split: int | None) -> Callable:
             return f"h[{i}]"
         return f"u[{i}]" if i < split else f"h[{i - split}]"
 
-    def node(v: str, kind: int, left: str, right: str) -> str:
-        return f"{v} = len(kinds); kinds.append({kind}); lefts.append({left}); rights.append({right})"
-
     body = []
     slots = [pool(i) for i in plan.take]
     for a, b, out, tgt, join in plan.work:
         outs = None
-        if a is None and b is not None:  # a group
+        if a is None and b is not None:  # a group: b is its operands, out its outputs
             (a, b), outs = b, out
-        val = None  # the local that holds the value built so far
-        if a is not None:
-            body.append(f"x = {pool(a)}")
-            val = "x"
-        if b is not None:
-            body += [
-                f"y = {pool(b)}",
-                f"if kinds[x] < {EPSILON} and kinds[y] < {EPSILON}:",
-                "    " + node("v", PRODUCT, "x", "y"),
-                "else:",
-                "    v = prod(x, y)",
-            ]
-            val = "v"
+        val = None if a is None else pool(a) if b is None else f"prod({pool(a)}, {pool(b)})"
         if outs is not None:
-            body.append(f"w = group(arena, {val}, {const(outs)}, k)")
-            val = "w"
+            val = f"group(arena, {val}, {const(outs)}, k)"
         elif out is not None:
-            body.append(node("n", SYMBOL, f"({const(out)}, k)", str(EMPTY)))
-            if val is not None:
-                body += [
-                    f"if kinds[{val}] < {EPSILON}:",
-                    "    " + node("w", PRODUCT, val, "n"),
-                    "else:",
-                    f"    w = prod({val}, n)",
-                ]
-            val = "w" if val is not None else "n"
+            leaf = f"add(({const(out)}, k))"
+            val = leaf if val is None else f"prod({val}, {leaf})"
         dst = f"t{tgt}"
-        if join:
-            body += [
-                f"s = {slots[tgt]}",
-                f"c = kinds[s]; d = kinds[{val}]",
-                f"if 0 < c < {EPSILON} and d < {EPSILON}:",
-                "    " + node(dst, UNION, "s", val),
-                f"elif c == {UNION} and 0 < d < {EPSILON}:",
-                "    " + node(dst, UNION, val, "s"),
-                "else:",
-                f"    {dst} = union(s, {val})",
-            ]
-        else:
-            body.append(f"{dst} = {val}")
+        body.append(f"{dst} = union({slots[tgt]}, {val})" if join else f"{dst} = {val}")
         slots[tgt] = dst
     head = "def step(h, k):" if split is None else "def step(u, h, k):"
     body.append(f"return [{', '.join(slots)}]")

@@ -594,7 +594,10 @@ class TestGeneratedStepsMatchReference(TestPlansMatchReference):
         for step in steps:
             code = step.__code__
             assert all(c is None or type(c) is int for c in code.co_consts), code.co_consts
-            assert set(code.co_names) <= set(step.__globals__) | {"len", "append"}, code.co_names
+            # the step names only what its namespace binds, and that
+            # holds no arena column: only the arena writes nodes
+            assert set(code.co_names) <= set(step.__globals__), code.co_names
+            assert not {"kinds", "lefts", "rights"} & set(step.__globals__)
 
 
 class TestSiblingOutputs:
@@ -651,6 +654,33 @@ class TestPlanCount:
             m = makers[i % 3](rng)
             doc = random_well_nested(rng, m.alphabet, rng.randint(0, 16))
             assert 0 <= preprocess(m, doc).stats.plans <= len(doc)
+
+    def test_compiles_only_plans_past_hot(self, monkeypatch):
+        # at the default HOT: the flat enum and scan shapes (no plan runs
+        # more than 39 times) compile nothing, a tree pass compiles some
+        # plans mid-pass, and its arena and totals are those of a pass
+        # that never compiles
+        sizes = []  # the arena's size at each compile
+        real = engine._compile
+
+        def compiled(plan, arena, split):
+            sizes.append(len(arena))
+            return real(plan, arena, split)
+
+        monkeypatch.setattr(engine, "_compile", compiled)
+        for doc in (_bench_doc(2_000, 40), _bench_doc(10_000, 10)):
+            assert preprocess(_bench_vpt(), doc).stats.plans > 0
+        assert sizes == []
+        tree = io_determinize(spanner.compile_vpeg(spanner.parse_vpeg(TREE_VPEG)))
+        doc = tree_document(random.Random(1), 4_000, 64)
+        got = preprocess(tree, doc)
+        assert sizes and sizes[-1] < len(got.arena)
+        compiles = len(sizes)
+        monkeypatch.setattr(engine, "HOT", len(doc) + 1)
+        ref = preprocess(tree, doc)
+        assert len(sizes) == compiles
+        assert _arena_nodes(got.arena) == _arena_nodes(ref.arena)
+        assert got.stats.totals() == ref.stats.totals()
 
     def test_repeated_steps_reuse_their_plan(self):
         # one state, so one key per table kind. A level's one slot is the
