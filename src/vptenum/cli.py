@@ -190,7 +190,7 @@ def cmd_run(args) -> int:
     vpt = engine.resolve_mode(vpt, _mode_of(args))
     with ExitStack() as stack:
         writer, observers = None, []
-        if args.stats:
+        if args.stats or args.stats_out:
             import csv
 
             dest = sys.stderr

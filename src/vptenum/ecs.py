@@ -13,16 +13,15 @@ language into one small int, ``label | case << 2``; five kinds occur:
 the epsilon-free ``UNION``, ``PRODUCT`` and ``SYMBOL`` (kind = label),
 ``EPS_LEAF`` and ``EPS_UNION_NODE`` (the epsilon-union form below).
 Union depth and epsilon-leaf reach are not stored: the operations only
-ask whether an operand is a union, and the inspectors that tests use
-derive the rest.
+ask whether an operand is a union.
 
 Three invariants make constant-delay enumeration possible and are
-maintained by construction here:
+maintained by construction here; a node's union depth is 0 on leaves
+and products, and 1 + that of its left child on unions:
 
-* 2-boundedness: every node's left union-depth to a depth-0 node is
-  at most 2.
+* 2-boundedness: every node's union depth is at most 2.
 * Safety of returned handles: public operations only ever return nodes
-  v with output_depth(v) <= 1, and output_depth(r(v)) <= 1 when v is a
+  v of depth at most 1, with r(v) of depth at most 1 when v is a
   union. Gadget-internal nodes may be deeper; they are never returned.
 * Epsilon discipline: a returned handle either has no epsilon in its
   language (and no epsilon leaf in its subgraph), is itself an epsilon
@@ -69,13 +68,12 @@ EMPTY = -1
 class EcsArena:
     """Node store. Handles are indices; ``EMPTY`` (= -1) is the empty set."""
 
-    __slots__ = ("kinds", "lefts", "rights", "_reach")
+    __slots__ = ("kinds", "lefts", "rights")
 
     def __init__(self) -> None:
         self.kinds: list[int] = []
         self.lefts: list = []  # left child, or a symbol leaf's payload
         self.rights: list[int] = []
-        self._reach: list[bool] = []  # epsilon-leaf reach, grown by is_safe only
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -115,7 +113,7 @@ class EcsArena:
         self.rights.append(right)
         return v
 
-    # -- inspection (tests, debugging; off the hot path) ----------------
+    # -- layout readers: what a kind and a leaf's slot hold --------------
 
     def label(self, v: int) -> int:
         return self.kinds[v] & 3
@@ -126,46 +124,6 @@ class EcsArena:
     def payload(self, v: int) -> tuple | None:
         """A symbol leaf's (out, k); None for every other node."""
         return self.lefts[v] if self.kinds[v] == SYMBOL else None
-
-    def output_depth(self, v: int) -> int:
-        """Left union-depth: 0 on leaves and products, 1 + depth(left) on unions."""
-        depth = 0
-        while self.kinds[v] & 3 == UNION:
-            depth += 1
-            v = self.lefts[v]
-        return depth
-
-    def contains_epsilon(self, v: int) -> bool:
-        return self.kinds[v] > EPSILON
-
-    def eps_leaf_reach(self, v: int) -> bool:
-        """Whether an epsilon leaf lies in v's subgraph."""
-        reach, kinds = self._reach, self.kinds
-        for u in range(len(reach), len(kinds)):
-            kind = kinds[u]
-            if kind == SYMBOL or kind == EPS_LEAF:
-                reach.append(kind == EPS_LEAF)
-            else:
-                reach.append(reach[self.lefts[u]] or reach[self.rights[u]])
-        return reach[v]
-
-    def is_safe(self, v: int) -> bool:
-        """The safety predicate union/prod operands must satisfy.
-
-        Structural part: output_depth(v) <= 1, and if it is 1 then
-        output_depth(r(v)) <= 1. Epsilon part: an epsilon-free subgraph
-        carries no epsilon leaf, and the right subgraph of an
-        epsilon-union node is epsilon-leaf-free.
-        """
-        d = self.output_depth(v)
-        if d > 1 or (d == 1 and self.output_depth(self.rights[v]) > 1):
-            return False
-        case = self.eps_case(v)
-        if case == NO_EPS:
-            return not self.eps_leaf_reach(v)
-        if case == EPS_UNION:
-            return not self.eps_leaf_reach(self.rights[v])
-        return True
 
     # -- union -------------------------------------------------------
 
@@ -259,34 +217,3 @@ class EcsArena:
         spliced = self._union(self.lefts[a], tail)
         mid = self._union(both, spliced)
         return self._union(self.lefts[v1], mid, EPS_UNION_NODE)
-
-    # -- debugging ---------------------------------------------------
-
-    def debug_language(self, v: int, limit: int = 10_000) -> frozenset:
-        """Materialize L(v) by recursion. Debug and small tests only."""
-        if v == EMPTY:
-            return frozenset()
-        memo: dict[int, frozenset] = {}
-
-        def walk(u: int) -> frozenset:
-            got = memo.get(u)
-            if got is not None:
-                return got
-            lab = self.label(u)
-            if lab == SYMBOL:
-                out = frozenset({(self.lefts[u],)})
-            elif lab == EPSILON:
-                out = frozenset({()})
-            elif lab == UNION:
-                out = walk(self.lefts[u]) | walk(self.rights[u])
-            else:
-                out = frozenset(
-                    x + y for x in walk(self.lefts[u]) for y in walk(self.rights[u])
-                )
-            if len(out) > limit:
-                raise ValueError("language too large to materialize")
-            memo[u] = out
-            return out
-
-        return walk(v)
-

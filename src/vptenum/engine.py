@@ -163,9 +163,9 @@ class Shapes:
 class EngineState:
     """Mutable pass state: the pair table, the frame stack, the arena.
 
-    The table is ``handles`` under the keys of shape ``shape``; each
-    stack entry is (summary shape id, handles, open position). ``table``
-    and ``frames`` materialize them as {key: handle} dicts."""
+    The table is ``handles`` under the keys of shape ``shape``, the i-th
+    handle that of the i-th key; each stack entry is (summary shape id,
+    handles, open position), its handles under the summary's keys."""
 
     arena: EcsArena
     shapes: Shapes
@@ -182,15 +182,6 @@ class EngineState:
         keys = tuple((q, q) for q in sorted(vpt.initial, key=stable_key))
         sid = shapes.intern(keys, (True,) * len(keys))
         return cls(arena, shapes, sid, [eps] * len(keys), [], eps)
-
-    @property
-    def table(self) -> dict:
-        return dict(zip(self.shapes.keys[self.shape], self.handles))
-
-    @property
-    def frames(self) -> list[dict]:
-        keys = self.shapes.keys
-        return [dict(zip(keys[sid], handles)) for sid, handles, _ in self.stack]
 
     def accepting(self, vpt: Vpt, stats: SymbolStats | None = None) -> int:
         """Fold the handles of the level's accepting slots into one,
@@ -590,19 +581,6 @@ def preprocess(
     root = state.accepting(vpt, stats.finalize)
     stats.add(stats.finalize)
     return PreprocessResult(arena=state.arena, root=root, stats=stats, length=k)
-
-
-def accepts(vpt: Vpt, tokens) -> bool:
-    """Whether an output-free vpt accepts the document, however
-    nondeterministic it is.
-
-    Without outputs every table handle is the single epsilon leaf or
-    EMPTY, so no union can join overlapping languages and the
-    unambiguity contract of ``preprocess`` cannot be broken; the pair
-    table is then the plain (origin, current) subset simulation.
-    Raises NestingError on documents that are not well nested.
-    """
-    return preprocess(vpt, tokens).root != EMPTY
 
 
 def resolve_mode(vpt: Vpt, mode: str) -> Vpt:

@@ -149,6 +149,11 @@ def serialize_vpt(vpt: Vpt) -> str:
         vpt.alphabet.closes,
         vpt.alphabet.neutrals,
     )
+    if "-" in vpt.output_symbols:
+        raise FormatError(
+            "output symbol '-' would read back as no output; this machine "
+            "cannot be written in the text format"
+        )
     lines = [
         "states: " + " ".join(sorted(vpt.states)),
         "initial: " + " ".join(sorted(vpt.initial)),

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterable, Iterator
 
-from vptenum.ecs import EcsArena, EMPTY
+from vptenum.ecs import EMPTY, EPS_UNION, EPSILON, IS_EPS, NO_EPS, PRODUCT, SYMBOL, UNION, EcsArena
 from vptenum.enumtree import Enumerator
-from vptenum.engine import EngineStats, NestingError, PreprocessResult, SymbolStats
+from vptenum.engine import EngineState, EngineStats, NestingError, PreprocessResult, SymbolStats, preprocess
 from vptenum.nested import (
     Span,
     StructuredAlphabet,
@@ -48,19 +48,6 @@ def serialize_token(token: Token) -> str:
 
 def serialize(tokens: Iterable[Token]) -> str:
     return " ".join(serialize_token(t) for t in tokens)
-
-
-def validate_nestedness(tokens: Iterable[Token]) -> bool:
-    """True iff opens and closes balance (any open pairs with any close)."""
-    depth = 0
-    for tok in tokens:
-        if tok.kind is TokenKind.OPEN:
-            depth += 1
-        elif tok.kind is TokenKind.CLOSE:
-            if depth == 0:
-                return False
-            depth -= 1
-    return depth == 0
 
 
 def well_nested_words(alphabet: StructuredAlphabet, max_len: int) -> list[tuple[Token, ...]]:
@@ -104,7 +91,8 @@ def enumerate_words(arena: EcsArena, v: int) -> Iterator[OutputWord]:
 
 # ---------------------------------------------------------------- spans
 
-def is_well_nested(tokens) -> bool:
+def is_well_nested(tokens: Iterable[Token]) -> bool:
+    """True iff opens and closes balance (any open pairs with any close)."""
     depth = 0
     for tok in tokens:
         if tok.kind == TokenKind.OPEN:
@@ -228,6 +216,71 @@ def tokenize_by_chars(text, alphabet: StructuredAlphabet):
         yield token()
 
 
+# ------------------------------------------------- arena inspectors
+
+def output_depth(arena: EcsArena, v: int) -> int:
+    """Left union depth: 0 on leaves and products, 1 + that of the left
+    child on unions."""
+    depth = 0
+    while arena.label(v) == UNION:
+        depth += 1
+        v = arena.lefts[v]
+    return depth
+
+
+def eps_leaf_reach(arena: EcsArena, v: int, reach: list) -> bool:
+    """Whether an epsilon leaf lies in v's subgraph. ``reach`` holds the
+    answer of every node met so far and is first grown to the whole
+    arena, so asking after each operation costs O(1) per new node."""
+    for u in range(len(reach), len(arena)):
+        lab = arena.label(u)
+        if lab == UNION or lab == PRODUCT:
+            reach.append(reach[arena.lefts[u]] or reach[arena.rights[u]])
+        else:
+            reach.append(lab == EPSILON)
+    return reach[v]
+
+
+def is_safe(arena: EcsArena, v: int, reach: list | None = None) -> bool:
+    """The safety predicate union/prod operands must satisfy: v's depth
+    is at most 1, and so is its right child's if v is a union; an
+    epsilon-free subgraph, and an epsilon union's right subgraph, carry
+    no epsilon leaf. ``reach`` is as for eps_leaf_reach, or fresh."""
+    reach = [] if reach is None else reach
+    d = output_depth(arena, v)
+    if d > 1 or (d == 1 and output_depth(arena, arena.rights[v]) > 1):
+        return False
+    case = arena.eps_case(v)
+    if case == NO_EPS:
+        return not eps_leaf_reach(arena, v, reach)
+    if case == EPS_UNION:
+        return not eps_leaf_reach(arena, arena.rights[v], reach)
+    return True
+
+
+def language(arena: EcsArena, v: int) -> frozenset:
+    """L(v) by recursion over the arena; refused past 10 000 words at any node."""
+    memo = {EMPTY: frozenset()}
+
+    def walk(u: int) -> frozenset:
+        if u not in memo:
+            lab = arena.label(u)
+            if lab == SYMBOL:
+                out = frozenset({(arena.payload(u),)})
+            elif lab == EPSILON:
+                out = frozenset({()})
+            elif lab == UNION:
+                out = walk(arena.lefts[u]) | walk(arena.rights[u])
+            else:
+                out = frozenset(x + y for x in walk(arena.lefts[u]) for y in walk(arena.rights[u]))
+            if len(out) > 10_000:
+                raise ValueError("language too large to materialize")
+            memo[u] = out
+        return memo[u]
+
+    return walk(v)
+
+
 # ------------------------------------------------- shadow model for ECS
 
 class ShadowEcs:
@@ -289,18 +342,11 @@ def union_of_unions(n: int) -> tuple[EcsArena, int]:
 
 
 def check_node_shape(arena: EcsArena, v: int) -> None:
-    """2-boundedness of v under the library's depth bookkeeping recomputed
-    from scratch (no trust in the arena's own inspectors)."""
-    from vptenum.ecs import UNION
-
-    def depth(u):
-        if arena.label(u) != UNION:
-            return 0
-        return depth(arena.lefts[u]) + 1
-
-    assert depth(v) <= 2, f"node {v} has union depth {depth(v)}"
+    """2-boundedness of v and, if v is a union, of its right child."""
+    depth = output_depth(arena, v)
+    assert depth <= 2, f"node {v} has union depth {depth}"
     if arena.label(v) == UNION:
-        assert depth(arena.rights[v]) <= 2
+        assert output_depth(arena, arena.rights[v]) <= 2
 
 
 # ----------------------------------------------- randomized ECS op suite
@@ -326,42 +372,29 @@ class EcsOpSuite:
         self.ops_done = 0
         self.lang_every = lang_every
         self.enum_every = enum_every
-        self._ref_depth: list[int] = []
-        self._ref_reach: list[bool] = []
+        self._reach: list[bool] = []  # see eps_leaf_reach
         self._ref_case: list[int] = []
         self._payload_counter = 0
 
-    # recomputed-from-scratch columns, grown lazily
+    # the epsilon case of every node recomputed from its children, grown lazily
     def _grow_refs(self) -> None:
-        from vptenum.ecs import EPS_UNION, EPSILON, IS_EPS, NO_EPS, PRODUCT, UNION
-
-        a = self.arena
-        other = 3  # epsilon in some shape the discipline forbids
-        while len(self._ref_depth) < len(a):
-            v = len(self._ref_depth)
+        a, case = self.arena, self._ref_case
+        for v in range(len(case), len(a)):
             lab = a.label(v)
-            if lab in (UNION, PRODUCT):
-                left, right = a.lefts[v], a.rights[v]
-                d = 1 + self._ref_depth[left] if lab == UNION else 0
-                r = self._ref_reach[left] or self._ref_reach[right]
-                cl, cr = self._ref_case[left], self._ref_case[right]
-                if lab == UNION:
-                    has_eps = cl != NO_EPS or cr != NO_EPS
-                else:
-                    has_eps = cl != NO_EPS and cr != NO_EPS
-                if not has_eps:
-                    c = NO_EPS
-                elif lab == UNION and a.label(left) == EPSILON and cr == NO_EPS:
-                    c = EPS_UNION
-                else:
-                    c = other
-            elif lab == EPSILON:
-                d, r, c = 0, True, IS_EPS
+            if lab == SYMBOL or lab == EPSILON:
+                case.append(IS_EPS if lab == EPSILON else NO_EPS)
+                continue
+            cl, cr = case[a.lefts[v]], case[a.rights[v]]
+            if lab == UNION:
+                has_eps = cl != NO_EPS or cr != NO_EPS
             else:
-                d, r, c = 0, False, NO_EPS
-            self._ref_depth.append(d)
-            self._ref_reach.append(r)
-            self._ref_case.append(c)
+                has_eps = cl != NO_EPS and cr != NO_EPS
+            if not has_eps:
+                case.append(NO_EPS)
+            elif lab == UNION and cl == IS_EPS and cr == NO_EPS:
+                case.append(EPS_UNION)
+            else:
+                case.append(3)  # epsilon in some shape the discipline forbids
 
     def _pick_union_pair(self):
         for _ in range(8):
@@ -425,23 +458,21 @@ class EcsOpSuite:
         self._grow_refs()
         a = self.arena
         for u in range(before, len(a)):
-            assert self._ref_depth[u] <= 2, f"node {u} breaks 2-boundedness"
-            assert self._ref_depth[u] == a.output_depth(u), f"union depth wrong at {u}"
-            assert self._ref_reach[u] == a.eps_leaf_reach(u), f"eps reach wrong at {u}"
+            assert output_depth(a, u) <= 2, f"node {u} breaks 2-boundedness"
             assert self._ref_case[u] == a.eps_case(u), f"eps case wrong at {u}"
         if v != EMPTY:
-            assert a.is_safe(v), f"public handle {v} not safe"
-            assert a.contains_epsilon(v) == (() in self.shadow.langs[v])
+            assert is_safe(a, v, self._reach), f"public handle {v} not safe"
+            assert (a.eps_case(v) != NO_EPS) == (() in self.shadow.langs[v])
             self.pool.append(v)
             if len(self.pool) > 300:
                 del self.pool[: len(self.pool) - 300]
 
         if self.ops_done % self.lang_every == 0 and self.pool:
             w = rng.choice(self.pool)
-            assert a.debug_language(w) == self.shadow.langs[w]
+            assert language(a, w) == self.shadow.langs[w]
             self.snapshots.append((w, self.shadow.langs[w]))
             old, lang = rng.choice(self.snapshots)
-            assert a.debug_language(old) == lang, "persistence violated"
+            assert language(a, old) == lang, "persistence violated"
         if self.ops_done % self.enum_every == 0 and self.pool:
             self._check_enumeration(rng.choice(self.pool))
 
@@ -770,27 +801,53 @@ class SymbolRecords(list):
         self.append(counts)
 
 
+def table_of(state: EngineState) -> dict:
+    """The pair table of an engine state as a {key: handle} dict."""
+    return dict(zip(state.shapes.keys[state.shape], state.handles))
+
+
+def frames_of(state: EngineState) -> list[dict]:
+    """The frame stack of an engine state, bottom first, as {key: handle} dicts."""
+    keys = state.shapes.keys
+    return [dict(zip(keys[sid], handles)) for sid, handles, _ in state.stack]
+
+
+def engine_view(state: EngineState) -> tuple[dict, list[dict]]:
+    """(pair table, frames) of an engine state, as fresh dicts."""
+    return table_of(state), frames_of(state)
+
+
+def accepts(vpt: Vpt, tokens) -> bool:
+    """Whether an output-free vpt accepts the document, however
+    nondeterministic it is: every handle is then the epsilon leaf, so
+    no union breaks the unambiguity contract of ``preprocess``, and the
+    pair table is the plain (origin, current) subset simulation."""
+    return preprocess(vpt, tokens).root != EMPTY
+
+
 class Snapshots(list):
     """(table copy, list of frame copies) before the first token, taken
-    from the initial state, and after every token."""
+    from the initial state, and after every token, as ``view`` reads them."""
 
-    def __init__(self, initial):
+    def __init__(self, initial, view=engine_view):
         super().__init__()
+        self.view = view
         self(0, initial, None)
 
     def __call__(self, k, state, counts) -> None:
-        self.append((dict(state.table), [dict(f) for f in state.frames]))
+        self.append(self.view(state))
 
 
 class Checkpoints(list):
     """(position, depth, handle of the accepting slots) after every token."""
 
-    def __init__(self, vpt: Vpt):
+    def __init__(self, vpt: Vpt, view=engine_view):
         super().__init__()
         self.vpt = vpt
+        self.view = view
 
     def __call__(self, k, state, counts) -> None:
-        self.append((k, len(state.frames), state.accepting(self.vpt)))
+        self.append((k, len(self.view(state)[1]), state.accepting(self.vpt)))
 
 
 # ------------------------------------------- engine table invariants
@@ -817,8 +874,6 @@ def check_state_invariants(vpt: Vpt, tokens) -> None:
     only (a dead inner level kills prefix runs but not the frame).
     Assumes an I/O-deterministic vpt so entries are duplicate-free.
     """
-    from vptenum.engine import EngineState, preprocess
-
     toks = list(tokens)
     trace = Snapshots(EngineState.initial(vpt))
     res = preprocess(vpt, toks, trace)
@@ -885,6 +940,11 @@ class ReferenceState:
                 stats.scans += 1
         stats.nodes_added += len(arena) - before
         return root
+
+
+def reference_view(state: ReferenceState) -> tuple[dict, list[dict]]:
+    """(pair table, frames) of a reference state, as copies."""
+    return dict(state.table), [dict(f) for f in state.frames]
 
 
 # Each step takes its letter's row of the transition index and returns

@@ -14,6 +14,7 @@ from oracle_helpers import (
     EcsOpSuite,
     PullCounter,
     SymbolRecords,
+    accepts,
     check_state_invariants,
     contract_word,
     expand_document,
@@ -31,7 +32,6 @@ from oracle_helpers import (
 )
 from vptenum import engine
 from vptenum.cli import _bench_doc, _bench_vpt
-from vptenum.engine import accepts
 from vptenum.enumtree import Enumerator
 from vptenum.nested import StructuredAlphabet
 from vptenum.spanner import evaluate_spanner, to_evpa

@@ -226,6 +226,18 @@ class TestRun:
                 assert int(row[6]) >= 1  # delay steps
                 assert int(row[7]) in (0, 2)  # ε or two emissions
 
+    def test_stats_out_alone_writes_the_csv(self, capsys, files, tmp_path):
+        t = files("m.vpt", CHOICE_VPT)
+        d = files("d.txt", "<r b b r>")
+        argv = ["run", "-t", t, "-d", d, "--stats-out"]
+        alone = run_main(capsys, [*argv, str(tmp_path / "alone.csv")])
+        both = run_main(capsys, [*argv, str(tmp_path / "both.csv"), "--stats"])
+        assert alone == both
+        assert alone[2] == []  # nothing on stderr
+        text = (tmp_path / "alone.csv").read_text(encoding="utf-8")
+        assert text.startswith("record,index,")
+        assert text == (tmp_path / "both.csv").read_text(encoding="utf-8")
+
     def test_stats_default_to_stderr(self, capsys, files):
         t = files("m.vpt", CHOICE_VPT)
         d = files("d.txt", "<r b r>")

@@ -5,6 +5,7 @@ import pytest
 from vptenum.ecs import (
     EMPTY,
     EPS_UNION,
+    EPS_UNION_NODE,
     EPSILON,
     IS_EPS,
     NO_EPS,
@@ -14,11 +15,8 @@ from vptenum.ecs import (
     EcsArena,
 )
 
-from oracle_helpers import EcsOpSuite, ShadowEcs, check_node_shape
-
-
-def lang(arena, v):
-    return arena.debug_language(v)
+from oracle_helpers import EcsOpSuite, ShadowEcs, check_node_shape, is_safe, language, output_depth
+from test_vpt import marker_vpt
 
 
 def w(*payloads):
@@ -33,23 +31,23 @@ class TestLeaves:
         assert len(a) == 1
         assert a.label(v) == SYMBOL
         assert a.payload(v) == ("o", 1)
-        assert lang(a, v) == {w(("o", 1))}
-        assert a.output_depth(v) == 0
+        assert language(a, v) == {w(("o", 1))}
+        assert output_depth(a, v) == 0
         assert a.eps_case(v) == NO_EPS
-        assert a.is_safe(v)
+        assert is_safe(a, v)
 
     def test_epsilon(self):
         a = EcsArena()
         v = a.epsilon_node()
         assert len(a) == 1
         assert a.label(v) == EPSILON
-        assert lang(a, v) == {()}
+        assert language(a, v) == {()}
         assert a.eps_case(v) == IS_EPS
-        assert a.is_safe(v)
+        assert is_safe(a, v)
 
     def test_empty_sentinel(self):
         a = EcsArena()
-        assert lang(a, EMPTY) == frozenset()
+        assert language(a, EMPTY) == frozenset()
 
 
 class TestUnionGadgets:
@@ -60,9 +58,9 @@ class TestUnionGadgets:
         u = a.union(x, y)
         assert len(a) == 3
         assert a.label(u) == UNION
-        assert lang(a, u) == {w(("o", 1)), w(("p", 1))}
-        assert a.output_depth(u) == 1
-        assert a.is_safe(u)
+        assert language(a, u) == {w(("o", 1)), w(("p", 1))}
+        assert output_depth(a, u) == 1
+        assert is_safe(a, u)
         check_node_shape(a, u)
 
     def test_union_of_unions_three_nodes(self):
@@ -73,10 +71,10 @@ class TestUnionGadgets:
         assert len(a) == 6
         top = a.union(u1, u2)
         assert len(a) == 9, "deep-deep union is the 3-node gadget"
-        assert lang(a, top) == {w((s, 1)) for s in "opqr"}
-        assert a.is_safe(top)
+        assert language(a, top) == {w((s, 1)) for s in "opqr"}
+        assert is_safe(a, top)
         for v in range(len(a)):
-            assert a.output_depth(v) <= 2
+            assert output_depth(a, v) <= 2
 
     def test_shallow_deep_orientations(self):
         a = EcsArena()
@@ -85,14 +83,14 @@ class TestUnionGadgets:
         before = len(a)
         left_shallow = a.union(x, u)
         assert len(a) == before + 1
-        assert a.output_depth(left_shallow) == 1
-        assert a.is_safe(left_shallow)
+        assert output_depth(a, left_shallow) == 1
+        assert is_safe(a, left_shallow)
         y = a.add(("r", 1))
         before = len(a)
         right_shallow = a.union(u, y)
         assert len(a) == before + 1
-        assert a.is_safe(right_shallow)
-        assert lang(a, right_shallow) == {w(("p", 1)), w(("q", 1)), w(("r", 1))}
+        assert is_safe(a, right_shallow)
+        assert language(a, right_shallow) == {w(("p", 1)), w(("q", 1)), w(("r", 1))}
 
     def test_empty_identity(self):
         a = EcsArena()
@@ -109,12 +107,12 @@ class TestUnionGadgets:
         ex = a.union(e, x)  # eps-union shape
         assert a.eps_case(ex) == EPS_UNION
         assert a.lefts[ex] == e and a.rights[ex] == x
-        assert lang(a, ex) == {(), w(("o", 1))}
+        assert language(a, ex) == {(), w(("o", 1))}
         # NO_EPS | EPS_UNION keeps the eps leaf on the left
         u = a.union(y, ex)
         assert a.eps_case(u) == EPS_UNION
-        assert lang(a, u) == {(), w(("o", 1)), w(("p", 1))}
-        assert a.is_safe(u)
+        assert language(a, u) == {(), w(("o", 1)), w(("p", 1))}
+        assert is_safe(a, u)
         # eps | eps collapses
         assert a.union(e, a.epsilon_node()) == e
         # EPS_UNION | IS_EPS is the identity on the eps-union operand
@@ -126,9 +124,9 @@ class TestUnionGadgets:
         ex = a.union(e, a.add(("o", 1)))
         ey = a.union(e, a.add(("p", 1)))
         u = a.union(ex, ey)
-        assert lang(a, u) == {(), w(("o", 1)), w(("p", 1))}
+        assert language(a, u) == {(), w(("o", 1)), w(("p", 1))}
         assert a.eps_case(u) == EPS_UNION
-        assert a.is_safe(u)
+        assert is_safe(a, u)
 
 
 class TestProdGadgets:
@@ -139,8 +137,8 @@ class TestProdGadgets:
         p = a.prod(x, y)
         assert len(a) == 3
         assert a.label(p) == PRODUCT
-        assert lang(a, p) == {w(("o", 1), ("p", 2))}
-        assert a.is_safe(p)
+        assert language(a, p) == {w(("o", 1), ("p", 2))}
+        assert is_safe(a, p)
 
     def test_empty_absorbs(self):
         a = EcsArena()
@@ -164,12 +162,12 @@ class TestProdGadgets:
         before = len(a)
         p = a.prod(x, ey)
         assert len(a) - before == 2
-        assert lang(a, p) == {w(("o", 1)), w(("o", 1), ("p", 2))}
+        assert language(a, p) == {w(("o", 1)), w(("o", 1), ("p", 2))}
         assert a.eps_case(p) == NO_EPS
-        assert a.is_safe(p)
+        assert is_safe(a, p)
         p2 = a.prod(ey, x)
-        assert lang(a, p2) == {w(("p", 2), ("o", 1)), w(("o", 1))}
-        assert a.is_safe(p2)
+        assert language(a, p2) == {w(("p", 2), ("o", 1)), w(("o", 1))}
+        assert is_safe(a, p2)
 
     def test_both_eps_union_five_nodes(self):
         a = EcsArena()
@@ -179,16 +177,16 @@ class TestProdGadgets:
         before = len(a)
         p = a.prod(ex, ey)
         assert len(a) - before == 5
-        assert lang(a, p) == {
+        assert language(a, p) == {
             (),
             w(("o", 1)),
             w(("q", 2)),
             w(("o", 1), ("q", 2)),
         }
         assert a.eps_case(p) == EPS_UNION
-        assert a.is_safe(p)
+        assert is_safe(a, p)
         for v in range(len(a)):
-            assert a.output_depth(v) <= 2
+            assert output_depth(a, v) <= 2
 
     def test_both_eps_union_deep_left(self):
         # r(v1) is itself a union: exercises the decomposed wiring
@@ -200,7 +198,7 @@ class TestProdGadgets:
         before = len(a)
         p = a.prod(ex, ey)
         assert len(a) - before == 5
-        assert lang(a, p) == {
+        assert language(a, p) == {
             (),
             w(("s", 1)),
             w(("t", 1)),
@@ -208,9 +206,9 @@ class TestProdGadgets:
             w(("s", 1), ("y", 2)),
             w(("t", 1), ("y", 2)),
         }
-        assert a.is_safe(p)
+        assert is_safe(a, p)
         for v in range(len(a)):
-            assert a.output_depth(v) <= 2
+            assert output_depth(a, v) <= 2
 
 
 class TestPersistence:
@@ -219,13 +217,13 @@ class TestPersistence:
         sh = ShadowEcs(a)
         x = sh.add(("o", 1))
         u = sh.union(x, sh.add(("p", 1)))
-        snap = lang(a, u)
+        snap = language(a, u)
         for i in range(40):
             nxt = sh.add((f"n{i}", i))
             if sh.union_ok(u, nxt):
                 u2 = sh.union(u, nxt)
-                assert lang(a, u2) == sh.langs[u2]
-        assert lang(a, u) == snap, "old handle changed meaning"
+                assert language(a, u2) == sh.langs[u2]
+        assert language(a, u) == snap, "old handle changed meaning"
 
 
 class TestRandomSuite:
@@ -242,3 +240,25 @@ class TestRandomSuite:
         x = a.add(("o", 1))
         with pytest.raises(IndexError):
             a.union(x, 99)
+
+
+class TestRefusals:
+    def test_unsafe_shapes_and_unknown_attribute(self):
+        # only the private constructors build these; no operation returns them
+        a = EcsArena()
+        e = a.epsilon_node()
+        x, y, z, t = (a.add((s, 1)) for s in "xyzt")
+        deep = a._union(a._union(x, y), z)  # left union depth 2
+        over_deep = a._union(t, deep)  # depth 1 over a right child of depth 2
+        eps_below = a._product(x, e)  # an epsilon-free product over the epsilon leaf
+        eps_right = a._union(e, eps_below, EPS_UNION_NODE)  # its right subgraph reaches e
+        assert (output_depth(a, deep), output_depth(a, over_deep)) == (2, 1)
+        for v in (deep, over_deep, eps_below, eps_right):
+            assert not is_safe(a, v), v
+        assert all(is_safe(a, v) for v in (e, x, a.lefts[deep]))
+        # a failed lookup on a machine raises, and builds none of the
+        # transition indexes that looking one of them up builds
+        m = marker_vpt()
+        assert not hasattr(m, "nope")
+        assert not vars(m).keys() & {"open_index", "close_index", "neutral_index"}
+        assert m.open_index is vars(m)["open_index"]

@@ -17,7 +17,6 @@ from vptenum.engine import (
     NestingError,
     SymbolError,
     SymbolStats,
-    accepts,
     evaluate,
     preprocess,
     resolve_mode,
@@ -32,8 +31,10 @@ from oracle_helpers import (
     Snapshots,
     SymbolRecords,
     TREE_VPEG,
+    accepts,
     brackets,
     check_state_invariants,
+    engine_view,
     enumerate_words,
     random_det_vpt,
     random_machines,
@@ -41,6 +42,7 @@ from oracle_helpers import (
     random_vpa,
     random_well_nested,
     reference_preprocess,
+    reference_view,
     tok_close,
     tok_neutral,
     tok_open,
@@ -51,7 +53,6 @@ from test_vpt import ALPH, choice_vpt, dyck_vpa, marker_vpt, single_bracket_vpa
 
 def lang(arena, v):
     return frozenset(enumerate_words(arena, v))
-
 
 def three_state_marker() -> Vpt:
     # accepts exactly "<a a>", output o on the open
@@ -368,9 +369,9 @@ def _outcome(run, vpt, doc, observer):
         return None, (type(err), str(err))
 
 
-def _recorders(vpt, initial):
+def _recorders(vpt, initial, view):
     """Per-token counts, snapshots and checkpoints, and one observer for all three."""
-    records = (SymbolRecords(), Snapshots(initial), Checkpoints(vpt))
+    records = (SymbolRecords(), Snapshots(initial, view), Checkpoints(vpt, view))
 
     def observe(k, state, counts):
         for record in records:
@@ -434,8 +435,8 @@ class TestPlansMatchReference:
             got_records = ref_records = None
             got_observer = ref_observer = None
             if recording:
-                got_records, got_observer = _recorders(vpt, EngineState.initial(vpt))
-                ref_records, ref_observer = _recorders(vpt, ReferenceState.initial(vpt))
+                got_records, got_observer = _recorders(vpt, EngineState.initial(vpt), engine_view)
+                ref_records, ref_observer = _recorders(vpt, ReferenceState.initial(vpt), reference_view)
             got, got_err = _outcome(preprocess, vpt, doc, got_observer)
             ref, ref_err = _outcome(reference_preprocess, vpt, doc, ref_observer)
             assert got_err == ref_err

@@ -1,6 +1,7 @@
 """Text format for machines: parsing, serialization, diagnostics."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,22 @@ from vptenum.formats import FormatError, parse_vpt, serialize_vpt
 from vptenum.spanner import compile_vpeg, parse_vpeg
 from vptenum.nested import StructuredAlphabet
 from vptenum.vpt import Vpt
+
+
+def one_state(q) -> Vpt:
+    """A machine with the one state q, initial and final, and nothing else."""
+    none = frozenset()
+    return Vpt(
+        states=frozenset({q}),
+        alphabet=StructuredAlphabet(opens=none, closes=none, neutrals=none),
+        stack_symbols=none,
+        output_symbols=none,
+        opens=none,
+        closes=none,
+        neutrals=none,
+        initial=frozenset({q}),
+        final=frozenset({q}),
+    )
 
 VPT_TEXT = """\
 states: q0 q1 qf
@@ -192,36 +209,22 @@ class TestSerialize:
         with pytest.raises(FormatError, match="not a plain word"):
             serialize_vpt(vpt)
 
-    def test_tuple_state_cannot_serialize(self):
-        vpa = Vpt(
-            states=frozenset({("q", 0)}),
-            alphabet=StructuredAlphabet(
-                opens=frozenset(), closes=frozenset(), neutrals=frozenset()
-            ),
-            stack_symbols=frozenset(),
-            output_symbols=frozenset(),
-            opens=frozenset(),
-            closes=frozenset(),
-            neutrals=frozenset(),
-            initial=frozenset({("q", 0)}),
-            final=frozenset({("q", 0)}),
+    def test_dash_output_cannot_serialize(self):
+        # `out -` is the no-output mark, so an output named `-` would come
+        # back as a silent step
+        vpt = replace(
+            one_state("q"),
+            alphabet=StructuredAlphabet(opens=frozenset(), closes=frozenset(), neutrals=frozenset({"c"})),
+            output_symbols=frozenset({"-"}),
+            neutrals=frozenset({("q", "c", "-", "q")}),
         )
+        with pytest.raises(FormatError, match="output symbol '-' would read back as no output"):
+            serialize_vpt(vpt)
+
+    def test_tuple_state_cannot_serialize(self):
         with pytest.raises(FormatError, match="not a plain word"):
-            serialize_vpt(vpa)
+            serialize_vpt(one_state(("q", 0)))
 
     def test_space_in_symbol_cannot_serialize(self):
-        vpa = Vpt(
-            states=frozenset({"q 0"}),
-            alphabet=StructuredAlphabet(
-                opens=frozenset(), closes=frozenset(), neutrals=frozenset()
-            ),
-            stack_symbols=frozenset(),
-            output_symbols=frozenset(),
-            opens=frozenset(),
-            closes=frozenset(),
-            neutrals=frozenset(),
-            initial=frozenset({"q 0"}),
-            final=frozenset({"q 0"}),
-        )
         with pytest.raises(FormatError, match="not a plain word"):
-            serialize_vpt(vpa)
+            serialize_vpt(one_state("q 0"))

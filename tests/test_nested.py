@@ -32,7 +32,6 @@ from oracle_helpers import (
     tok_neutral,
     tok_open,
     tokenize_by_chars,
-    validate_nestedness,
     well_nested_words,
 )
 
@@ -168,20 +167,6 @@ def _random_text(rng: random.Random) -> str:
     return "".join(parts)
 
 
-def _outcome(source):
-    try:
-        return list(tokenize(source, ALPH))
-    except TokenizeError as exc:
-        return ("error", str(exc))
-
-
-def _reference(text):
-    try:
-        return list(tokenize_by_chars(text, ALPH))
-    except TokenizeError as exc:
-        return ("error", str(exc))
-
-
 def _prefix_and_error(tokens):
     """The tokens that come out, and the error message after them or None."""
     got = []
@@ -272,16 +257,16 @@ class TestTokenizeAgainstCharLoop:
         rng = random.Random(2010_06037 + block)
         for _ in range(300):
             text = _random_text(rng)
-            want = _reference(text)
-            assert _outcome(text) == want, repr(text)
-            assert _outcome(io.StringIO(text)) == want, repr(text)
+            want = _prefix_and_error(tokenize_by_chars(text, ALPH))
+            assert _prefix_and_error(tokenize(text, ALPH)) == want, repr(text)
+            assert _prefix_and_error(tokenize(io.StringIO(text), ALPH)) == want, repr(text)
             for cut in range(len(text) + 1):
                 chunks = iter([text[:cut], text[cut:]])
-                assert _outcome(chunks) == want, (repr(text), cut)
+                assert _prefix_and_error(tokenize(chunks, ALPH)) == want, (repr(text), cut)
 
     def test_reference_errors_carry_positions(self):
-        assert _reference("c\n\r\n  <b> c") == (
-            "error",
+        assert _prefix_and_error(tokenize_by_chars("c\n\r\n  <b> c", ALPH)) == (
+            [tok_neutral("c")],
             "malformed token '<b>' at token 2, line 3:3",
         )
 
@@ -304,12 +289,12 @@ class TestTokenizeAgainstCharLoop:
 
 class TestNestedness:
     def test_validate(self):
-        assert validate_nestedness(brackets("(()(()))"))
-        assert validate_nestedness([])
-        assert not validate_nestedness(brackets("(()"))
-        assert not validate_nestedness(brackets(")("))
+        assert is_well_nested(brackets("(()(()))"))
+        assert is_well_nested([])
+        assert not is_well_nested(brackets("(()"))
+        assert not is_well_nested(brackets(")("))
         # mismatched names still nest: any open pairs with any close
-        assert validate_nestedness(list(tokenize("<a b>", ALPH)))
+        assert is_well_nested(list(tokenize("<a b>", ALPH)))
 
 
 class TestSpans:

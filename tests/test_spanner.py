@@ -11,6 +11,7 @@ import pytest
 
 from oracle_helpers import (
     TREE_VPEG,
+    accepts,
     enumerate_refwords,
     grammar_mappings,
     markers_as_letters,
@@ -26,7 +27,7 @@ from oracle_helpers import (
     tok_open,
     well_nested_words,
 )
-from vptenum.engine import NestingError, accepts
+from vptenum.engine import NestingError
 from vptenum.nested import Span
 from vptenum.spanner import (
     END_MARKER,

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from vptenum import formats, spanner
-from vptenum.engine import EngineState, accepts
+from vptenum.engine import EngineState
 from vptenum.nested import StructuredAlphabet
 from vptenum.vpt import (
     ResourceCapError,
@@ -21,12 +21,14 @@ from vptenum.vpt import (
 from oracle_helpers import (
     Run,
     TREE_VPEG,
+    accepts,
     brackets,
     enumerate_runs,
     out_of_run,
     random_det_vpt,
     random_nondet_vpt,
     random_vpa,
+    table_of,
     tok_neutral,
     well_nested_pairs,
     well_nested_words,
@@ -262,7 +264,7 @@ class TestStableOrder:
         assert [out for out, _, _ in row[::4]] == ["o", None, frozenset({"⊢x"}), sets[0]]
         assert row[:4] == [("o", "q", "X"), ("o", "q", "Y"), ("o", ("q", 1), "X"), ("o", ("q", 1), "Y")]
         assert m.neutral_index["c"]["q"] == [(None, ("q", 0)), (None, ("q", 1))]
-        assert list(EngineState.initial(m).table) == [("q", "q"), (("q", 0), ("q", 0))]
+        assert list(table_of(EngineState.initial(m))) == [("q", "q"), (("q", 0), ("q", 0))]
 
     def test_key_of_a_set_is_the_sorted_keys_of_its_members(self):
         a = frozenset({"⊢x", "⊣x", ("q", None)})
