@@ -34,11 +34,11 @@ letter) for neutrals and opens and by (summary shape, shape, letter)
 for closes: the lazy subset construction of on-the-fly DFA matchers,
 applied to the level summaries.
 
-Compiled steps. A plan first runs generically: an ``itemgetter``
-gather, then a loop that dispatches on each work instruction. Once it
-has run HOT times, its gather and work are generated as one Python
-function, compiled once and kept with the plan, as Thompson (CACM 1968)
-compiled a regular expression to machine code. Each work instruction
+Compiled steps. A plan first runs generically: a gather of ``take``,
+then a loop over the work instructions. Once it has run HOT times, its
+gather and work are generated as one Python function, compiled once and
+kept with the plan, as Thompson (CACM 1968) compiled a regular
+expression to machine code. Each work instruction
 becomes one assignment that calls the arena's ``add``, ``prod`` and
 ``union`` (or ``_group``) as the generic run does, so only ``ecs``
 writes nodes and the nodes and their order are those of the generic
@@ -61,9 +61,10 @@ arena's own O(work).
 Identity runs. A neutral step whose plan keeps the table as it is
 leaves the shape unchanged, so the same token right after it finds the
 same plan and again changes nothing. Without an observer, each repeat
-of that token object costs one identity test, and the plan's counts are
-added once per run, times the run's length, when another token or the
-end arrives. The tokenizer hands out one object per distinct word, so a
+of that token object costs one identity test, and the run's length is
+added to the plan's run count when another token or the end arrives.
+The pass's totals are each plan's counts times its runs, summed once
+at the end. The tokenizer hands out one object per distinct word, so a
 long stretch of padding costs O(1) Python work per run, not per token.
 Equal tokens that are distinct objects take the step each time.
 
@@ -81,13 +82,12 @@ kept; arena nodes it adds (an ``accepting`` fold) count for no token.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from vptenum.ecs import EMPTY, EcsArena
-from vptenum.enumtree import Enumerator, OutputWord
+from vptenum.enumtree import Enumerator
 from vptenum.nested import StructuredAlphabet, TokenKind
-from vptenum.vpt import NO_MOVES, Vpt, is_io_deterministic, io_determinize, stable_key
+from vptenum.vpt import NO_MOVES, OutputWord, Vpt, is_io_deterministic, io_determinize, stable_key
 
 OPEN, NEUTRAL = TokenKind.OPEN, TokenKind.NEUTRAL
 
@@ -204,20 +204,18 @@ class EngineState:
 
 class Plan:
     """One compiled step over a *pool* of handles: the table, or for a
-    close the summary's handles followed by the level's. ``gather``
-    picks the target's handles out of the pool, slot i taking
-    pool[take[i]] (gather None: a neutral keeps the table as it is),
-    then ``work`` runs. An open's target is the summary it pushes; its
-    new level is ``seed_width`` epsilon handles of shape ``seed``.
-    ``runs`` counts the plan's generic runs and ``step`` is its
+    close the summary's handles followed by the level's. Target slot i
+    takes pool[take[i]], then ``work`` runs; take None marks a neutral
+    that keeps the table as it is. An open's target is the summary it
+    pushes; its new level is ``seed_width`` epsilon handles of shape
+    ``seed``. ``runs`` counts the plan's uses so far, and ``step`` is its
     generated function, once it has one (see _compile)."""
 
-    __slots__ = ("gather", "take", "work", "shape", "counts", "seed", "seed_width", "runs", "step")
+    __slots__ = ("take", "work", "shape", "counts", "seed", "seed_width", "runs", "step")
 
     def __init__(self, take: list, work: tuple, shape: int, counts: tuple, seed: int = -1, seed_width: int = 0):
-        self.gather: Callable | None = _gatherer(take)
-        self.take = tuple(take)
-        self.work = work  # (a, b, out, tgt, join), or a group (None, (a, b), outs, tgt, join): see _assemble
+        self.take: tuple | None = tuple(take)
+        self.work = work  # (a, b, outs, tgt, join) instructions: see _assemble
         self.shape = shape  # the target's shape id
         self.counts = counts  # the step's (visits, scans, arena calls)
         self.seed = seed
@@ -235,13 +233,6 @@ class Plan:
 # sibling outputs leave to run.
 
 
-def _gatherer(take: list) -> Callable:
-    if len(take) == 1:
-        (i,) = take
-        return lambda pool: (pool[i],)
-    return itemgetter(*take) if take else lambda pool: ()
-
-
 def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple:
     """Fold the epsilon operands out of a step's instructions, merge the
     sibling outputs and split the rest into moves and work; returns the
@@ -250,13 +241,15 @@ def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple
 
     An instruction (a, b, out, tgt) puts pool[a] . pool[b] . leaf(out)
     into slot tgt, by a union if the slot is taken; b, out may be None.
-    After the folding, instructions that carry an output and share their
+    Work has one form, (a, b, outs, tgt, join): it puts pool[a] .
+    pool[b] . (leaf(o1) | leaf(o2) | ...) into tgt, by a union if join;
+    a, b may be None, and outs is empty for a copy or a product. After
+    the folding, instructions that carry an output and share their
     operands (a, b) and slot tgt become one, where the first of them
-    stood: a group (None, (a, b), outs, tgt, join) that puts pool[a] .
-    pool[b] . (leaf(o1) | leaf(o2) | ...) into tgt. The leaves' outputs
-    differ, so their union is disjoint, and each is one symbol long, so
-    the product splits uniquely; an advance of the enumerator then
-    switches one leaf instead of rebuilding the shared prefix."""
+    stood, with all their outputs. The leaves' outputs differ, so their
+    union is disjoint, and each is one symbol long, so the product
+    splits uniquely; an advance of the enumerator then switches one
+    leaf instead of rebuilding the shared prefix."""
     take = [0] * len(keys)  # a slot that work fills first gathers a placeholder
     eps: list = [None] * len(keys)  # None while the slot is vacant
     work = []
@@ -266,27 +259,26 @@ def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple
             a, b = b, None
         elif b is not None and pool_eps[b]:
             b = None
+        leaves = []
         if out is not None:
             if b is None and pool_eps[a]:
                 a = None  # epsilon . leaf is the leaf
             if (a, b, tgt) in outs:
                 outs[a, b, tgt].append(out)
                 continue
-            outs[a, b, tgt] = [out]
+            leaves = outs[a, b, tgt] = [out]
         copy = out is None and b is None
         if eps[tgt] is None:
             eps[tgt] = copy and pool_eps[a]
             if copy:
                 take[tgt] = a
             else:
-                work.append((a, b, out, tgt, False))
+                work.append((a, b, leaves, tgt, False))
         elif not (eps[tgt] and copy and pool_eps[a]):
             eps[tgt] = False
-            work.append((a, b, out, tgt, True))
-    for i, (a, b, out, tgt, join) in enumerate(work):
-        if out is not None and len(outs[a, b, tgt]) > 1:
-            work[i] = (None, (a, b), tuple(outs[a, b, tgt]), tgt, join)
-    return take, tuple(work), shapes.intern(keys, tuple(eps))
+            work.append((a, b, leaves, tgt, True))
+    work = tuple((a, b, tuple(leaves), tgt, join) for a, b, leaves, tgt, join in work)
+    return take, work, shapes.intern(keys, tuple(eps))
 
 
 def neutral_plan(shapes: Shapes, sid: int, moves) -> Plan:
@@ -306,7 +298,7 @@ def neutral_plan(shapes: Shapes, sid: int, moves) -> Plan:
     take, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
     plan = Plan(take, work, shape, (visits, scans, calls))
     if shape == sid and not work and all(i == tgt for i, _, _, tgt in code):
-        plan.gather = None  # the table stays as it is
+        plan.take = None  # the table stays as it is
     return plan
 
 
@@ -380,22 +372,17 @@ def _run(plan: Plan, arena: EcsArena, handles: list, k: int, uppers: list | None
     if plan.runs >= HOT:
         step = plan.step = _compile(plan, arena, None if uppers is None else len(uppers))
         return step(handles, k) if uppers is None else step(uppers, handles, k)
-    plan.runs += 1
     pool = handles if uppers is None else uppers + handles
-    new = list(plan.gather(pool))
+    new = [pool[i] for i in plan.take]
     if plan.work:
         add, prod, union = arena.add, arena.prod, arena.union
-        for a, b, out, tgt, join in plan.work:
-            if out is None:  # a copy into a taken slot, or a product of two handles
-                v = pool[a] if b is None else prod(pool[a], pool[b])
-            elif b is None:  # a leaf, after pool[a] unless a is None
-                v = add((out, k)) if a is None else prod(pool[a], add((out, k)))
-            elif a is not None:  # a leaf after pool[a] . pool[b]
-                v = prod(prod(pool[a], pool[b]), add((out, k)))
-            else:  # a group: b is its operands, out its outputs
-                a, b = b
-                prefix = None if a is None else pool[a] if b is None else prod(pool[a], pool[b])
-                v = _group(arena, prefix, out, k)
+        for a, b, outs, tgt, join in plan.work:
+            v = None if a is None else pool[a] if b is None else prod(pool[a], pool[b])
+            if len(outs) == 1:
+                leaf = add((outs[0], k))
+                v = leaf if v is None else prod(v, leaf)
+            elif outs:
+                v = _group(arena, v, outs, k)
             new[tgt] = union(new[tgt], v) if join else v
     return new
 
@@ -436,16 +423,13 @@ def _compile(plan: Plan, arena: EcsArena, split: int | None) -> Callable:
 
     body = []
     slots = [pool(i) for i in plan.take]
-    for a, b, out, tgt, join in plan.work:
-        outs = None
-        if a is None and b is not None:  # a group: b is its operands, out its outputs
-            (a, b), outs = b, out
+    for a, b, outs, tgt, join in plan.work:
         val = None if a is None else pool(a) if b is None else f"prod({pool(a)}, {pool(b)})"
-        if outs is not None:
-            val = f"group(arena, {val}, {const(outs)}, k)"
-        elif out is not None:
-            leaf = f"add(({const(out)}, k))"
+        if len(outs) == 1:
+            leaf = f"add(({const(outs[0])}, k))"
             val = leaf if val is None else f"prod({val}, {leaf})"
+        elif outs:
+            val = f"group(arena, {val}, {const(outs)}, k)"
         dst = f"t{tgt}"
         body.append(f"{dst} = union({slots[tgt]}, {val})" if join else f"{dst} = {val}")
         slots[tgt] = dst
@@ -502,20 +486,17 @@ def preprocess(
     open_plans: dict = {}
     close_plans: dict = {}
 
-    k = total_visits = total_scans = total_calls = 0
+    k = 0
     start = counted = len(nodes)  # counted: the arena's size after the last observer call
     uncounted = 0  # nodes added by the observer, which are no token's
-    # an identity run: the token whose identity plan ran last, where its
-    # repeats start, and the plan's counts, added once the run ends
+    # an identity run: the token whose identity plan ran last and where
+    # its repeats start; the plan gains their runs once the run ends
     same = None
     for k, tok in enumerate(tokens, 1):
         if tok is same:
             continue
         if same is not None:
-            repeats = k - resume
-            total_visits += repeats * same_visits
-            total_scans += repeats * same_scans
-            total_calls += repeats * same_calls
+            plan.runs += k - resume  # plan is still the identity plan
             same = None
         kind = tok.kind
         if kind is NEUTRAL:
@@ -524,7 +505,7 @@ def preprocess(
             if plan is None:
                 _check(alphabet, tok, k)
                 plan = neutral_plans[key] = neutral_plan(shapes, shape, nidx.get(tok.name, NO_MOVES))
-            if plan.gather is not None:
+            if plan.take is not None:
                 step = plan.step
                 handles = _run(plan, arena, handles, k) if step is None else step(handles, k)
                 shape = plan.shape
@@ -532,7 +513,6 @@ def preprocess(
                 # the table is as it was: a repeat of this token object
                 # would find this plan again and change nothing either
                 same, resume = tok, k + 1
-                same_visits, same_scans, same_calls = plan.counts
         elif kind is OPEN:
             key = (shape, tok.name)
             plan = open_plans.get(key)
@@ -556,28 +536,24 @@ def preprocess(
             step = plan.step
             handles = _run(plan, arena, handles, k, uppers) if step is None else step(uppers, handles, k)
             shape = plan.shape
-        visits, scans, calls = plan.counts
-        total_visits += visits
-        total_scans += scans
-        total_calls += calls
+        plan.runs += 1
         if observer is not None:
             state.shape, state.handles = shape, handles
             size = len(nodes)
-            observer(k, state, SymbolStats(visits, scans, calls, size - counted))
+            observer(k, state, SymbolStats(*plan.counts, size - counted))
             counted = len(nodes)
             uncounted += counted - size
     if same is not None:
-        repeats = k + 1 - resume
-        total_visits += repeats * same_visits
-        total_scans += repeats * same_scans
-        total_calls += repeats * same_calls
+        plan.runs += k + 1 - resume
     state.shape, state.handles = shape, handles
     if state.stack:
         raise NestingError(f"unbalanced open at position {state.stack[0][2]}")
-    stats.visits, stats.scans, stats.ecs_calls = total_visits, total_scans, total_calls
+    plans = [*neutral_plans.values(), *open_plans.values(), *close_plans.values()]
+    for plan in plans:  # each use of a plan adds its counts
+        stats.add(SymbolStats(*(plan.runs * n for n in plan.counts)))
     stats.nodes_added = len(nodes) - start - uncounted
     stats.pulls = k + 1  # one pull per token plus the one that found the end
-    stats.plans = len(neutral_plans) + len(open_plans) + len(close_plans)
+    stats.plans = len(plans)
     root = state.accepting(vpt, stats.finalize)
     stats.add(stats.finalize)
     return PreprocessResult(arena=state.arena, root=root, stats=stats, length=k)

@@ -52,8 +52,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from vptenum.ecs import EMPTY, EPS_LEAF, EPS_UNION_NODE, PRODUCT, UNION, EcsArena
-
-OutputWord = tuple  # tuple of (symbol, position) pairs; () is the empty word
+from vptenum.vpt import OutputWord
 
 
 class Enumerator:
@@ -74,7 +73,6 @@ class Enumerator:
         self.root = v
         self.instrument = instrument
         self.steps = 0
-        self.emitted = 0
         self.last_gap: tuple[int, int] | None = None
         self.last_cut = 0
         self.gaps: list[tuple[int, int]] = []
@@ -85,7 +83,6 @@ class Enumerator:
         self.last_gap = gap = (steps - self.steps, len(word) or 1)
         self.last_cut = cut
         self.steps = steps
-        self.emitted += 1
         if self.instrument:
             self.gaps.append(gap)
 

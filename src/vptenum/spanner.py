@@ -103,7 +103,9 @@ def parse_vpeg(text: str) -> Vpeg:
     rule_lines: list[tuple[str, str]] = []
     for line in lines:
         parts = line.split()
-        if parts[0] == "var":
+        if parts[1:2] == ["->"]:  # a production, whatever its head is named
+            rule_lines.append((parts[0], " ".join(parts[2:])))
+        elif parts[0] == "var":
             variables.extend(parts[1:])
         elif parts[0] == "start":
             if len(parts) != 2:
@@ -111,13 +113,10 @@ def parse_vpeg(text: str) -> Vpeg:
             if start is not None:
                 raise GrammarError("duplicate start line")
             start = parts[1]
+        elif "->" in parts:
+            raise GrammarError(f"production needs a single head: {line!r}")
         else:
-            if "->" not in parts:
-                raise GrammarError(f"expected a production: {line!r}")
-            arrow = parts.index("->")
-            if arrow != 1:
-                raise GrammarError(f"production needs a single head: {line!r}")
-            rule_lines.append((parts[0], " ".join(parts[2:])))
+            raise GrammarError(f"expected a production: {line!r}")
     if start is None:
         raise GrammarError("missing start line")
     if len(set(variables)) != len(variables):

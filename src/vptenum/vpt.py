@@ -29,7 +29,7 @@ class ResourceCapError(RuntimeError):
     """An exhaustive check outgrew its configured budget."""
 
 
-OutputWord = tuple  # tuple of (symbol, position) pairs
+OutputWord = tuple  # tuple of (symbol, position) pairs; () is the empty word
 
 NO_MOVES = MappingProxyType({})  # the index row of a letter without transitions
 

@@ -683,6 +683,71 @@ class TestPlanCount:
         assert _arena_nodes(got.arena) == _arena_nodes(ref.arena)
         assert got.stats.totals() == ref.stats.totals()
 
+    def test_compiles_at_the_use_after_hot(self, monkeypatch):
+        # a plan runs generically HOT times and compiles on its next use;
+        # one used HOT times or fewer, or an identity plan, never compiles;
+        # an observer changes neither which plans compile nor when
+        monkeypatch.setattr(engine, "HOT", 3)
+        plans = []  # in the order the pass builds them
+        generic, stepped = Counter(), Counter()  # calls of _run and of generated steps
+        compiles = {}  # plan -> (_run calls up to its compile, arena size then)
+
+        def recorded(make):
+            def build(*args):
+                plans.append(make(*args))
+                return plans[-1]
+
+            return build
+
+        for maker in ("neutral_plan", "open_plan", "close_plan"):
+            monkeypatch.setattr(engine, maker, recorded(getattr(engine, maker)))
+        real_run, real_compile = engine._run, engine._compile
+
+        def run(plan, *args):
+            generic[plan] += 1
+            return real_run(plan, *args)
+
+        def compiled(plan, arena, split):
+            compiles[plan] = (generic[plan], len(arena))
+            step = real_compile(plan, arena, split)
+
+            def counted(*args):
+                stepped[plan] += 1
+                return step(*args)
+
+            return counted
+
+        monkeypatch.setattr(engine, "_run", run)
+        monkeypatch.setattr(engine, "_compile", compiled)
+        tree = io_determinize(spanner.compile_vpeg(spanner.parse_vpeg(TREE_VPEG)))
+        idle = with_idle_letter(_bench_vpt())
+        cases = [
+            (tree, tree_document(random.Random(1), 1_000, 16)),
+            (_bench_vpt(), list(_bench_doc(300, 12))),
+            (idle, words(idle, "idle " * 5 + "<r b c c b idle idle idle b b b c c c b r> idle idle")),
+        ]
+        for vpt, doc in cases:
+            passes = []
+            for observer in (None, SymbolRecords()):
+                for record in (plans, generic, stepped, compiles):
+                    record.clear()
+                preprocess(vpt, doc, observer)
+                identity = [plan for plan in plans if plan.take is None]
+                assert identity and max(plan.runs for plan in identity) > engine.HOT
+                assert not set(identity) & (set(generic) | set(compiles))
+                for plan in plans:
+                    if plan.take is None:
+                        continue
+                    uses = generic[plan] + stepped[plan] - (plan in compiles)  # the compiling call steps too
+                    assert plan.runs == uses
+                    if uses > engine.HOT:
+                        assert generic[plan] == compiles[plan][0] == engine.HOT + 1
+                    else:
+                        assert plan not in compiles and stepped[plan] == 0
+                passes.append([(plan.counts, plan.runs, compiles.get(plan)) for plan in plans])
+                assert compiles
+            assert passes[0] == passes[1]
+
     def test_repeated_steps_reuse_their_plan(self):
         # one state, so one key per table kind. A level's one slot is the
         # epsilon leaf until the first close and not after it: two level

@@ -153,6 +153,16 @@ class TestParseVpeg:
         with pytest.raises(GrammarError, match="expected a production"):
             parse_vpeg("start S\nS -> eps\njunk line")
 
+    def test_heads_spelled_like_keywords(self):
+        # a line whose second token is -> is a production, whatever its head
+        g = parse_vpeg("var x\nstart S\nS -> (x T\nT -> x) var\nvar -> eps")
+        assert g.variables == frozenset({"x"})
+        assert g.nonterminals == frozenset({"S", "T", "var"})
+        assert EpsProduction("var") in g.productions
+        g = parse_vpeg("var x\nstart start\nstart -> (x T\nT -> x) T | c T | eps")
+        assert g.start == "start"
+        assert ChainProduction("start", open_marker("x"), True, "T") in g.productions
+
     def test_empty_alternative(self):
         with pytest.raises(GrammarError, match="empty alternative"):
             parse_vpeg("start S\nS -> eps | | c S")
