@@ -46,18 +46,14 @@ def _bad_value(message: str) -> Exception:
     return ArgumentTypeError(message)
 
 
-def _is_digits(text: str) -> bool:
-    """Whether a count is written as it must be: ASCII digits only."""
-    return text.isascii() and text.isdigit()
-
-
 def _count(text: str) -> int:
     """A non-negative int option value, written in ASCII digits."""
-    if _is_digits(text):
-        return int(text)
-    if text.startswith("-") and _is_digits(text[1:]):
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise _bad_value(f"not an integer: {text!r}")
+    if digits != text:
         raise _bad_value(f"must not be negative: {text}")
-    raise _bad_value(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _lengths(text: str) -> list[int]:
@@ -121,14 +117,6 @@ def _load_vpt(path: str) -> Vpt:
         return formats.parse_vpt(fh.read())
 
 
-def _mode_of(args) -> str:
-    if args.trust_unambiguous:
-        return "trust"
-    if args.determinize_first:
-        return "determinize"
-    return "check"
-
-
 # Each observer writes as the pass consumes a token and keeps nothing
 # per token. Without --stats-out, run's CSV rows and checkpoint lines
 # share stderr: each token's row comes before its checkpoint line.
@@ -187,7 +175,7 @@ STATS_HEADER = ["record", "index", "visits", "scans", "ecs_calls", "nodes_added"
 
 def cmd_run(args) -> int:
     vpt = _load_vpt(args.transducer)
-    vpt = engine.resolve_mode(vpt, _mode_of(args))
+    vpt = engine.resolve_mode(vpt, args.mode)
     with ExitStack() as stack:
         writer, observers = None, []
         if args.stats or args.stats_out:
@@ -308,7 +296,8 @@ def _bench_doc(length: int, choices: int):
 def cmd_bench(args) -> int:
     for length in args.lengths:
         if length < args.choices + 2:
-            args.usage_error(f"length {length} is shorter than --choices + 2 = {args.choices + 2}")
+            message = f"length {length} is shorter than --choices + 2 = {args.choices + 2}"
+            build_parser().subcommands["bench"].error(message)
     import csv
 
     vpt = _bench_vpt()
@@ -327,44 +316,41 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _bench_usage_error(message: str):
-    """Exit as argparse does for a bad ``bench`` command line."""
-    build_parser().subcommands["bench"].error(message)
+# run's mode flags set one mode, the value engine.resolve_mode takes
+MODE = {"action": "store_const", "dest": "mode", "exclusive": True}
 
 
 # The command line, declared once. Each subcommand has its help, the
-# defaults its namespace carries and its options in help order; an
-# option is its flags and its argparse add_argument keywords, where
-# "exclusive" puts a flag in the subcommand's mutually exclusive group.
+# function that runs it and its options in help order; an option is
+# its flags and its argparse add_argument keywords, where "exclusive"
+# puts a flag in the subcommand's mutually exclusive group.
 # build_parser builds argparse from this table; _parse_plain reads the
 # same table for the command lines it accepts.
 COMMANDS = {
     "run": (
         "evaluate a transducer over a document",
-        {"func": cmd_run},
+        cmd_run,
         (
             (("-t", "--transducer"), {"required": True, "help": "transducer file"}),
             (("-d", "--document"), {"required": True, "help": "document file, or - for stdin"}),
             (
                 ("--check-deterministic",),
                 {
-                    "action": "store_true",
-                    "exclusive": True,
+                    **MODE,
+                    "const": "check",
+                    "default": "check",
                     "help": "refuse transducers that are not deterministic in (letter, output); the default",
                 },
             ),
             (
                 ("--trust-unambiguous",),
                 {
-                    "action": "store_true",
-                    "exclusive": True,
+                    **MODE,
+                    "const": "trust",
                     "help": "skip the check; the caller vouches for one accepting run per result",
                 },
             ),
-            (
-                ("--determinize-first",),
-                {"action": "store_true", "exclusive": True, "help": "determinize before evaluating"},
-            ),
+            (("--determinize-first",), {**MODE, "const": "determinize", "help": "determinize before evaluating"}),
             (("--limit",), {"type": _count, "help": "stop after this many results"}),
             (("--checkpoint",), {"action": "store_true", "help": "report per-symbol acceptance on stderr"}),
             (("--stats",), {"action": "store_true", "help": "emit instrumentation CSV"}),
@@ -373,7 +359,7 @@ COMMANDS = {
     ),
     "oracle": (
         "brute-force reference output set",
-        {"func": cmd_oracle},
+        cmd_oracle,
         (
             (("-t", "--transducer"), {"required": True}),
             (("-d", "--document"), {"required": True}),
@@ -383,7 +369,7 @@ COMMANDS = {
     ),
     "spanner": (
         "evaluate an extraction grammar",
-        {"func": cmd_spanner},
+        cmd_spanner,
         (
             (("-g", "--grammar"), {"required": True, "help": "grammar file"}),
             (("-d", "--document"), {"required": True}),
@@ -392,7 +378,7 @@ COMMANDS = {
     ),
     "determinize": (
         "rewrite a transducer deterministically",
-        {"func": cmd_determinize},
+        cmd_determinize,
         (
             (("-t", "--transducer"), {"required": True}),
             (("-o", "--out"), {"help": "output file (default stdout)"}),
@@ -401,7 +387,7 @@ COMMANDS = {
     ),
     "bench": (
         "instrumented synthetic runs",
-        {"func": cmd_bench, "usage_error": _bench_usage_error},
+        cmd_bench,
         (
             (
                 ("--lengths",),
@@ -415,9 +401,10 @@ COMMANDS = {
 }
 
 
-def _dest(flags: tuple) -> str:
-    """The attribute argparse names an option by: its first long flag."""
-    return next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
+def _dest(flags: tuple, keywords: dict) -> str:
+    """The attribute argparse names an option by: its dest, else its
+    first long flag."""
+    return keywords.get("dest") or next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
 
 
 def build_parser():
@@ -434,7 +421,7 @@ def build_parser():
 
     parser = Parser(prog="vptenum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, defaults, options) in COMMANDS.items():
+    for name, (help_text, _, options) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         group = None
         for flags, keywords in options:
@@ -444,32 +431,30 @@ def build_parser():
                 group = group or command.add_mutually_exclusive_group()
                 target = group
             target.add_argument(*flags, **keywords)
-        command.set_defaults(**defaults)
     parser.subcommands = sub.choices
     return parser
 
 
 def _parse_plain(argv: list):
     """The namespace argparse gives for ``argv``, read without argparse;
-    None unless ``argv`` is a subcommand followed by its options, each at
-    most once, by its full flag, and each value as the next argument, with
-    every required option given and at most one exclusive flag. A value
-    may not start with '-' unless it is '-', and a count is ASCII digits.
+    None unless ``argv`` is a subcommand followed by its options, by their
+    full flags and each dest at most once, and each value as the next
+    argument, with every required option given. A value may not start
+    with '-' unless it is '-', and must convert by the option's type.
     Anything else, help included, is left to argparse."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, defaults, options = COMMANDS[argv[0]]
-    values = {"command": argv[0], **defaults}
+    values = {"command": argv[0]}
+    options = COMMANDS[argv[0]][2]
     by_flag = {}
     for flags, keywords in options:
-        dest = _dest(flags)
-        default = False if keywords.get("action") == "store_true" else keywords.get("default")
+        dest = _dest(flags, keywords)
+        default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
         convert = keywords.get("type")
-        values[dest] = convert(default) if convert and isinstance(default, str) else default
+        values.setdefault(dest, convert(default) if convert and isinstance(default, str) else default)
         for flag in flags:
             by_flag[flag] = dest, keywords
     given: set = set()
-    exclusive = 0
     args = iter(argv[1:])
     for arg in args:
         if arg not in by_flag:
@@ -478,22 +463,20 @@ def _parse_plain(argv: list):
         if dest in given:
             return None
         given.add(dest)
-        if keywords.get("action") == "store_true":
-            values[dest] = True
-            exclusive += keywords.get("exclusive", False)
+        if "action" in keywords:
+            values[dest] = keywords.get("const", True)
             continue
         text = next(args, None)
         if text is None or (text.startswith("-") and text != "-"):
             return None
-        convert = keywords.get("type")
-        if convert:
-            parts = text.split(",") if convert is _lengths else (text,)
-            if not all(map(_is_digits, parts)):
+        if convert := keywords.get("type"):
+            try:
+                text = convert(text)
+            except Exception:
                 return None
-            text = convert(text)
         values[dest] = text
-    required = {_dest(flags) for flags, keywords in options if keywords.get("required")}
-    if exclusive > 1 or not required <= given:
+    required = {_dest(flags, keywords) for flags, keywords in options if keywords.get("required")}
+    if not required <= given:
         return None
     return SimpleNamespace(**values)
 
@@ -503,7 +486,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (
         TokenizeError,
         engine.NestingError,

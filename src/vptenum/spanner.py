@@ -27,6 +27,7 @@ from vptenum import engine
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, level_reach, stable_key
 
 END_MARKER = "#"
+MAX_VPATHS = 100_000  # the most marker chains evpa_to_vpt expands
 # evaluate_spanner's own end marker: no document token can name it, so
 # the pass refuses END_MARKER in a document like any foreign letter
 _END = object()
@@ -318,7 +319,7 @@ def check_functional(evpa: Vpt, variables) -> None:
         )
 
 
-def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000, end_letter=END_MARKER) -> Vpt:
+def evpa_to_vpt(evpa: Vpt, variables, end_letter=END_MARKER) -> Vpt:
     """Fuse marker chains into the following letter transition.
 
     Marker transitions must form an acyclic graph over states (else a
@@ -370,8 +371,8 @@ def evpa_to_vpt(evpa: Vpt, variables, max_vpaths: int = 100_000, end_letter=END_
             continue
         bucket.add((start, fused))
         count += 1
-        if count > max_vpaths:
-            raise ResourceCapError(f"marker chain expansion exceeded {max_vpaths}")
+        if count > MAX_VPATHS:
+            raise ResourceCapError(f"marker chain expansion exceeded {MAX_VPATHS}")
         for a, q2 in adj.get(end, ()):
             work.append((start, fused | {a}, q2))
 

@@ -446,15 +446,17 @@ class TestEvpaToVpt:
         with pytest.raises(GrammarError, match="form a cycle through state"):
             evpa_to_vpt(evpa, g.variables)
 
-    def test_chain_expansion_cap(self):
+    def test_chain_expansion_cap(self, monkeypatch):
         g = parse_vpeg(
             "var x y\nstart S\nS -> (x A\nA -> x) B\nB -> (y C\nC -> y) D\nD -> eps"
         )
         evpa = to_evpa(g)
+        monkeypatch.setattr("vptenum.spanner.MAX_VPATHS", 5)
         with pytest.raises(ResourceCapError, match="marker chain expansion"):
-            evpa_to_vpt(evpa, g.variables, max_vpaths=5)
+            evpa_to_vpt(evpa, g.variables)
         # the four-marker chain has 4+3+2+1 contiguous pieces
-        evpa_to_vpt(evpa, g.variables, max_vpaths=10)
+        monkeypatch.setattr("vptenum.spanner.MAX_VPATHS", 10)
+        evpa_to_vpt(evpa, g.variables)
 
 
 class TestCompilePin:
