@@ -12,7 +12,7 @@ from pathlib import Path
 
 from vptenum import engine
 from vptenum.cli import render_word
-from vptenum.engine import EngineStats
+from vptenum.enumtree import Enumerator
 from vptenum.formats import parse_vpt
 from vptenum.nested import tokenize
 
@@ -28,16 +28,16 @@ def main() -> None:
     print(f"symbols:  {len(tokens)}")
     print()
 
-    stats = EngineStats()
-    words = list(engine.evaluate(vpt, tokens, mode="check", stats_out=stats))
+    result = engine.preprocess(engine.resolve_mode(vpt, "check"), tokens)
+    words = list(Enumerator(result.arena, result.root))
 
     print(f"{len(words)} output words (symbol@position):")
     for word in sorted(words, key=lambda w: (len(w), w)):
         print(f"  {render_word(word)}")
     print()
 
-    print(f"pulls over the document: {stats.pulls} (= |w| + 1 = {len(tokens) + 1})")
-    totals = stats.totals()
+    print(f"pulls over the document: {result.stats.pulls} (= |w| + 1 = {len(tokens) + 1})")
+    totals = result.stats.totals()
     print(
         f"work per run: {totals.visits} pair visits, {totals.scans} frame scans, "
         f"{totals.ecs_calls} set-arena calls, {totals.nodes_added} nodes added"

@@ -5,25 +5,29 @@ Subcommands: run (evaluate a transducer over a document), oracle
 (grammar evaluation), determinize (rewrite a transducer file), bench
 (instrumented synthetic runs as CSV).
 
-Exit codes: 0 success, 1 usage, 2 bad input (document, machine file, or
-grammar), 3 resource cap, 4 ambiguity-mode violation, 5 oracle diff
-mismatch.
+Documents, machine files and grammars are read as UTF-8 text with their
+line breaks as written; a document named - is read from stdin.
+
+Exit codes: 0 success, 1 usage, 2 bad input (an InputError or OSError: a
+document, machine file or grammar that cannot be opened, is not UTF-8
+text or breaks its rules), 3 resource cap, 4 ambiguity-mode violation,
+5 oracle diff mismatch.
 """
 
 from __future__ import annotations
 
 import codecs
-import io
 import os
 import sys
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from itertools import islice, repeat
 from types import SimpleNamespace
 from typing import Callable, Iterator
 
 from vptenum import engine, formats, nested, spanner
 from vptenum.enumtree import Enumerator
-from vptenum.nested import StructuredAlphabet, Token, TokenKind, TokenizeError, tokenize
+from vptenum.nested import InputError, StructuredAlphabet, Token, TokenKind, tokenize
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, io_determinize, oracle_enumerate
 
 EXIT_OK = 0
@@ -32,10 +36,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_MODE = 4
 EXIT_DIFF = 5
-
-
-class NotTextError(ValueError):
-    """An input file whose bytes are not UTF-8 text."""
 
 
 def _bad_value(message: str) -> Exception:
@@ -68,34 +68,33 @@ def render_word(word) -> str:
 
 
 def _arriving(stdin) -> Iterator[str]:
-    """A text stream's characters as they arrive.
+    """A byte stream's UTF-8 text as it arrives.
 
     Each read returns what the underlying pipe or terminal has (at most
     BLOCK_CHARS bytes) instead of waiting for a full block, so a writer
-    that keeps the pipe open gets each complete token read. Decoding and
-    newline handling are those of the stream's own reads: Python
-    translates newlines on stdin on Windows only.
+    that keeps the pipe open gets each complete token read. The bytes
+    decode strictly and keep their line breaks, as a file's do, whatever
+    the stream's own encoding and errors.
     """
-    decode = io.IncrementalNewlineDecoder(
-        codecs.getincrementaldecoder(stdin.encoding)(stdin.errors), translate=os.name == "nt"
-    ).decode
-    read1 = stdin.buffer.read1
-    while chunk := read1(nested.BLOCK_CHARS):
-        yield decode(chunk)
-    yield decode(b"", final=True)
+    return codecs.iterdecode(iter(partial(stdin.buffer.read1, nested.BLOCK_CHARS), b""), "utf-8")
+
+
+@contextmanager
+def _decoded(name: str):
+    """Bytes read in the block that are not UTF-8: bad input in ``name``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's chunk, not the input
+        bad = " ".join(f"0x{byte:02x}" for byte in exc.object[exc.start : exc.end])
+        raise InputError(f"{name}: not UTF-8 text ({exc.reason}: {bad})") from None
 
 
 @contextmanager
 def _text_file(path: str):
-    """``path`` open as UTF-8 text; bytes that do not decode are bad
-    input that names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError as exc:
-            # exc.start counts from the decoder's chunk, not the file
-            bad = " ".join(f"0x{byte:02x}" for byte in exc.object[exc.start : exc.end])
-            raise NotTextError(f"{path}: not UTF-8 text ({exc.reason}: {bad})") from None
+    """``path`` open as UTF-8 text with its line breaks as written."""
+    with open(path, "r", encoding="utf-8", newline="") as handle, _decoded(path):
+        yield handle
 
 
 @contextmanager
@@ -104,12 +103,13 @@ def _document(path: str, alphabet: StructuredAlphabet):
 
     A file is closed when the block ends; stdin is left open.
     """
-    if path == "-":
-        stdin = sys.stdin  # a stand-in without a byte buffer is read as it is
-        yield tokenize(_arriving(stdin) if hasattr(stdin, "buffer") else stdin, alphabet)
+    if path != "-":
+        with _text_file(path) as handle:
+            yield tokenize(handle, alphabet)
         return
-    with _text_file(path) as handle:
-        yield tokenize(handle, alphabet)
+    stdin = sys.stdin  # a stand-in without a byte buffer is read as it is
+    with _decoded("stdin"):
+        yield tokenize(_arriving(stdin) if hasattr(stdin, "buffer") else stdin, alphabet)
 
 
 def _load_vpt(path: str) -> Vpt:
@@ -222,7 +222,7 @@ def cmd_oracle(args) -> int:
     for word in sorted(reference, key=lambda w: (len(w), w)):
         print(render_word(word))
     if args.diff:
-        mode = "check" if is_io_deterministic(vpt) else "determinize"
+        mode = "trust" if is_io_deterministic(vpt) else "determinize"
         got = frozenset(engine.evaluate(vpt, doc, mode=mode))
         if got != reference:
             missing = sorted(reference - got, key=repr)
@@ -487,22 +487,12 @@ def main(argv=None) -> int:
     args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][1](args)
-    except (
-        TokenizeError,
-        engine.NestingError,
-        formats.FormatError,
-        spanner.GrammarError,
-        spanner.NotFunctionalError,
-        NotTextError,
-    ) as exc:
-        print(f"vptenum: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BrokenPipeError:
         # the consumer closed our stdout (e.g. `vptenum bench | head`);
         # silence the interpreter-exit flush and follow Unix convention
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"vptenum: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceCapError as exc:

@@ -86,13 +86,13 @@ from typing import Callable, Iterator
 
 from vptenum.ecs import EMPTY, EcsArena
 from vptenum.enumtree import Enumerator
-from vptenum.nested import StructuredAlphabet, TokenKind
+from vptenum.nested import InputError, StructuredAlphabet, TokenKind
 from vptenum.vpt import NO_MOVES, OutputWord, Vpt, is_io_deterministic, io_determinize, stable_key
 
 OPEN, NEUTRAL = TokenKind.OPEN, TokenKind.NEUTRAL
 
 
-class NestingError(ValueError):
+class NestingError(InputError):
     """The document is not well nested."""
 
 
@@ -100,7 +100,7 @@ class AmbiguityError(ValueError):
     """The transducer could not be verified safe for single-pass use."""
 
 
-class SymbolError(ValueError):
+class SymbolError(InputError):
     """A token whose letter is outside the alphabet the pass checks."""
 
     def __init__(self, token, k: int):
@@ -586,13 +586,10 @@ def evaluate(
     vpt: Vpt,
     tokens,
     mode: str = "check",
-    stats_out: EngineStats | None = None,
     alphabet: StructuredAlphabet | None = None,
 ) -> Iterator[OutputWord]:
     """Evaluate vpt on the document and stream the distinct results;
     ``alphabet`` is checked as by ``preprocess``."""
     vpt = resolve_mode(vpt, mode)
     result = preprocess(vpt, tokens, alphabet=alphabet)
-    if stats_out is not None:
-        vars(stats_out).update(vars(result.stats))
     return iter(Enumerator(result.arena, result.root))

@@ -23,11 +23,11 @@ pairing convention), but a bracket letter may not double as a neutral.
 
 from __future__ import annotations
 
-from vptenum.nested import StructuredAlphabet
+from vptenum.nested import InputError, StructuredAlphabet
 from vptenum.vpt import Vpt
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     """The machine file does not follow the format."""
 
 

@@ -32,7 +32,11 @@ class TokenKind(Enum):
     NEUTRAL = "neutral"
 
 
-class TokenizeError(ValueError):
+class InputError(ValueError):
+    """A document, machine file or grammar that breaks its rules."""
+
+
+class TokenizeError(InputError):
     """Raised on malformed token syntax or a symbol outside the alphabet."""
 
 

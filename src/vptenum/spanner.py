@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
-from vptenum.nested import Span, StructuredAlphabet, Token, TokenKind
+from vptenum.nested import InputError, Span, StructuredAlphabet, Token, TokenKind
 from vptenum import engine
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, level_reach, stable_key
 
@@ -33,11 +33,11 @@ MAX_VPATHS = 100_000  # the most marker chains evpa_to_vpt expands
 _END = object()
 
 
-class GrammarError(ValueError):
+class GrammarError(InputError):
     """The grammar file is malformed or breaks a shape rule."""
 
 
-class NotFunctionalError(ValueError):
+class NotFunctionalError(InputError):
     """Some accepted ref-word does not use every variable exactly once."""
 
 
@@ -539,7 +539,7 @@ def evaluate_spanner(vpeg: Vpeg, tokens) -> Iterator[SpanMapping]:
     """
     vpt = compile_vpeg(vpeg, end_letter=_END)
     doc = chain(tokens, [Token(TokenKind.NEUTRAL, _END)])
-    mode = "check" if is_io_deterministic(vpt) else "determinize"
+    mode = "trust" if is_io_deterministic(vpt) else "determinize"
     try:
         words = engine.evaluate(vpt, doc, mode=mode, alphabet=vpt.alphabet)
     except engine.SymbolError as exc:

@@ -978,26 +978,35 @@ def test_broken_pipe_on_result_lines(files, command, document):
 
 
 class TestNotUtf8:
-    """A file that does not decode as UTF-8 is bad input: one error line
-    that names the file, nothing on stdout, exit 2."""
+    """A file or stdin that does not decode as UTF-8 is bad input: one
+    error line that names it, nothing on stdout, exit 2."""
 
     @pytest.mark.parametrize(
-        "command, flag, content",
+        "command, flag, content, stdin",
         [
-            pytest.param("run", "-d", b"<r b \xff c r>\n", id="run-document"),
+            pytest.param("run", "-d", b"<r b \xff c r>\n", None, id="run-document"),
             # past the first blocks, where the decoder's position is not
             # the file's
-            pytest.param("run", "-d", b"<r " + b"c " * 3 * BLOCK_CHARS + b"\xff r>\n", id="run-late-byte"),
-            pytest.param("run", "-t", CHOICE_VPT.encode() + b"# \xff\n", id="run-machine"),
-            pytest.param("spanner", "-g", GRAMMAR.encode() + b"# \xff\n", id="spanner-grammar"),
-            pytest.param("spanner", "-d", b"<a c \xff a>\n", id="spanner-document"),
-            pytest.param("oracle", "-d", b"<r b \xff c r>\n", id="oracle-document"),
-            pytest.param("determinize", "-t", CHOICE_VPT.encode() + b"# \xff\n", id="determinize-machine"),
+            pytest.param("run", "-d", b"<r " + b"c " * 3 * BLOCK_CHARS + b"\xff r>\n", None, id="run-late-byte"),
+            pytest.param("run", "-t", CHOICE_VPT.encode() + b"# \xff\n", None, id="run-machine"),
+            pytest.param("spanner", "-g", GRAMMAR.encode() + b"# \xff\n", None, id="spanner-grammar"),
+            pytest.param("spanner", "-d", b"<a c \xff a>\n", None, id="spanner-document"),
+            pytest.param("oracle", "-d", b"<r b \xff c r>\n", None, id="oracle-document"),
+            pytest.param("determinize", "-t", CHOICE_VPT.encode() + b"# \xff\n", None, id="determinize-machine"),
+            # stdin decodes as a file does, whatever its own errors handler
+            pytest.param("run", "-d", b"<r b \xff c r>\n", "strict", id="run-stdin-strict"),
+            pytest.param("run", "-d", b"<r b \xff c r>\n", "surrogateescape", id="run-stdin-surrogateescape"),
+            pytest.param(
+                "run", "-d", b"<r " + b"c " * 3 * BLOCK_CHARS + b"\xff r>\n", "strict", id="run-stdin-late-byte"
+            ),
         ],
     )
-    def test_exit_2_naming_the_file(self, capsys, files, tmp_path, command, flag, content):
+    def test_exit_2_naming_the_file(self, capsys, files, tmp_path, monkeypatch, command, flag, content, stdin):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(content)
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", errors=stdin))
+            bad = "-"
         argv = {
             "run": ["-t", files("m.vpt", CHOICE_VPT), "-d", files("d.txt", "<r b r>")],
             "oracle": ["-t", files("m.vpt", CHOICE_VPT), "-d", files("d.txt", "<r b r>")],
@@ -1008,7 +1017,37 @@ class TestNotUtf8:
         code, out, err = run_main(capsys, [command, *argv])
         assert code == EXIT_INPUT
         assert out == []
-        assert err == [f"vptenum: error: {bad}: not UTF-8 text (invalid start byte: 0xff)"]
+        name = "stdin" if stdin else bad
+        assert err == [f"vptenum: error: {name}: not UTF-8 text (invalid start byte: 0xff)"]
+
+
+@pytest.mark.parametrize(
+    "document, error",
+    [
+        (b"<r b # note\rb r>", "unbalanced open at position 1"),
+        (b"<r c\rq r>", "unknown neutral symbol 'q' at token 3, line 1:6"),
+    ],
+    ids=["comment", "position"],
+)
+def test_lone_cr_reads_the_same_from_every_source(capsys, files, tmp_path, monkeypatch, document, error):
+    # a lone \r separates tokens but ends neither a comment nor a line:
+    # in a file, on stdin and in a string (a stand-in tokenized as it is)
+    t = files("m.vpt", CHOICE_VPT)
+    path = tmp_path / "d.txt"
+    path.write_bytes(document)
+    outcomes = [run_main(capsys, ["run", "-t", t, "-d", str(path)])]
+    for stdin in [io.TextIOWrapper(io.BytesIO(document), encoding="utf-8"), document.decode()]:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        outcomes.append(run_main(capsys, ["run", "-t", t, "-d", "-"]))
+    assert outcomes == [(EXIT_INPUT, [], [f"vptenum: error: {error}"])] * 3
+
+
+@pytest.mark.parametrize("command, flag", [("run", "-t"), ("spanner", "-g")])
+def test_dash_is_stdin_for_documents_only(capsys, files, monkeypatch, command, flag):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("<r b r>"))
+    code, out, err = run_main(capsys, [command, flag, "-", "-d", files("d.txt", "<r b r>")])
+    assert (code, out) == (EXIT_INPUT, [])
+    assert err == ["vptenum: error: [Errno 2] No such file or directory: '-'"]
 
 
 def _arguments(argv):

@@ -13,7 +13,6 @@ from vptenum.ecs import EMPTY, EPSILON, PRODUCT
 from vptenum.engine import (
     AmbiguityError,
     EngineState,
-    EngineStats,
     NestingError,
     SymbolError,
     SymbolStats,
@@ -251,19 +250,6 @@ class TestEvaluate:
             got = list(evaluate(m, doc))
             assert len(got) == len(set(got)), "duplicate emission"
             assert set(got) == oracle_enumerate(m, doc)
-
-    def test_stats_out(self):
-        stats = EngineStats()
-        doc = brackets("(.)")
-        list(evaluate(marker_vpt(), doc, stats_out=stats))
-        assert stats.pulls == len(doc) + 1
-        # the aggregates only; the per-token records come from an observer
-        assert stats == preprocess(marker_vpt(), doc).stats
-        records = SymbolRecords()
-        preprocess(marker_vpt(), doc, records)
-        assert len(records) == len(doc)
-        totals = stats.totals()
-        assert totals.visits > 0
 
 
 def _arena_nodes(arena):
