@@ -19,11 +19,11 @@ from __future__ import annotations
 import codecs
 import os
 import sys
+from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import islice, repeat
 from types import SimpleNamespace
-from typing import Callable, Iterator
 
 from vptenum import engine, formats, nested, spanner
 from vptenum.enumtree import Enumerator

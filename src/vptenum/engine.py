@@ -81,12 +81,11 @@ kept; arena nodes it adds (an ``accepting`` fold) count for no token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from vptenum.ecs import EMPTY, EcsArena
 from vptenum.enumtree import Enumerator
-from vptenum.nested import InputError, StructuredAlphabet, TokenKind
+from vptenum.nested import InputError, Record, StructuredAlphabet, TokenKind
 from vptenum.vpt import NO_MOVES, OutputWord, Vpt, is_io_deterministic, io_determinize, stable_key
 
 OPEN, NEUTRAL = TokenKind.OPEN, TokenKind.NEUTRAL
@@ -108,14 +107,16 @@ class SymbolError(InputError):
         self.token = token
 
 
-@dataclass
-class SymbolStats:
+class SymbolStats(Record):
     """Unit-step counters: one token's, or (as EngineStats) the pass's."""
 
-    visits: int = 0  # (table entry, transition) matches processed
-    scans: int = 0  # table entries inspected without a match
-    ecs_calls: int = 0
-    nodes_added: int = 0
+    _fields = ("visits", "scans", "ecs_calls", "nodes_added")
+
+    def __init__(self, visits: int = 0, scans: int = 0, ecs_calls: int = 0, nodes_added: int = 0) -> None:
+        self.visits = visits  # (table entry, transition) matches processed
+        self.scans = scans  # table entries inspected without a match
+        self.ecs_calls = ecs_calls
+        self.nodes_added = nodes_added
 
     def add(self, other: "SymbolStats") -> None:
         self.visits += other.visits
@@ -124,14 +125,26 @@ class SymbolStats:
         self.nodes_added += other.nodes_added
 
 
-@dataclass
 class EngineStats(SymbolStats):
     """Running totals of the whole pass, finalization included, in O(1)
     memory. ``plans`` counts the step plans the pass compiled."""
 
-    pulls: int = 0
-    plans: int = 0
-    finalize: SymbolStats = field(default_factory=SymbolStats)
+    _fields = (*SymbolStats._fields, "pulls", "plans", "finalize")
+
+    def __init__(
+        self,
+        visits: int = 0,
+        scans: int = 0,
+        ecs_calls: int = 0,
+        nodes_added: int = 0,
+        pulls: int = 0,
+        plans: int = 0,
+        finalize: SymbolStats | None = None,
+    ) -> None:
+        super().__init__(visits, scans, ecs_calls, nodes_added)
+        self.pulls = pulls
+        self.plans = plans
+        self.finalize = SymbolStats() if finalize is None else finalize
 
     def totals(self) -> SymbolStats:
         return SymbolStats(self.visits, self.scans, self.ecs_calls, self.nodes_added)
@@ -159,20 +172,24 @@ class Shapes:
         return sid
 
 
-@dataclass(slots=True)
-class EngineState:
+class EngineState(Record):
     """Mutable pass state: the pair table, the frame stack, the arena.
 
     The table is ``handles`` under the keys of shape ``shape``, the i-th
     handle that of the i-th key; each stack entry is (summary shape id,
     handles, open position), its handles under the summary's keys."""
 
-    arena: EcsArena
-    shapes: Shapes
-    shape: int
-    handles: list
-    stack: list
-    epsilon: int
+    __slots__ = _fields = ("arena", "shapes", "shape", "handles", "stack", "epsilon")
+
+    def __init__(
+        self, arena: EcsArena, shapes: Shapes, shape: int, handles: list, stack: list, epsilon: int
+    ) -> None:
+        self.arena = arena
+        self.shapes = shapes
+        self.shape = shape
+        self.handles = handles
+        self.stack = stack
+        self.epsilon = epsilon
 
     @classmethod
     def initial(cls, vpt: Vpt) -> "EngineState":
@@ -445,12 +462,14 @@ def _check(alphabet: StructuredAlphabet | None, tok, k: int) -> None:
         raise SymbolError(tok, k)
 
 
-@dataclass
-class PreprocessResult:
-    arena: EcsArena
-    root: int
-    stats: EngineStats
-    length: int
+class PreprocessResult(Record):
+    _fields = ("arena", "root", "stats", "length")
+
+    def __init__(self, arena: EcsArena, root: int, stats: EngineStats, length: int) -> None:
+        self.arena = arena
+        self.root = root
+        self.stats = stats
+        self.length = length
 
 
 def preprocess(

@@ -49,7 +49,7 @@ of a word is at most 2 * max(1, new symbols) + 2 unit steps.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from vptenum.ecs import EMPTY, EPS_LEAF, EPS_UNION_NODE, PRODUCT, UNION, EcsArena
 from vptenum.vpt import OutputWord

@@ -41,7 +41,7 @@ def _parse_lines(text: str):
     def fail(lineno, msg):
         raise FormatError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # only "\n" ends a line, as in documents
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

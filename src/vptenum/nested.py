@@ -19,11 +19,10 @@ the tokens ahead of it in its block still come out, then the error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Iterator, Union
 
 
 class TokenKind(Enum):
@@ -40,16 +39,53 @@ class TokenizeError(InputError):
     """Raised on malformed token syntax or a symbol outside the alphabet."""
 
 
-@dataclass(frozen=True)
-class StructuredAlphabet:
-    opens: frozenset
-    closes: frozenset
-    neutrals: frozenset
+class Record:
+    """A record of the fields its class names in ``_fields``: equal to a
+    record of the same class whose fields are equal, shown as
+    ``Name(field=value, ...)``, and unhashable, since it may change."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "opens", frozenset(self.opens))
-        object.__setattr__(self, "closes", frozenset(self.closes))
-        object.__setattr__(self, "neutrals", frozenset(self.neutrals))
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record that refuses assignment and deletion, and so hashes by
+    its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__  # how a FrozenRecord's __init__ sets its fields
+
+
+class StructuredAlphabet(FrozenRecord):
+    _fields = ("opens", "closes", "neutrals")
+
+    def __init__(self, opens, closes, neutrals) -> None:
+        _set(self, "opens", frozenset(opens))
+        _set(self, "closes", frozenset(closes))
+        _set(self, "neutrals", frozenset(neutrals))
 
     def kind_of(self, name: str, kind: TokenKind) -> bool:
         if kind is TokenKind.OPEN:
@@ -64,29 +100,31 @@ class StructuredAlphabet:
         return 1 + max(map(len, self.opens | self.closes | self.neutrals), default=0)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    name: str
+class Token(FrozenRecord):
+    _fields = ("kind", "name")
+
+    def __init__(self, kind: TokenKind, name: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "name", name)
 
     def __repr__(self) -> str:
         return f"Token({self.kind.value}:{self.name})"
 
 
-@dataclass(frozen=True)
-class Span:
-    start: int
-    end: int
+class Span(FrozenRecord):
+    _fields = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.start <= self.end):
-            raise ValueError(f"invalid span <{self.start},{self.end}>")
+    def __init__(self, start: int, end: int) -> None:
+        if not (1 <= start <= end):
+            raise ValueError(f"invalid span <{start},{end}>")
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     def __repr__(self) -> str:
         return f"<{self.start},{self.end}>"
 
 
-TextSource = Union[str, Iterable[str]]
+TextSource = str | Iterable[str]
 
 
 BLOCK_CHARS = 8192

@@ -17,12 +17,11 @@ into) yields one output word per span assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator
 
-from vptenum.nested import InputError, Span, StructuredAlphabet, Token, TokenKind
+from vptenum.nested import FrozenRecord, InputError, Span, StructuredAlphabet, Token, TokenKind, _set
 from vptenum import engine
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, level_reach, stable_key
 
@@ -49,38 +48,53 @@ def close_marker(var: str) -> str:
     return "⊣" + var  # ⊣x
 
 
-@dataclass(frozen=True)
-class EpsProduction:
-    head: str
+class EpsProduction(FrozenRecord):
+    _fields = ("head",)
+
+    def __init__(self, head: str) -> None:
+        _set(self, "head", head)
 
 
-@dataclass(frozen=True)
-class ChainProduction:
+class ChainProduction(FrozenRecord):
     """head -> sym tail, where sym is a neutral letter or a marker."""
 
-    head: str
-    sym: str
-    is_marker: bool
-    tail: str
+    _fields = ("head", "sym", "is_marker", "tail")
+
+    def __init__(self, head: str, sym: str, is_marker: bool, tail: str) -> None:
+        _set(self, "head", head)
+        _set(self, "sym", sym)
+        _set(self, "is_marker", is_marker)
+        _set(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class NestProduction:
+class NestProduction(FrozenRecord):
     """head -> <a inner a> tail."""
 
-    head: str
-    letter: str
-    inner: str
-    tail: str
+    _fields = ("head", "letter", "inner", "tail")
+
+    def __init__(self, head: str, letter: str, inner: str, tail: str) -> None:
+        _set(self, "head", head)
+        _set(self, "letter", letter)
+        _set(self, "inner", inner)
+        _set(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class Vpeg:
-    variables: frozenset
-    nonterminals: frozenset
-    alphabet: StructuredAlphabet
-    start: str
-    productions: tuple
+class Vpeg(FrozenRecord):
+    _fields = ("variables", "nonterminals", "alphabet", "start", "productions")
+
+    def __init__(
+        self,
+        variables: frozenset,
+        nonterminals: frozenset,
+        alphabet: StructuredAlphabet,
+        start: str,
+        productions: tuple,
+    ) -> None:
+        _set(self, "variables", variables)
+        _set(self, "nonterminals", nonterminals)
+        _set(self, "alphabet", alphabet)
+        _set(self, "start", start)
+        _set(self, "productions", productions)
 
 
 def parse_vpeg(text: str) -> Vpeg:
@@ -95,7 +109,7 @@ def parse_vpeg(text: str) -> Vpeg:
     the left of `->`.
     """
     lines = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):  # only "\n" ends a line, as in documents
         body = raw.split("#", 1)[0].strip()
         if body:
             lines.append(body)

@@ -19,10 +19,9 @@ spanner's functionality check.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from vptenum.nested import StructuredAlphabet, TokenKind
+from vptenum.nested import FrozenRecord, StructuredAlphabet, TokenKind, _set
 
 
 class ResourceCapError(RuntimeError):
@@ -34,8 +33,7 @@ OutputWord = tuple  # tuple of (symbol, position) pairs; () is the empty word
 NO_MOVES = MappingProxyType({})  # the index row of a letter without transitions
 
 
-@dataclass(frozen=True)
-class Vpt:
+class Vpt(FrozenRecord):
     """Nondeterministic transducer.
 
     Transitions (out is None for an emission-free step):
@@ -47,17 +45,32 @@ class Vpt:
     ``output_symbols`` and out=None on every transition.
     """
 
-    states: frozenset
-    alphabet: StructuredAlphabet
-    stack_symbols: frozenset
-    output_symbols: frozenset
-    opens: frozenset
-    closes: frozenset
-    neutrals: frozenset
-    initial: frozenset
-    final: frozenset
+    _fields = (
+        "states", "alphabet", "stack_symbols", "output_symbols", "opens", "closes", "neutrals", "initial", "final"
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        states: frozenset,
+        alphabet: StructuredAlphabet,
+        stack_symbols: frozenset,
+        output_symbols: frozenset,
+        opens: frozenset,
+        closes: frozenset,
+        neutrals: frozenset,
+        initial: frozenset,
+        final: frozenset,
+    ) -> None:
+        _set(self, "states", states)
+        _set(self, "alphabet", alphabet)
+        _set(self, "stack_symbols", stack_symbols)
+        _set(self, "output_symbols", output_symbols)
+        _set(self, "opens", opens)
+        _set(self, "closes", closes)
+        _set(self, "neutrals", neutrals)
+        _set(self, "initial", initial)
+        _set(self, "final", final)
+
         def check_out(out, t):
             if out is not None and out not in self.output_symbols:
                 raise ValueError(f"transition emits undeclared output symbol: {t}")
@@ -95,8 +108,8 @@ class Vpt:
     # neutral_index[a][q] list the moves, in stable order so that the
     # order of the results does not depend on the process. The three
     # are built together on first use, not at construction, so set-up
-    # does not pay for them; as non-fields they stay out of equality
-    # and hashing.
+    # does not pay for them; as non-fields they stay out of equality,
+    # hashing and the repr.
     def __getattr__(self, name):
         if name not in _INDEXES:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")

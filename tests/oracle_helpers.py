@@ -566,6 +566,12 @@ def random_well_nested(rng: random.Random, alphabet: StructuredAlphabet, length:
 
 # -------------------------------------------------- machine generators
 
+def replaced(record, **changes):
+    """A copy of a library record with the named fields changed, built
+    through its class's constructor, so the class's checks run again."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
 def random_det_vpt(rng: random.Random, n_states: int = 4, n_trans: int = 12) -> Vpt:
     """Deterministic-by-construction transducer: transition keys
     (state, letter, output) never collide and there is one initial

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines; each
 criterion is a single test so the pytest verdicts double as the gate.
 """
 
-import dataclasses
 import functools
 import random
 import statistics
@@ -27,6 +26,7 @@ from oracle_helpers import (
     random_vpa,
     random_vpeg,
     random_well_nested,
+    replaced,
     union_of_unions,
     well_nested_words,
 )
@@ -83,7 +83,7 @@ def _with_twin_neutrals(rng, vpt):
         free = [o for o in outs if o not in used]
         if free:
             neutrals.add((q, a, rng.choice(free), rng.choice(sorted(vpt.states))))
-    return dataclasses.replace(vpt, neutrals=frozenset(neutrals))
+    return replaced(vpt, neutrals=frozenset(neutrals))
 
 
 def _interesting_word(rng, vpt, alph):

@@ -1154,16 +1154,28 @@ class TestParser:
     def test_cold_start_imports_neither_argparse_nor_csv(self, files):
         # argparse is built only for help and errors, csv only for --stats
         # and bench
-        script = (
-            "import sys\n"
-            "import vptenum.cli\n"
-            "seen = [m for m in ('argparse', 'csv') if m in sys.modules]\n"
-            "code = vptenum.cli.main(sys.argv[1:])\n"
-            "seen += [m for m in ('argparse', 'csv') if m in sys.modules]\n"
-            "print(code, *seen, file=sys.stderr)\n"
-        )
-        proc = run_module("-c", script, *demo_argv("run", files, "<r b c b r>"))
-        assert proc.stderr == "0\n"
+        assert cold_start_loads(files, "argparse", "csv") == "0\n"
+
+    def test_cold_start_imports_no_dataclasses_inspect_or_typing(self, files):
+        # the records are plain classes and annotations stay strings;
+        # what site's .pth files import before the package does not count
+        assert cold_start_loads(files, "dataclasses", "inspect", "typing") == "0\n"
+
+
+def cold_start_loads(files, *modules) -> str:
+    """The exit code of `import vptenum.cli` and a `run` in a fresh
+    process, then those of ``modules`` that the import or the run loaded."""
+    script = (
+        "import sys\n"
+        f"watched = {modules!r}\n"
+        "before = set(sys.modules)\n"
+        "import vptenum.cli\n"
+        "seen = [m for m in watched if m in sys.modules and m not in before]\n"
+        "code = vptenum.cli.main(sys.argv[1:])\n"
+        "seen += [m for m in watched if m in sys.modules and m not in before]\n"
+        "print(code, *seen, file=sys.stderr)\n"
+    )
+    return run_module("-c", script, *demo_argv("run", files, "<r b c b r>")).stderr
 
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden_py311.json").read_text(encoding="utf-8"))

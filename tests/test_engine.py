@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from itertools import product
 
@@ -42,6 +41,7 @@ from oracle_helpers import (
     random_well_nested,
     reference_preprocess,
     reference_view,
+    replaced,
     tok_close,
     tok_neutral,
     tok_open,
@@ -72,7 +72,7 @@ class TestIfProd:
     """The output extension inlined in every step, seen through one neutral token."""
 
     def step(self, out):
-        m = replace(marker_vpt(), neutrals=frozenset({("q", "c", out, "q")}))
+        m = replaced(marker_vpt(), neutrals=frozenset({("q", "c", out, "q")}))
         trace = Snapshots(EngineState.initial(m))
         res = preprocess(m, brackets("."), trace)
         return res, trace
@@ -88,7 +88,7 @@ class TestIfProd:
 
     def test_sentinel_passes_through(self):
         # an entry without a move leaves no entry, never a stored EMPTY
-        m = replace(marker_vpt(), neutrals=frozenset())
+        m = replaced(marker_vpt(), neutrals=frozenset())
         trace = Snapshots(EngineState.initial(m))
         preprocess(m, brackets("."), trace)
         assert trace[1] == ({}, [])
@@ -386,9 +386,9 @@ IDLE = "idle"
 def with_idle_letter(vpt: Vpt) -> Vpt:
     """vpt with one more neutral letter on which every state loops
     silently: its step is the identity on every table."""
-    alphabet = replace(vpt.alphabet, neutrals=vpt.alphabet.neutrals | {IDLE})
+    alphabet = replaced(vpt.alphabet, neutrals=vpt.alphabet.neutrals | {IDLE})
     loops = {(q, IDLE, None, q) for q in vpt.states}
-    return replace(vpt, alphabet=alphabet, neutrals=vpt.neutrals | loops)
+    return replaced(vpt, alphabet=alphabet, neutrals=vpt.neutrals | loops)
 
 
 def interned(doc: list) -> list:
@@ -603,7 +603,7 @@ class TestSiblingOutputs:
         # the model's counts; only the nodes appended go down
         totals, ref_totals = got.stats.totals(), ref.stats.totals()
         assert totals.nodes_added <= ref_totals.nodes_added
-        assert replace(totals, nodes_added=0) == replace(ref_totals, nodes_added=0)
+        assert replaced(totals, nodes_added=0) == replaced(ref_totals, nodes_added=0)
         return got, ref
 
     def test_random_machines(self):

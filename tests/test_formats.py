@@ -1,11 +1,10 @@
 """Text format for machines: parsing, serialization, diagnostics."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from oracle_helpers import random_det_vpt, random_vpa
+from oracle_helpers import random_det_vpt, random_vpa, replaced
 from vptenum.formats import FormatError, parse_vpt, serialize_vpt
 from vptenum.spanner import compile_vpeg, parse_vpeg
 from vptenum.nested import StructuredAlphabet
@@ -82,6 +81,25 @@ class TestParse:
         )
         vpa = parse_vpt(text)
         assert vpa.neutrals == {("q0", "a#b", None, "q1")}
+
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\r"], ids=["vt", "ff", "fs", "nel", "ls", "ps", "cr"]
+    )
+    def test_only_newline_ends_a_line(self, sep):
+        # other line breaks separate words, as in a document: the first
+        # line declares the states q0, initial: and q0, so frob is on line 3
+        with pytest.raises(FormatError) as exc:
+            parse_vpt(f"states: q0{sep}initial: q0\nfinal: q0\nfrob\n")
+        assert str(exc.value) == "line 3: unrecognized line: 'frob'"
+        # and a comment runs past them to the next "\n"
+        text = VPA_TEXT + f"# note{sep}neutral d q0 -> q0 out -\n"
+        assert parse_vpt(text) == parse_vpt(VPA_TEXT)
+
+    def test_crlf_is_one_line_break(self):
+        with pytest.raises(FormatError) as exc:
+            parse_vpt("states: q0\r\ninitial: q0\r\nfinal: q0\r\nfrob\r\n")
+        assert str(exc.value) == "line 4: unrecognized line: 'frob'"
+        assert parse_vpt(VPA_TEXT.replace("\n", "\r\n")) == parse_vpt(VPA_TEXT)
 
     def test_stack_header_optional_without_brackets(self):
         text = "states: q0\ninitial: q0\nfinal: q0\nneutral c q0 -> q0 out -\n"
@@ -212,7 +230,7 @@ class TestSerialize:
     def test_dash_output_cannot_serialize(self):
         # `out -` is the no-output mark, so an output named `-` would come
         # back as a silent step
-        vpt = replace(
+        vpt = replaced(
             one_state("q"),
             alphabet=StructuredAlphabet(opens=frozenset(), closes=frozenset(), neutrals=frozenset({"c"})),
             output_symbols=frozenset({"-"}),

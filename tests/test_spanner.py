@@ -113,6 +113,22 @@ class TestParseVpeg:
         g = parse_vpeg("# spans\nstart S\n\nS -> eps  # erase\n")
         assert g.productions == (EpsProduction("S"),)
 
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\r"], ids=["vt", "ff", "fs", "nel", "ls", "ps", "cr"]
+    )
+    def test_only_newline_ends_a_line(self, sep):
+        # other line breaks separate words, as in a document: this is one
+        # var line declaring x, start and S
+        with pytest.raises(GrammarError, match="^missing start line$"):
+            parse_vpeg(f"var x{sep}start S\nS -> eps")
+        # and a comment runs past them to the next "\n"
+        with pytest.raises(GrammarError, match="^start symbol 'S' has no production$"):
+            parse_vpeg(f"start S # note{sep}S -> eps\n")
+
+    def test_crlf_is_one_line_break(self):
+        text = "var x\nstart S\nS -> (x A  # open\nA -> x) B\nB -> c B | eps\n"
+        assert parse_vpeg(text.replace("\n", "\r\n")) == parse_vpeg(text)
+
     def test_two_nonterminal_body_rejected(self):
         with pytest.raises(GrammarError, match="not a grammar shape"):
             parse_vpeg("start S\nS -> A B\nA -> eps\nB -> eps")

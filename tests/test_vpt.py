@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -28,6 +27,7 @@ from oracle_helpers import (
     random_det_vpt,
     random_nondet_vpt,
     random_vpa,
+    replaced,
     table_of,
     tok_neutral,
     well_nested_pairs,
@@ -169,7 +169,7 @@ class TestValidation:
     )
     def test_rejects_with_message(self, field, moves, message):
         with pytest.raises(ValueError) as exc:
-            dataclasses.replace(marker_vpt(), **{field: frozenset(moves)})
+            replaced(marker_vpt(), **{field: frozenset(moves)})
         assert type(exc.value) is ValueError
         assert str(exc.value) == message
 
@@ -420,7 +420,7 @@ def plain_outputs(vpt: Vpt) -> Vpt:
     def name(out):
         return None if out is None else names[out]
 
-    return dataclasses.replace(
+    return replaced(
         vpt,
         output_symbols=frozenset(names.values()),
         opens=frozenset((q, a, name(o), q2, x) for q, a, o, q2, x in vpt.opens),
