@@ -162,11 +162,14 @@ def _all_of(observers: list) -> Callable | None:
 def _result_rows(writer, result, enum: Enumerator, words, *prefix) -> Iterator:
     """Once iterated, write the pass's CSV ``finalize`` row, then pass
     ``words``, taken from ``enum``, through and write one ``output`` row
-    as each is emitted: its ``enum.last_gap``."""
+    as each is emitted: the unit steps since the previous word, and the
+    word's length counting the empty word as 1."""
     fin = result.stats.finalize
     writer.writerow(["finalize", *prefix, "", fin.visits, fin.scans, fin.ecs_calls, fin.nodes_added, "", ""])
+    before = enum.steps
     for i, word in enumerate(words, start=1):
-        writer.writerow(["output", *prefix, i, "", "", "", "", *enum.last_gap])
+        writer.writerow(["output", *prefix, i, "", "", "", "", enum.steps - before, len(word) or 1])
+        before = enum.steps
         yield word
 
 

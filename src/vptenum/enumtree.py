@@ -33,18 +33,19 @@ skeleton of 2k - 1 nodes, and advancing touches only rebuilt nodes, so
 the work between two words is linear in the new word, whatever the
 nesting depth of the document or the history of the arena.
 
-Build, climb (to the next owner), word output and advance are the
-operations of one loop. The next operation is held in locals, and so is
-the one climb waiting for the subtree in hand to be built: every build
-deferred since that climb started lies inside its subtree. Only those
-deferred builds, the right children of products, go on an explicit
-stack, so tree depth is bounded only by memory. One unit step is one
-operation the loop carries out, whether or not it waited on the stack;
-each does O(1) work besides copying the finished word out. A word is
-yielded as soon as its skeleton is complete. From one word to the next
-the loop takes one advance, one word step, and builds and climbs that
-come to two per new symbol (there is at least one), so the gap in front
-of a word is at most 2 * max(1, new symbols) + 2 unit steps.
+The enumerator is two nested loops. The inner one builds a node and
+then the builds it deferred, the right children of products, kept on
+an explicit stack, so tree depth is bounded only by memory. A leaf
+that finds the stack empty completes the subtree of the node the last
+climb reached, as every build deferred since that climb lies inside
+it, and the loop climbs once more: to the right child of that node's
+owner, built next, or, with no owner, out with the skeleton complete.
+The outer loop takes one word step, yields the word and takes one
+advance step, which switches the deepest pending union or ends. A unit
+step is a build, climb, word or advance, each O(1) besides copying the
+word out. Between two words the loops take one advance, one word step,
+and builds and climbs that come to two per new symbol (at least one),
+so a word's gap is at most 2 * max(1, new symbols) + 2 unit steps.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ from vptenum.vpt import OutputWord
 class Enumerator:
     """Streams L(v) once per word, with instrumentation.
 
-    ``last_gap`` is, after each emission, the pair (unit steps since
-    the previous emission, emitted length counting the empty word as 1);
-    ``last_cut`` is the number of leading symbols the emitted word
-    shares with the previous one, as kept by the advance that found it
-    (0 for the empty word and the first epsilon-free word);
-    ``gaps`` records every such pair and ``tree_sizes`` records
-    (skeleton nodes, word length) per word found when instrumentation
-    is on.
+    ``steps`` is the number of unit steps taken so far; after each
+    emission it is the count up to that word. ``last_cut`` is the number
+    of leading symbols the emitted word shares with the previous one,
+    as kept by the advance that found it (0 for the empty word and the
+    first epsilon-free word). When instrumentation is on, ``gaps``
+    records per word the pair (unit steps since the previous emission,
+    emitted length counting the empty word as 1), and ``tree_sizes``
+    records (skeleton nodes, word length) per word found.
     """
 
     def __init__(self, arena: EcsArena, v: int, instrument: bool = False):
@@ -73,28 +74,23 @@ class Enumerator:
         self.root = v
         self.instrument = instrument
         self.steps = 0
-        self.last_gap: tuple[int, int] | None = None
         self.last_cut = 0
         self.gaps: list[tuple[int, int]] = []
         self.tree_sizes: list[tuple[int, int]] = []
-
-    def _note_emit(self, word: OutputWord, steps: int, cut: int) -> None:
-        # self.steps holds the step count of the previous emission
-        self.last_gap = gap = (steps - self.steps, len(word) or 1)
-        self.last_cut = cut
-        self.steps = steps
-        if self.instrument:
-            self.gaps.append(gap)
 
     def __iter__(self) -> Iterator[OutputWord]:
         arena = self.arena
         v = self.root
         if v == EMPTY:
             return
+        instrument, gaps, tree_sizes = self.instrument, self.gaps, self.tree_sizes
         kind = arena.kinds[v]
         if kind == EPS_LEAF or kind == EPS_UNION_NODE:
-            # the empty word first, then the epsilon-free remainder
-            self._note_emit((), self.steps + 1, 0)
+            # the empty word first, in one step, then the epsilon-free remainder
+            self.steps += 1
+            self.last_cut = 0
+            if instrument:
+                gaps.append((1, 1))
             yield ()
             if kind == EPS_LEAF:
                 return
@@ -103,8 +99,7 @@ class Enumerator:
         # below here every node is an epsilon-free union, product or
         # symbol leaf, and a symbol leaf's payload sits in ``lefts``
         kinds, lefts, rights = arena.kinds, arena.lefts, arena.rights
-        instrument, tree_sizes = self.instrument, self.tree_sizes
-        root = [v, None, None, None]  # a skeleton node: [arena node, left, right, owner]
+        union, product = UNION, PRODUCT  # as locals: the loop tests them every step
         stack: list[list] = []  # right children whose builds are deferred
         push, pop = stack.append, stack.pop
         # (skeleton node, union, skeleton nodes before it, symbols before it)
@@ -112,16 +107,12 @@ class Enumerator:
         out: list = []  # the word printed by the skeleton built so far
         nodes = cut = 0  # cut: symbols the next word keeps of its predecessor
         steps = self.steps
-        # the loop's operations, and the labels it tests, as locals: the
-        # loop reads them every step
-        BUILD, CLIMB, WORD, ADVANCE = range(4)
-        union, product = UNION, PRODUCT
-        # the next operation, on node t; climb is the node to climb from
-        # once the stack is empty, that is once its subtree is built
-        op, t, climb = BUILD, root, root
+        # a skeleton node is [arena node, left, right, owner]; t is the next to
+        # build, climb the one to climb from once the stack is empty
+        t = climb = [v, None, None, None]
         while True:
-            steps += 1
-            if op == BUILD:
+            while True:  # build t, then each deferred right child, climbing when none is left
+                steps += 1
                 u = t[0]
                 kind = kinds[u]
                 if kind == union:
@@ -141,33 +132,30 @@ class Enumerator:
                     left[0], right[0] = lefts[u], rights[u]
                     push(right)
                     t = left
-                else:
-                    t[1] = t[2] = None
-                    out.append(lefts[u])
-                    if stack:
-                        t = pop()
-                    else:
-                        op, t = CLIMB, climb
-            elif op == CLIMB:
-                owner = t[3]
-                if owner is None:
-                    op = WORD
-                else:
-                    t = climb = owner[2]
-                    t[0] = rights[owner[0]]
-                    op = BUILD
-            elif op == WORD:  # the skeleton is complete
-                word = tuple(out)
-                if instrument:
-                    tree_sizes.append((nodes, len(word)))
-                self._note_emit(word, steps, cut)
-                yield word
-                op = ADVANCE
-            elif pending:  # ADVANCE
-                t, u, nodes, cut = pending.pop()
-                del out[cut:]
-                t[0] = rights[u]
-                op, climb = BUILD, t
-            else:  # ADVANCE with nothing pending: the words are exhausted
+                    continue
+                t[1] = t[2] = None
+                out.append(lefts[u])
+                if stack:
+                    t = pop()
+                    continue
+                steps += 1  # climb to the owner's right subtree, built next
+                owner = climb[3]
+                if owner is None:  # the skeleton is complete
+                    break
+                t = climb = owner[2]
+                t[0] = rights[owner[0]]
+            steps += 1  # the word
+            word = tuple(out)
+            if instrument:
+                gaps.append((steps - self.steps, len(word)))
+                tree_sizes.append((nodes, len(word)))
+            self.steps, self.last_cut = steps, cut
+            yield word
+            steps += 1  # advance: switch the deepest pending union right
+            if not pending:  # the words are exhausted
                 break
+            t, u, nodes, cut = pending.pop()
+            del out[cut:]
+            t[0] = rights[u]
+            climb = t
         self.steps = steps

@@ -6,7 +6,7 @@ import pytest
 
 from vptenum import spanner
 from vptenum.cli import _bench_doc, _bench_vpt
-from vptenum.ecs import EMPTY, EcsArena
+from vptenum.ecs import EMPTY, EPS_LEAF, EcsArena
 from vptenum.engine import preprocess
 from vptenum.enumtree import Enumerator
 from vptenum.vpt import io_determinize
@@ -282,9 +282,18 @@ def test_gap_is_linear_in_the_new_symbols(name):
     # an advance builds two skeleton nodes per symbol it prints, counting
     # climbs; the word step and the advance add one step each
     for arena, root in _arenas(name):
-        en = Enumerator(arena, root)
-        for word in en:
-            assert en.last_gap[0] <= 2 * max(1, len(word) - en.last_cut) + 2
+        for instrument in (False, True):
+            en, before = Enumerator(arena, root, instrument), 0
+            for word in en:
+                gap, before = en.steps - before, en.steps
+                assert gap <= 2 * max(1, len(word) - en.last_cut) + 2
+                assert en.gaps[-1:] == ([(gap, len(word) or 1)] if instrument else [])
+        # en, read last, is instrumented; the end adds an advance that finds nothing pending
+        advanced = root != EMPTY and arena.kinds[root] != EPS_LEAF
+        assert sum(gap for gap, _ in en.gaps) == en.steps - advanced
+        early = Enumerator(arena, root, instrument=True)
+        list(itertools.islice(early, max(0, len(en.gaps) - 1)))
+        assert early.steps == sum(gap for gap, _ in early.gaps)
 
 
 def words_and_cuts(en, limit=None):
