@@ -206,7 +206,7 @@ class EngineState(Record):
         the result set of the prefix read so far."""
         stats = SymbolStats() if stats is None else stats
         arena = self.arena
-        before = len(arena)
+        before = len(arena.kinds)
         root = EMPTY
         for (p, q), handle in zip(self.shapes.keys[self.shape], self.handles):
             if p in vpt.initial and q in vpt.final:
@@ -215,7 +215,7 @@ class EngineState(Record):
                 stats.ecs_calls += 1
             else:
                 stats.scans += 1
-        stats.nodes_added += len(arena) - before
+        stats.nodes_added += len(arena.kinds) - before
         return root
 
 

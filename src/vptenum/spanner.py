@@ -264,8 +264,8 @@ def to_evpa(vpeg: Vpeg, *, ops: list | None = None) -> Vpt:
 
 
 def _marker_edges(evpa: Vpt, variables) -> list[tuple[str, str, str]]:
-    """The marker transitions, in stable_key order so that a search
-    over them goes the same way in every process."""
+    """The marker transitions in stable_key order, which fixes how a search
+    over them goes in every process and which state a cycle refusal names."""
     markers = {open_marker(x) for x in variables} | {close_marker(x) for x in variables}
     edges = [(q, a, q2) for q, a, _, q2 in evpa.neutrals if a in markers]
     return sorted(edges, key=stable_key)
@@ -336,50 +336,29 @@ def check_functional(evpa: Vpt, variables) -> None:
 def evpa_to_vpt(evpa: Vpt, variables, end_letter=END_MARKER) -> Vpt:
     """Fuse marker chains into the following letter transition.
 
-    Marker transitions must form an acyclic graph over states (else a
-    chain could be pumped forever); a cycle is rejected outright. Each
-    letter transition leaving p gets one copy per chain ending at p,
-    whose source is the chain's start and whose output is the set of
-    markers along the chain; the empty chain leaves the transition as
-    it is, with empty output. A fresh final state is reachable only by
-    the synthetic end marker, the neutral ``end_letter``, fused or not.
+    One walk expands every marker chain and refuses a chain that ends
+    at its start, which could be pumped forever. It uses up each start's
+    chains before the next start's, in stable_key order, so a refusal
+    names the least state on a marker cycle. Each letter transition
+    leaving p gets one copy per chain ending at p, whose source is the
+    chain's start and whose output is the set of markers along the
+    chain; the empty chain leaves the transition as it is, with empty
+    output. A fresh final state is reachable only by the synthetic end
+    marker, the neutral ``end_letter``, fused or not.
     """
     edges = _marker_edges(evpa, variables)
     adj: dict = {}
     for q, a, q2 in edges:
         adj.setdefault(q, []).append((a, q2))
-    # cycle check over marker edges only
-    color: dict = {}
-    for q0 in adj:
-        if color.get(q0):
-            continue
-        stack = [(q0, iter(adj.get(q0, ())))]
-        color[q0] = 1
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for _, q2 in it:
-                c = color.get(q2, 0)
-                if c == 1:
-                    raise GrammarError(
-                        f"capture transitions form a cycle through state {q2!r}"
-                    )
-                if c == 0:
-                    color[q2] = 1
-                    stack.append((q2, iter(adj.get(q2, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[q] = 2
-                stack.pop()
-
     # (chain start, fused marker set) per chain end state, each state's
     # empty chain (q, None) included
     ending_at = {q: {(q, None)} for q in evpa.states}
     count = 0
-    work = [(q, frozenset({a}), q2) for q, a, q2 in edges]
+    work = [(q, frozenset({a}), q2) for q, a, q2 in reversed(edges)]
     while work:
         start, fused, end = work.pop()
+        if end == start:
+            raise GrammarError(f"capture transitions form a cycle through state {start!r}")
         bucket = ending_at[end]
         if (start, fused) in bucket:
             continue

@@ -485,11 +485,11 @@ class TestOracle:
         # force a disagreement to exercise the reporting path
         t = files("m.vpt", CHOICE_VPT)
         d = files("d.txt", "<r b r>")
-        monkeypatch.setattr(engine, "evaluate", lambda *a, **k: [(("u", 2),)])
+        monkeypatch.setattr(engine, "evaluate", lambda *a, **k: [(("u", 2),), (("w", 2),)])
         code, _, err = run_main(capsys, ["oracle", "-t", t, "-d", d, "--diff"])
         assert code == EXIT_DIFF
-        assert err[0] == "mismatch: engine lacks 1 word(s), adds 0 word(s)"
-        assert err[1] == "  missing: v@2"
+        assert err[0] == "mismatch: engine lacks 1 word(s), adds 1 word(s)"
+        assert err[1:] == ["  missing: v@2", "  extra:   w@2"]
 
 
 class TestSpanner:
