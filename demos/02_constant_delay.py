@@ -44,9 +44,10 @@ def main() -> None:
     print(f"{'unions n':>10}  {'outputs':>8}  {'worst steps/symbol':>18}")
     for n in (16, 256, 2048):
         arena = EcsArena()
+        x, y = arena.output_id("x"), arena.output_id("y")
         acc = EMPTY
         for i in range(n):
-            acc = arena.union(acc, arena.union(arena.add(("x", i)), arena.add(("y", i))))
+            acc = arena.union(acc, arena.union(arena.add(x, i), arena.add(y, i)))
         enum = Enumerator(arena, acc, instrument=True)
         taken = sum(1 for _ in enum)
         print(f"{n:>10}  {taken:>8}  {worst_steps_per_symbol(enum):>18.2f}")

@@ -194,25 +194,29 @@ def cmd_run(args) -> int:
             observers.append(_checkpoint_lines(vpt))
         with _document(args.document, vpt.alphabet) as doc:
             result = engine.preprocess(vpt, doc, _all_of(observers))
-        enum = Enumerator(result.arena, result.root)
-        words = islice(enum, args.limit)
+        arena = result.arena
+        enum = Enumerator(arena, result.root)
+        words = islice(enum.leaf_words(), args.limit)
         if writer is not None:
             words = _result_rows(writer, result, enum, words)
         write = sys.stdout.write  # one call per result line
         print("#")
-        # the texts of the symbols each word keeps of the previous one;
-        # only the new suffix is looked up, and each leaf formatted once
-        pieces, texts = [], {}
+        # lines[i] is the text of the last word's first i symbols: a word
+        # keeps the text of what it shares with the previous one and adds
+        # its new suffix, each leaf formatted once, from its output id
+        outputs, lefts, rights = arena.outputs, arena.lefts, arena.rights
+        lines, texts = [""], {}
         for word in words:
             cut = enum.last_cut
-            del pieces[cut:]
-            for item in word[cut:]:
-                text = texts.get(item)
+            del lines[cut + 1 :]
+            line = lines[cut]
+            for v in word[cut:]:
+                text = texts.get(v)
                 if text is None:
-                    out, k = item
-                    text = texts[item] = f"{out}@{k}"
-                pieces.append(text)
-            write((" ".join(pieces) or "ε") + "\n")
+                    text = texts[v] = f"{outputs[lefts[v]]}@{rights[v]}"
+                line = f"{line} {text}" if line else text
+                lines.append(line)
+            write((line or "ε") + "\n")
         print("#")
     return EXIT_OK
 
@@ -246,12 +250,21 @@ def cmd_oracle(args) -> int:
 def cmd_spanner(args) -> int:
     with _text_file(args.grammar) as fh:
         vpeg = spanner.parse_vpeg(fh.read())
-    write = sys.stdout.write  # one call per result line
     with _document(args.document, vpeg.alphabet) as doc:
-        # the pass reads and checks the whole document when evaluate_spanner
-        # is called, so --limit 0 still refuses a bad one
-        for mapping in islice(spanner.evaluate_spanner(vpeg, doc), args.limit):
-            write(mapping.render() + "\n")
+        # the pass reads and checks the whole document, so --limit 0
+        # still refuses a bad one
+        result = spanner.preprocess(vpeg, doc)
+    arena = result.arena
+    layout = spanner.SpanLayout(vpeg.variables)
+    # the layout's checked fill reads each leaf's output id and position
+    # off the arena and its slots off a table by output id, with no
+    # decoded (out, k) word and no SpanMapping
+    slots = [layout.compile(out) for out in arena.outputs]
+    lefts, rights = arena.lefts, arena.rights
+    fill, template = layout.fill, layout.template
+    write = sys.stdout.write  # one call per result line
+    for word in islice(Enumerator(arena, result.root).leaf_words(), args.limit):
+        write(template % fill(word, lefts, rights, slots) + "\n")
     return EXIT_OK
 
 

@@ -5,12 +5,19 @@ node is the set of output words its subgraph denotes. All operations
 append O(1) nodes and never mutate existing ones, so every handle ever
 returned stays valid and its language never changes.
 
-Node layout: one slot in each of three parallel lists, ``kinds``,
-``lefts`` and ``rights``. A union or product keeps its children in
-``lefts`` and ``rights``; a symbol leaf keeps its ``(out, k)`` payload
-in ``lefts``. A kind packs the label and the epsilon case of the node's
-language into one small int, ``label | case << 2``; five kinds occur:
-the epsilon-free ``UNION``, ``PRODUCT`` and ``SYMBOL`` (kind = label),
+Node layout: one entry in each of three packed columns, ``kinds`` (a
+bytearray), ``lefts`` and ``rights`` (``array('Q')``), so a node costs
+17 bytes and no Python object. A union or product keeps its children in
+``lefts`` and ``rights``. A symbol leaf keeps the small id of its output
+in ``lefts`` and its position in ``rights``: its language is {(out, k)}
+with ``out = outputs[lefts[v]]`` and ``k = rights[v]``. An output gets
+its id from ``output_id`` the first time it is asked for, so every leaf
+of one output shares it. An epsilon leaf keeps 0 in both columns. The
+columns are unsigned because CPython appends an unsigned item without
+the argument parsing that a signed one takes, at about half the cost.
+A kind packs the label and the epsilon case of the node's language into
+one small int, ``label | case << 2``; five kinds occur: the
+epsilon-free ``UNION``, ``PRODUCT`` and ``SYMBOL`` (kind = label),
 ``EPS_LEAF`` and ``EPS_UNION_NODE`` (the epsilon-union form below).
 Union depth and epsilon-leaf reach are not stored: the operations only
 ask whether an operand is a union.
@@ -46,6 +53,8 @@ right factor is one symbol long.
 
 from __future__ import annotations
 
+from array import array
+
 # node labels
 UNION = 0
 PRODUCT = 1
@@ -68,32 +77,43 @@ EMPTY = -1
 class EcsArena:
     """Node store. Handles are indices; ``EMPTY`` (= -1) is the empty set."""
 
-    __slots__ = ("kinds", "lefts", "rights")
+    __slots__ = ("kinds", "lefts", "rights", "outputs", "_ids")
 
     def __init__(self) -> None:
-        self.kinds: list[int] = []
-        self.lefts: list = []  # left child, or a symbol leaf's payload
-        self.rights: list[int] = []
+        self.kinds = bytearray()
+        self.lefts = array("Q")  # left child, or a symbol leaf's output id
+        self.rights = array("Q")  # right child, or a symbol leaf's position
+        self.outputs: list = []  # output id -> output
+        self._ids: dict = {}  # output -> output id
 
     def __len__(self) -> int:
         return len(self.kinds)
 
+    def output_id(self, out) -> int:
+        """The id that symbol leaves of ``out`` store, given at its first use."""
+        oid = self._ids.get(out)
+        if oid is None:
+            oid = self._ids[out] = len(self.outputs)
+            self.outputs.append(out)
+        return oid
+
     # -- creation: one constructor per kind -----------------------------
 
-    def add(self, payload: tuple) -> int:
-        """Fresh symbol leaf with language {payload}. Appends exactly 1 node."""
+    def add(self, oid: int, k: int) -> int:
+        """Fresh symbol leaf with language {(outputs[oid], k)}. Appends
+        exactly 1 node."""
         v = len(self.kinds)
         self.kinds.append(SYMBOL)
-        self.lefts.append(payload)
-        self.rights.append(EMPTY)
+        self.lefts.append(oid)
+        self.rights.append(k)
         return v
 
     def epsilon_node(self) -> int:
         """Fresh leaf with language {epsilon}. Appends exactly 1 node."""
         v = len(self.kinds)
         self.kinds.append(EPS_LEAF)
-        self.lefts.append(EMPTY)
-        self.rights.append(EMPTY)
+        self.lefts.append(0)
+        self.rights.append(0)
         return v
 
     def _product(self, left: int, right: int) -> int:
@@ -112,18 +132,6 @@ class EcsArena:
         self.lefts.append(left)
         self.rights.append(right)
         return v
-
-    # -- layout readers: what a kind and a leaf's slot hold --------------
-
-    def label(self, v: int) -> int:
-        return self.kinds[v] & 3
-
-    def eps_case(self, v: int) -> int:
-        return self.kinds[v] >> 2
-
-    def payload(self, v: int) -> tuple | None:
-        """A symbol leaf's (out, k); None for every other node."""
-        return self.lefts[v] if self.kinds[v] == SYMBOL else None
 
     # -- union -------------------------------------------------------
 

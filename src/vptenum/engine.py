@@ -250,11 +250,11 @@ class Plan:
 # sibling outputs leave to run.
 
 
-def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple:
+def _assemble(shapes: Shapes, arena: EcsArena, keys: tuple, code: list, pool_eps: tuple) -> tuple:
     """Fold the epsilon operands out of a step's instructions, merge the
     sibling outputs and split the rest into moves and work; returns the
     pool index each target slot gathers, the work and the target's
-    shape id.
+    shape id. The work names each output by its id in ``arena``.
 
     An instruction (a, b, out, tgt) puts pool[a] . pool[b] . leaf(out)
     into slot tgt, by a union if the slot is taken; b, out may be None.
@@ -266,7 +266,9 @@ def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple
     stood, with all their outputs. The leaves' outputs differ, so their
     union is disjoint, and each is one symbol long, so the product
     splits uniquely; an advance of the enumerator then switches one
-    leaf instead of rebuilding the shared prefix."""
+    leaf instead of rebuilding the shared prefix. The outputs get their
+    ids in the order of the work, which is the order the step's first
+    run adds their leaves in."""
     take = [0] * len(keys)  # a slot that work fills first gathers a placeholder
     eps: list = [None] * len(keys)  # None while the slot is vacant
     work = []
@@ -294,11 +296,12 @@ def _assemble(shapes: Shapes, keys: tuple, code: list, pool_eps: tuple) -> tuple
         elif not (eps[tgt] and copy and pool_eps[a]):
             eps[tgt] = False
             work.append((a, b, leaves, tgt, True))
-    work = tuple((a, b, tuple(leaves), tgt, join) for a, b, leaves, tgt, join in work)
+    ids = arena.output_id
+    work = tuple((a, b, tuple(map(ids, leaves)), tgt, join) for a, b, leaves, tgt, join in work)
     return take, work, shapes.intern(keys, tuple(eps))
 
 
-def neutral_plan(shapes: Shapes, sid: int, moves) -> Plan:
+def neutral_plan(shapes: Shapes, arena: EcsArena, sid: int, moves) -> Plan:
     """Compile a neutral letter's row against level shape ``sid``."""
     visits = scans = calls = 0
     code = []
@@ -312,14 +315,14 @@ def neutral_plan(shapes: Shapes, sid: int, moves) -> Plan:
             visits += 1
             calls += 1 if out is None else 3
             code.append((i, None, out, slots.setdefault((p, q2), len(slots))))
-    take, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
+    take, work, shape = _assemble(shapes, arena, tuple(slots), code, shapes.eps[sid])
     plan = Plan(take, work, shape, (visits, scans, calls))
     if shape == sid and not work and all(i == tgt for i, _, _, tgt in code):
         plan.take = None  # the table stays as it is
     return plan
 
 
-def open_plan(shapes: Shapes, sid: int, moves) -> Plan:
+def open_plan(shapes: Shapes, arena: EcsArena, sid: int, moves) -> Plan:
     """Compile an open letter's row against level shape ``sid``."""
     visits = scans = calls = 0
     code = []
@@ -335,13 +338,13 @@ def open_plan(shapes: Shapes, sid: int, moves) -> Plan:
             calls += 1 if out is None else 3
             code.append((i, None, out, slots.setdefault((p, x, q2), len(slots))))
             seed.setdefault((q2, q2))
-    take, work, shape = _assemble(shapes, tuple(slots), code, shapes.eps[sid])
+    take, work, shape = _assemble(shapes, arena, tuple(slots), code, shapes.eps[sid])
     seed_keys = tuple(seed)
     seed_sid = shapes.intern(seed_keys, (True,) * len(seed_keys))
     return Plan(take, work, shape, (visits, scans, calls), seed_sid, len(seed_keys))
 
 
-def close_plan(shapes: Shapes, summary_sid: int, sid: int, moves) -> Plan:
+def close_plan(shapes: Shapes, arena: EcsArena, summary_sid: int, sid: int, moves) -> Plan:
     """Compile a close letter's row against summary shape
     ``summary_sid`` over level shape ``sid``."""
     visits = scans = calls = 0
@@ -366,7 +369,7 @@ def close_plan(shapes: Shapes, summary_sid: int, sid: int, moves) -> Plan:
                 calls += 2 if out is None else 4
                 code.append((i, j, out, slots.setdefault((p, q3), len(slots))))
     pool_eps = shapes.eps[summary_sid] + shapes.eps[sid]
-    take, work, shape = _assemble(shapes, tuple(slots), code, pool_eps)
+    take, work, shape = _assemble(shapes, arena, tuple(slots), code, pool_eps)
     return Plan(take, work, shape, (visits, scans, calls))
 
 
@@ -396,7 +399,7 @@ def _run(plan: Plan, arena: EcsArena, handles: list, k: int, uppers: list | None
         for a, b, outs, tgt, join in plan.work:
             v = None if a is None else pool[a] if b is None else prod(pool[a], pool[b])
             if len(outs) == 1:
-                leaf = add((outs[0], k))
+                leaf = add(outs[0], k)
                 v = leaf if v is None else prod(v, leaf)
             elif outs:
                 v = _group(arena, v, outs, k)
@@ -405,11 +408,12 @@ def _run(plan: Plan, arena: EcsArena, handles: list, k: int, uppers: list | None
 
 
 def _group(arena: EcsArena, prefix: int | None, outs: tuple, k: int) -> int:
-    """prefix . (leaf(o1) | leaf(o2) | ...) at position k; no prefix if None."""
+    """prefix . (leaf(o1) | leaf(o2) | ...) at position k, the o's output
+    ids; no prefix if None."""
     add, union = arena.add, arena.union
-    v = add((outs[0], k))
-    for out in outs[1:]:
-        v = union(v, add((out, k)))
+    v = add(outs[0], k)
+    for oid in outs[1:]:
+        v = union(v, add(oid, k))
     return v if prefix is None else arena.prod(prefix, v)
 
 
@@ -421,11 +425,12 @@ def _compile(plan: Plan, arena: EcsArena, split: int | None) -> Callable:
 
     Each work instruction is one assignment that calls the arena, the
     same calls in the same order as the generic run, so the nodes are
-    those of ``_run``: ``tN = prod(h[a], u[b])``, a leaf ``add((oK,
-    k))`` or ``prod(x, add((oK, k)))``, a group ``group(arena, x, oK,
-    k)``, and ``tN = union(t, value)`` where the slot is taken. The
-    source is built from ints and names only; each output is bound to a
-    name in the function's namespace, never written into the source."""
+    those of ``_run``: ``tN = prod(h[a], u[b])``, a leaf ``add(i, k)``
+    or ``prod(x, add(i, k))`` with i an output id, a group ``group(arena,
+    x, oK, k)``, and ``tN = union(t, value)`` where the slot is taken.
+    The source is built from ints and names only: a leaf's output id is
+    an int, and a group's tuple of ids is bound to a name in the
+    function's namespace."""
     names: dict = {"arena": arena, "add": arena.add, "prod": arena.prod, "union": arena.union, "group": _group}
 
     def const(value) -> str:
@@ -443,7 +448,7 @@ def _compile(plan: Plan, arena: EcsArena, split: int | None) -> Callable:
     for a, b, outs, tgt, join in plan.work:
         val = None if a is None else pool(a) if b is None else f"prod({pool(a)}, {pool(b)})"
         if len(outs) == 1:
-            leaf = f"add(({const(outs[0])}, k))"
+            leaf = f"add({outs[0]}, k)"
             val = leaf if val is None else f"prod({val}, {leaf})"
         elif outs:
             val = f"group(arena, {val}, {const(outs)}, k)"
@@ -523,7 +528,7 @@ def preprocess(
             plan = neutral_plans.get(key)
             if plan is None:
                 _check(alphabet, tok, k)
-                plan = neutral_plans[key] = neutral_plan(shapes, shape, nidx.get(tok.name, NO_MOVES))
+                plan = neutral_plans[key] = neutral_plan(shapes, arena, shape, nidx.get(tok.name, NO_MOVES))
             if plan.take is not None:
                 step = plan.step
                 handles = _run(plan, arena, handles, k) if step is None else step(handles, k)
@@ -537,7 +542,7 @@ def preprocess(
             plan = open_plans.get(key)
             if plan is None:
                 _check(alphabet, tok, k)
-                plan = open_plans[key] = open_plan(shapes, shape, oidx.get(tok.name, NO_MOVES))
+                plan = open_plans[key] = open_plan(shapes, arena, shape, oidx.get(tok.name, NO_MOVES))
             step = plan.step
             stack.append((plan.shape, _run(plan, arena, handles, k) if step is None else step(handles, k), k))
             handles = [epsilon] * plan.seed_width
@@ -551,7 +556,7 @@ def preprocess(
             plan = close_plans.get(key)
             if plan is None:
                 _check(alphabet, tok, k)
-                plan = close_plans[key] = close_plan(shapes, summary, shape, cidx.get(tok.name, NO_MOVES))
+                plan = close_plans[key] = close_plan(shapes, arena, summary, shape, cidx.get(tok.name, NO_MOVES))
             step = plan.step
             handles = _run(plan, arena, handles, k, uppers) if step is None else step(uppers, handles, k)
             shape = plan.shape

@@ -12,7 +12,7 @@ ancestor whose right subtree comes next in pre-order.
   and records each union as pending: the walk went left there and the
   right child is still to be explored. The arena keeps every left
   union depth at most 2, so this is O(1). A product gets two child
-  nodes; a leaf appends its payload to the word.
+  nodes; a symbol leaf appends its own node id to the word.
 * The pending unions of one node form the union stack of its region,
   deepest last. All regions share one stack, in the pre-order of their
   nodes, because builds run in pre-order. Its top is therefore what a
@@ -46,6 +46,13 @@ step is a build, climb, word or advance, each O(1) besides copying the
 word out. Between two words the loops take one advance, one word step,
 and builds and climbs that come to two per new symbol (at least one),
 so a word's gap is at most 2 * max(1, new symbols) + 2 unit steps.
+
+Words are built as tuples of leaf ids, which ``leaf_words`` yields: the
+leaf v stands for the symbol (out, k) with out = ``outputs[lefts[v]]``
+and k = ``rights[v]`` of the arena, so a consumer that prints or
+decodes by id needs no (out, k) pair. Iterating the enumerator yields
+the same words as tuples of (out, k) pairs; it decodes only each word's
+new suffix, past ``last_cut``, onto the decoded prefix it keeps.
 """
 
 from __future__ import annotations
@@ -79,6 +86,19 @@ class Enumerator:
         self.tree_sizes: list[tuple[int, int]] = []
 
     def __iter__(self) -> Iterator[OutputWord]:
+        """The words of ``leaf_words`` as (out, k) pairs."""
+        outputs, lefts, rights = self.arena.outputs, self.arena.lefts, self.arena.rights
+        word: list = []  # the previous word's pairs, cut back to what the next keeps
+        append = word.append
+        for leaves in self.leaf_words():
+            cut = self.last_cut
+            del word[cut:]
+            for v in leaves[cut:]:
+                append((outputs[lefts[v]], rights[v]))
+            yield tuple(word)
+
+    def leaf_words(self) -> Iterator[tuple]:
+        """The words of L(v) in order, each a tuple of symbol leaf ids."""
         arena = self.arena
         v = self.root
         if v == EMPTY:
@@ -97,14 +117,16 @@ class Enumerator:
             v = arena.rights[v]
 
         # below here every node is an epsilon-free union, product or
-        # symbol leaf, and a symbol leaf's payload sits in ``lefts``
+        # symbol leaf
         kinds, lefts, rights = arena.kinds, arena.lefts, arena.rights
         union, product = UNION, PRODUCT  # as locals: the loop tests them every step
         stack: list[list] = []  # right children whose builds are deferred
         push, pop = stack.append, stack.pop
         # (skeleton node, union, skeleton nodes before it, symbols before it)
         pending: list[tuple[list, int, int, int]] = []
-        out: list = []  # the word printed by the skeleton built so far
+        defer = pending.append
+        out: list = []  # the leaves of the skeleton built so far
+        emit = out.append
         nodes = cut = 0  # cut: symbols the next word keeps of its predecessor
         steps = self.steps
         # a skeleton node is [arena node, left, right, owner]; t is the next to
@@ -118,7 +140,7 @@ class Enumerator:
                 if kind == union:
                     before = len(out)
                     while kind == union:
-                        pending.append((t, u, nodes, before))
+                        defer((t, u, nodes, before))
                         u = lefts[u]
                         kind = kinds[u]
                     t[0] = u
@@ -134,7 +156,7 @@ class Enumerator:
                     t = left
                     continue
                 t[1] = t[2] = None
-                out.append(lefts[u])
+                emit(u)
                 if stack:
                     t = pop()
                     continue

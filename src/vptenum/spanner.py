@@ -23,6 +23,7 @@ from itertools import chain
 
 from vptenum.nested import FrozenRecord, InputError, Span, StructuredAlphabet, Token, TokenKind, _set
 from vptenum import engine
+from vptenum.enumtree import Enumerator
 from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, level_reach, stable_key
 
 END_MARKER = "#"
@@ -430,7 +431,21 @@ class SpanLayout:
         return slots
 
     def decode(self, output_word) -> "SpanMapping":
-        """Read span ends off a (marker set, position) word.
+        """Read span ends off a (marker set, position) word, checked as
+        by ``fill``."""
+        slots, outs, positions = self._slots, [], []
+        for out, pos in output_word:
+            if out not in slots:
+                self.compile(out)
+            outs.append(out)
+            positions.append(pos)
+        return SpanMapping(self, self.fill(range(len(outs)), outs, positions, slots))
+
+    def fill(self, symbols, output_of, position_of, slots) -> tuple:
+        """The bounds that a result's symbols fill. Each symbol is a key:
+        ``output_of[key]`` is its output's key in ``slots``, which maps it
+        to the slots it fills (see ``compile``), and ``position_of[key]``
+        its position.
 
         A start marker at position k begins the span at k; an end marker
         at position k ends it exclusively at k, so a pair at the same
@@ -438,13 +453,9 @@ class SpanLayout:
         end once, in that order.
         """
         bounds = [None] * self.width
-        slots = self._slots
-        for out, pos in output_word:
-            try:
-                targets = slots[out]
-            except KeyError:
-                targets = self.compile(out)
-            for s in targets:
+        for key in symbols:
+            pos = position_of[key]
+            for s in slots[output_of[key]]:
                 if bounds[s] is not None:
                     raise NotFunctionalError(
                         f"duplicate capture for variable {self.variables[s >> 1]!r}"
@@ -455,7 +466,7 @@ class SpanLayout:
         for i in self._starts:
             if not 1 <= bounds[i] <= bounds[i + 1]:
                 self._reject(bounds)
-        return SpanMapping(self, tuple(bounds))
+        return tuple(bounds)
 
     def _reject(self, bounds: list) -> None:
         """Raise for the first variable, in sorted order, whose span is bad."""
@@ -517,24 +528,29 @@ def compile_vpeg(vpeg: Vpeg, end_letter=END_MARKER) -> Vpt:
     return evpa_to_vpt(evpa, vpeg.variables, end_letter=end_letter)
 
 
-def evaluate_spanner(vpeg: Vpeg, tokens) -> Iterator[SpanMapping]:
-    """The grammar's span assignments over the document, one mapping
-    per result.
+def preprocess(vpeg: Vpeg, tokens) -> engine.PreprocessResult:
+    """The grammar's single pass over the document, with a synthetic
+    end marker appended; the result's words are its span assignments.
 
-    The pass runs when this is called, as in `engine.evaluate`, over
-    the document with a synthetic end marker appended. It checks the
-    letters against the grammar's alphabet where it first meets each
-    one, so a foreign symbol, END_MARKER included, is refused before
-    any mapping is returned. Structurally deterministic compilations
+    The pass checks the letters against the grammar's alphabet where it
+    first meets each one, so a foreign symbol, END_MARKER included, is
+    refused before any result. Structurally deterministic compilations
     run as-is; anything else goes through determinization first, which
     also squeezes out duplicate results that grammar-level ambiguity
-    would produce. Each result is decoded as it is pulled.
+    would produce.
     """
     vpt = compile_vpeg(vpeg, end_letter=_END)
     doc = chain(tokens, [Token(TokenKind.NEUTRAL, _END)])
     mode = "trust" if is_io_deterministic(vpt) else "determinize"
     try:
-        words = engine.evaluate(vpt, doc, mode=mode, alphabet=vpt.alphabet)
+        return engine.preprocess(engine.resolve_mode(vpt, mode), doc, alphabet=vpt.alphabet)
     except engine.SymbolError as exc:
         raise GrammarError(f"document symbol {exc.token.name!r} not in grammar alphabet") from None
-    return map(SpanLayout(vpeg.variables).decode, words)
+
+
+def evaluate_spanner(vpeg: Vpeg, tokens) -> Iterator[SpanMapping]:
+    """The grammar's span assignments over the document, one mapping
+    per result. The pass (``preprocess``) runs when this is called, as
+    in `engine.evaluate`; each result is decoded as it is pulled."""
+    result = preprocess(vpeg, tokens)
+    return map(SpanLayout(vpeg.variables).decode, Enumerator(result.arena, result.root))

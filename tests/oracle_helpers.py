@@ -218,11 +218,31 @@ def tokenize_by_chars(text, alphabet: StructuredAlphabet):
 
 # ------------------------------------------------- arena inspectors
 
+def leaf(arena: EcsArena, out, k: int) -> int:
+    """A fresh symbol leaf with language {(out, k)}."""
+    return arena.add(arena.output_id(out), k)
+
+
+def label(arena: EcsArena, v: int) -> int:
+    """v's label: UNION, PRODUCT, SYMBOL or EPSILON."""
+    return arena.kinds[v] & 3
+
+
+def eps_case(arena: EcsArena, v: int) -> int:
+    """The epsilon case of L(v): NO_EPS, IS_EPS or EPS_UNION."""
+    return arena.kinds[v] >> 2
+
+
+def payload(arena: EcsArena, v: int) -> tuple | None:
+    """A symbol leaf's (out, k); None for every other node."""
+    return (arena.outputs[arena.lefts[v]], arena.rights[v]) if arena.kinds[v] == SYMBOL else None
+
+
 def output_depth(arena: EcsArena, v: int) -> int:
     """Left union depth: 0 on leaves and products, 1 + that of the left
     child on unions."""
     depth = 0
-    while arena.label(v) == UNION:
+    while label(arena, v) == UNION:
         depth += 1
         v = arena.lefts[v]
     return depth
@@ -233,7 +253,7 @@ def eps_leaf_reach(arena: EcsArena, v: int, reach: list) -> bool:
     answer of every node met so far and is first grown to the whole
     arena, so asking after each operation costs O(1) per new node."""
     for u in range(len(reach), len(arena)):
-        lab = arena.label(u)
+        lab = label(arena, u)
         if lab == UNION or lab == PRODUCT:
             reach.append(reach[arena.lefts[u]] or reach[arena.rights[u]])
         else:
@@ -250,7 +270,7 @@ def is_safe(arena: EcsArena, v: int, reach: list | None = None) -> bool:
     d = output_depth(arena, v)
     if d > 1 or (d == 1 and output_depth(arena, arena.rights[v]) > 1):
         return False
-    case = arena.eps_case(v)
+    case = eps_case(arena, v)
     if case == NO_EPS:
         return not eps_leaf_reach(arena, v, reach)
     if case == EPS_UNION:
@@ -264,9 +284,9 @@ def language(arena: EcsArena, v: int) -> frozenset:
 
     def walk(u: int) -> frozenset:
         if u not in memo:
-            lab = arena.label(u)
+            lab = label(arena, u)
             if lab == SYMBOL:
-                out = frozenset({(arena.payload(u),)})
+                out = frozenset({(payload(arena, u),)})
             elif lab == EPSILON:
                 out = frozenset({()})
             elif lab == UNION:
@@ -290,9 +310,9 @@ class ShadowEcs:
         self.arena = arena
         self.langs: dict[int, frozenset] = {EMPTY: frozenset()}
 
-    def add(self, payload) -> int:
-        v = self.arena.add(payload)
-        self.langs[v] = frozenset({(payload,)})
+    def add(self, out, k: int) -> int:
+        v = leaf(self.arena, out, k)
+        self.langs[v] = frozenset({((out, k),)})
         return v
 
     def epsilon(self) -> int:
@@ -337,7 +357,7 @@ def union_of_unions(n: int) -> tuple[EcsArena, int]:
     arena = EcsArena()
     acc = EMPTY
     for i in range(n):
-        acc = arena.union(acc, arena.union(arena.add(("x", 2 * i)), arena.add(("y", 2 * i + 1))))
+        acc = arena.union(acc, arena.union(leaf(arena, "x", 2 * i), leaf(arena, "y", 2 * i + 1)))
     return arena, acc
 
 
@@ -345,7 +365,7 @@ def check_node_shape(arena: EcsArena, v: int) -> None:
     """2-boundedness of v and, if v is a union, of its right child."""
     depth = output_depth(arena, v)
     assert depth <= 2, f"node {v} has union depth {depth}"
-    if arena.label(v) == UNION:
+    if label(arena, v) == UNION:
         assert output_depth(arena, arena.rights[v]) <= 2
 
 
@@ -380,7 +400,7 @@ class EcsOpSuite:
     def _grow_refs(self) -> None:
         a, case = self.arena, self._ref_case
         for v in range(len(case), len(a)):
-            lab = a.label(v)
+            lab = label(a, v)
             if lab == SYMBOL or lab == EPSILON:
                 case.append(IS_EPS if lab == EPSILON else NO_EPS)
                 continue
@@ -424,7 +444,7 @@ class EcsOpSuite:
         kind = rng.choices(("add", "eps", "union", "prod"), weights=(3, 1, 4, 4))[0]
         if kind == "add":
             self._payload_counter += 1
-            v = self.shadow.add((f"s{self._payload_counter}", self._payload_counter))
+            v = self.shadow.add(f"s{self._payload_counter}", self._payload_counter)
         elif kind == "eps":
             v = self.shadow.epsilon()
         elif kind == "union":
@@ -459,10 +479,10 @@ class EcsOpSuite:
         a = self.arena
         for u in range(before, len(a)):
             assert output_depth(a, u) <= 2, f"node {u} breaks 2-boundedness"
-            assert self._ref_case[u] == a.eps_case(u), f"eps case wrong at {u}"
+            assert self._ref_case[u] == eps_case(a, u), f"eps case wrong at {u}"
         if v != EMPTY:
             assert is_safe(a, v, self._reach), f"public handle {v} not safe"
-            assert (a.eps_case(v) != NO_EPS) == (() in self.shadow.langs[v])
+            assert (eps_case(a, v) != NO_EPS) == (() in self.shadow.langs[v])
             self.pool.append(v)
             if len(self.pool) > 300:
                 del self.pool[: len(self.pool) - 300]
@@ -993,9 +1013,9 @@ def reference_fill(state: ReferenceState, visited: list, k: int, grouped: bool =
         for _, handle in operands[1:]:
             v = arena.prod(v, handle)
         if out is not None:
-            leaves = arena.add((group_outs[0], k))
+            leaves = leaf(arena, group_outs[0], k)
             for o in group_outs[1:]:
-                leaves = arena.union(leaves, arena.add((o, k)))
+                leaves = arena.union(leaves, leaf(arena, o, k))
             v = arena.prod(v, leaves)
         old = nxt.get(key)
         nxt[key] = v if old is None else arena.union(old, v)
@@ -1551,6 +1571,25 @@ def reference_check_functional(evpa: Vpt, variables) -> None:
             "grammar not functional: some accepted ref-word leaves "
             f"variable(s) {', '.join(missing)} unassigned"
         )
+
+
+def vpeg_text(vpeg: Vpeg) -> str:
+    """The grammar in the file format ``parse_vpeg`` reads, one line per
+    production in order."""
+    lines = [f"var {' '.join(sorted(vpeg.variables))}", f"start {vpeg.start}"]
+    for p in vpeg.productions:
+        if isinstance(p, EpsProduction):
+            rhs = "eps"
+        elif isinstance(p, NestProduction):
+            rhs = f"<{p.letter} {p.inner} {p.letter}> {p.tail}"
+        elif p.is_marker and p.sym.startswith(open_marker("")):
+            rhs = f"({p.sym[len(open_marker('')):]} {p.tail}"
+        elif p.is_marker:
+            rhs = f"{p.sym[len(close_marker('')):]}) {p.tail}"
+        else:
+            rhs = f"{p.sym} {p.tail}"
+        lines.append(f"{p.head} -> {rhs}")
+    return "\n".join(lines) + "\n"
 
 
 def random_doc_for_vpeg(rng: random.Random, vpeg: Vpeg, max_len: int):

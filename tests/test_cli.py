@@ -39,7 +39,15 @@ from vptenum.nested import BLOCK_CHARS, tokenize
 from vptenum.spanner import evaluate_spanner, parse_vpeg
 from vptenum.vpt import is_io_deterministic
 
-from oracle_helpers import random_det_vpt, random_machines, random_well_nested, serialize
+from oracle_helpers import (
+    random_det_vpt,
+    random_doc_for_vpeg,
+    random_functional_vpeg,
+    random_machines,
+    random_well_nested,
+    serialize,
+    vpeg_text,
+)
 
 # one bracket pair, two outputs per b, silent c padding
 CHOICE_VPT = """\
@@ -453,7 +461,7 @@ class TestScanDocument:
         assert skipped.stats == stepped.stats
         assert skipped.stats.pulls == self.LENGTH + 1
         assert skipped.stats.totals().visits == self.LENGTH + self.CHOICES + 1
-        arenas = [(r.arena.kinds, r.arena.lefts, r.arena.rights) for r in (skipped, stepped)]
+        arenas = [(r.arena.kinds, r.arena.lefts, r.arena.rights, r.arena.outputs) for r in (skipped, stepped)]
         assert arenas[0] == arenas[1]
         assert skipped.root == stepped.root
 
@@ -522,20 +530,50 @@ class TestSpanner:
 
     @pytest.mark.parametrize("limit, decoded", [(0, 0), (1, 1), (3, 3), (5, 5)])
     def test_limit_decodes_only_what_it_prints(self, capsys, files, monkeypatch, limit, decoded):
+        # every result printed goes through the layout's checked fill,
+        # the routine SpanLayout.decode also calls, and no other does
         calls = []
-        real_decode = spanner.SpanLayout.decode
+        real_fill = spanner.SpanLayout.fill
 
-        def decode(layout, word):
-            calls.append(word)
-            return real_decode(layout, word)
+        def fill(layout, symbols, *tables):
+            calls.append(symbols)
+            return real_fill(layout, symbols, *tables)
 
-        monkeypatch.setattr(spanner.SpanLayout, "decode", decode)
+        monkeypatch.setattr(spanner.SpanLayout, "fill", fill)
         g = files("g.vpeg", GRAMMAR)
         d = files("d.txt", "<a c a> " * 5)
         code, out, _ = run_main(capsys, ["spanner", "-g", g, "-d", d, "--limit", str(limit)])
         assert code == EXIT_OK
         assert len(out) == limit
         assert len(calls) == decoded
+
+    def test_lines_are_those_of_evaluate_spanner(self, capsys, files):
+        # the command fills each layout from the arena's output ids; the
+        # library decodes (out, k) words into SpanMappings, and its checked
+        # SpanLayout.decode accepts every result: the same lines, in order
+        # (a document with a letter the grammar file lacks is refused by both)
+        rng = random.Random(3030)
+        lines = refused = 0
+        for i in range(24):
+            drawn = random_functional_vpeg(rng, (0, 1, 1)[i % 3])
+            text = vpeg_text(drawn)
+            g = parse_vpeg(text)
+            assert vpeg_text(g) == text
+            gpath = files("g.vpeg", text)
+            docs = [random_doc_for_vpeg(rng, g, 16) for _ in range(4)]
+            docs += [random_well_nested(rng, drawn.alphabet, rng.randint(0, 12)) for _ in range(2)]
+            for doc in (d for d in docs if d is not None):
+                code, out, err = run_main(capsys, ["spanner", "-g", gpath, "-d", files("d.txt", serialize(doc))])
+                try:
+                    want = [m.render() for m in evaluate_spanner(g, doc)]
+                except spanner.GrammarError:
+                    assert (code, out) == (EXIT_INPUT, [])
+                    refused += 1
+                    continue
+                assert (code, err) == (EXIT_OK, [])
+                assert out == want
+                lines += len(out)
+        assert lines > 50 and refused > 0
 
     def test_rejected_document_prints_nothing(self, capsys, files):
         g = files("g.vpeg", GRAMMAR)

@@ -15,7 +15,18 @@ from vptenum.ecs import (
     EcsArena,
 )
 
-from oracle_helpers import EcsOpSuite, ShadowEcs, check_node_shape, is_safe, language, output_depth
+from oracle_helpers import (
+    EcsOpSuite,
+    ShadowEcs,
+    check_node_shape,
+    eps_case,
+    is_safe,
+    label,
+    language,
+    leaf,
+    output_depth,
+    payload,
+)
 from test_vpt import marker_vpt
 
 
@@ -27,22 +38,22 @@ def w(*payloads):
 class TestLeaves:
     def test_add(self):
         a = EcsArena()
-        v = a.add(("o", 1))
+        v = leaf(a, "o", 1)
         assert len(a) == 1
-        assert a.label(v) == SYMBOL
-        assert a.payload(v) == ("o", 1)
+        assert label(a, v) == SYMBOL
+        assert payload(a, v) == ("o", 1)
         assert language(a, v) == {w(("o", 1))}
         assert output_depth(a, v) == 0
-        assert a.eps_case(v) == NO_EPS
+        assert eps_case(a, v) == NO_EPS
         assert is_safe(a, v)
 
     def test_epsilon(self):
         a = EcsArena()
         v = a.epsilon_node()
         assert len(a) == 1
-        assert a.label(v) == EPSILON
+        assert label(a, v) == EPSILON
         assert language(a, v) == {()}
-        assert a.eps_case(v) == IS_EPS
+        assert eps_case(a, v) == IS_EPS
         assert is_safe(a, v)
 
     def test_empty_sentinel(self):
@@ -53,11 +64,11 @@ class TestLeaves:
 class TestUnionGadgets:
     def test_two_leaves_one_node(self):
         a = EcsArena()
-        x = a.add(("o", 1))
-        y = a.add(("p", 1))
+        x = leaf(a, "o", 1)
+        y = leaf(a, "p", 1)
         u = a.union(x, y)
         assert len(a) == 3
-        assert a.label(u) == UNION
+        assert label(a, u) == UNION
         assert language(a, u) == {w(("o", 1)), w(("p", 1))}
         assert output_depth(a, u) == 1
         assert is_safe(a, u)
@@ -65,7 +76,7 @@ class TestUnionGadgets:
 
     def test_union_of_unions_three_nodes(self):
         a = EcsArena()
-        leaves = [a.add((s, 1)) for s in "opqr"]
+        leaves = [leaf(a, s, 1) for s in "opqr"]
         u1 = a.union(leaves[0], leaves[1])
         u2 = a.union(leaves[2], leaves[3])
         assert len(a) == 6
@@ -78,14 +89,14 @@ class TestUnionGadgets:
 
     def test_shallow_deep_orientations(self):
         a = EcsArena()
-        x = a.add(("o", 1))
-        u = a.union(a.add(("p", 1)), a.add(("q", 1)))
+        x = leaf(a, "o", 1)
+        u = a.union(leaf(a, "p", 1), leaf(a, "q", 1))
         before = len(a)
         left_shallow = a.union(x, u)
         assert len(a) == before + 1
         assert output_depth(a, left_shallow) == 1
         assert is_safe(a, left_shallow)
-        y = a.add(("r", 1))
+        y = leaf(a, "r", 1)
         before = len(a)
         right_shallow = a.union(u, y)
         assert len(a) == before + 1
@@ -94,7 +105,7 @@ class TestUnionGadgets:
 
     def test_empty_identity(self):
         a = EcsArena()
-        x = a.add(("o", 1))
+        x = leaf(a, "o", 1)
         assert a.union(x, EMPTY) == x
         assert a.union(EMPTY, x) == x
         assert len(a) == 1
@@ -102,15 +113,15 @@ class TestUnionGadgets:
     def test_epsilon_cases(self):
         a = EcsArena()
         e = a.epsilon_node()
-        x = a.add(("o", 1))
-        y = a.add(("p", 1))
+        x = leaf(a, "o", 1)
+        y = leaf(a, "p", 1)
         ex = a.union(e, x)  # eps-union shape
-        assert a.eps_case(ex) == EPS_UNION
+        assert eps_case(a, ex) == EPS_UNION
         assert a.lefts[ex] == e and a.rights[ex] == x
         assert language(a, ex) == {(), w(("o", 1))}
         # NO_EPS | EPS_UNION keeps the eps leaf on the left
         u = a.union(y, ex)
-        assert a.eps_case(u) == EPS_UNION
+        assert eps_case(a, u) == EPS_UNION
         assert language(a, u) == {(), w(("o", 1)), w(("p", 1))}
         assert is_safe(a, u)
         # eps | eps collapses
@@ -121,28 +132,28 @@ class TestUnionGadgets:
     def test_eps_union_both_sides(self):
         a = EcsArena()
         e = a.epsilon_node()
-        ex = a.union(e, a.add(("o", 1)))
-        ey = a.union(e, a.add(("p", 1)))
+        ex = a.union(e, leaf(a, "o", 1))
+        ey = a.union(e, leaf(a, "p", 1))
         u = a.union(ex, ey)
         assert language(a, u) == {(), w(("o", 1)), w(("p", 1))}
-        assert a.eps_case(u) == EPS_UNION
+        assert eps_case(a, u) == EPS_UNION
         assert is_safe(a, u)
 
 
 class TestProdGadgets:
     def test_plain_product(self):
         a = EcsArena()
-        x = a.add(("o", 1))
-        y = a.add(("p", 2))
+        x = leaf(a, "o", 1)
+        y = leaf(a, "p", 2)
         p = a.prod(x, y)
         assert len(a) == 3
-        assert a.label(p) == PRODUCT
+        assert label(a, p) == PRODUCT
         assert language(a, p) == {w(("o", 1), ("p", 2))}
         assert is_safe(a, p)
 
     def test_empty_absorbs(self):
         a = EcsArena()
-        x = a.add(("o", 1))
+        x = leaf(a, "o", 1)
         assert a.prod(x, EMPTY) == EMPTY
         assert a.prod(EMPTY, x) == EMPTY
         assert len(a) == 1
@@ -150,20 +161,20 @@ class TestProdGadgets:
     def test_epsilon_identity(self):
         a = EcsArena()
         e = a.epsilon_node()
-        x = a.add(("o", 1))
+        x = leaf(a, "o", 1)
         assert a.prod(e, x) == x
         assert a.prod(x, e) == x
         assert len(a) == 2
 
     def test_one_sided_eps_union(self):
         a = EcsArena()
-        x = a.add(("o", 1))
-        ey = a.union(a.epsilon_node(), a.add(("p", 2)))
+        x = leaf(a, "o", 1)
+        ey = a.union(a.epsilon_node(), leaf(a, "p", 2))
         before = len(a)
         p = a.prod(x, ey)
         assert len(a) - before == 2
         assert language(a, p) == {w(("o", 1)), w(("o", 1), ("p", 2))}
-        assert a.eps_case(p) == NO_EPS
+        assert eps_case(a, p) == NO_EPS
         assert is_safe(a, p)
         p2 = a.prod(ey, x)
         assert language(a, p2) == {w(("p", 2), ("o", 1)), w(("o", 1))}
@@ -172,8 +183,8 @@ class TestProdGadgets:
     def test_both_eps_union_five_nodes(self):
         a = EcsArena()
         e = a.epsilon_node()
-        ex = a.union(e, a.add(("o", 1)))
-        ey = a.union(e, a.add(("q", 2)))
+        ex = a.union(e, leaf(a, "o", 1))
+        ey = a.union(e, leaf(a, "q", 2))
         before = len(a)
         p = a.prod(ex, ey)
         assert len(a) - before == 5
@@ -183,7 +194,7 @@ class TestProdGadgets:
             w(("q", 2)),
             w(("o", 1), ("q", 2)),
         }
-        assert a.eps_case(p) == EPS_UNION
+        assert eps_case(a, p) == EPS_UNION
         assert is_safe(a, p)
         for v in range(len(a)):
             assert output_depth(a, v) <= 2
@@ -192,9 +203,9 @@ class TestProdGadgets:
         # r(v1) is itself a union: exercises the decomposed wiring
         a = EcsArena()
         e = a.epsilon_node()
-        inner = a.union(a.add(("s", 1)), a.add(("t", 1)))
+        inner = a.union(leaf(a, "s", 1), leaf(a, "t", 1))
         ex = a.union(e, inner)
-        ey = a.union(e, a.add(("y", 2)))
+        ey = a.union(e, leaf(a, "y", 2))
         before = len(a)
         p = a.prod(ex, ey)
         assert len(a) - before == 5
@@ -215,11 +226,11 @@ class TestPersistence:
     def test_snapshots_survive_later_ops(self):
         a = EcsArena()
         sh = ShadowEcs(a)
-        x = sh.add(("o", 1))
-        u = sh.union(x, sh.add(("p", 1)))
+        x = sh.add("o", 1)
+        u = sh.union(x, sh.add("p", 1))
         snap = language(a, u)
         for i in range(40):
-            nxt = sh.add((f"n{i}", i))
+            nxt = sh.add(f"n{i}", i)
             if sh.union_ok(u, nxt):
                 u2 = sh.union(u, nxt)
                 assert language(a, u2) == sh.langs[u2]
@@ -237,7 +248,7 @@ class TestRandomSuite:
 
     def test_operand_errors(self):
         a = EcsArena()
-        x = a.add(("o", 1))
+        x = leaf(a, "o", 1)
         with pytest.raises(IndexError):
             a.union(x, 99)
 
@@ -247,7 +258,7 @@ class TestRefusals:
         # only the private constructors build these; no operation returns them
         a = EcsArena()
         e = a.epsilon_node()
-        x, y, z, t = (a.add((s, 1)) for s in "xyzt")
+        x, y, z, t = (leaf(a, s, 1) for s in "xyzt")
         deep = a._union(a._union(x, y), z)  # left union depth 2
         over_deep = a._union(t, deep)  # depth 1 over a right child of depth 2
         eps_below = a._product(x, e)  # an epsilon-free product over the epsilon leaf

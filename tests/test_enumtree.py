@@ -6,15 +6,17 @@ import pytest
 
 from vptenum import spanner
 from vptenum.cli import _bench_doc, _bench_vpt
-from vptenum.ecs import EMPTY, EPS_LEAF, EcsArena
+from vptenum.ecs import EMPTY, EPS_LEAF, SYMBOL, EcsArena
 from vptenum.engine import preprocess
 from vptenum.enumtree import Enumerator
 from vptenum.vpt import io_determinize
 
+import oracle_helpers
 from oracle_helpers import (
     TREE_VPEG,
     ShadowEcs,
     enumerate_words,
+    leaf,
     random_det_vpt,
     random_machines,
     random_well_nested,
@@ -31,15 +33,15 @@ def payload(i):
 class TestTreeWalk:
     def test_single_leaf(self):
         a = EcsArena()
-        v = a.add(payload(1))
+        v = leaf(a, *payload(1))
         en = Enumerator(a, v, instrument=True)
         assert list(en) == [(payload(1),)]
         assert en.tree_sizes == [(1, 1)]
 
     def test_product_order_left_major(self):
         a = EcsArena()
-        u = a.union(a.add(payload(1)), a.add(payload(2)))
-        p = a.prod(u, a.add(payload(3)))
+        u = a.union(leaf(a, *payload(1)), leaf(a, *payload(2)))
+        p = a.prod(u, leaf(a, *payload(3)))
         words = list(enumerate_words(a, p))
         assert words == [
             (payload(1), payload(3)),
@@ -50,8 +52,8 @@ class TestTreeWalk:
         # doc'd contract: union walks left branch first; the 3-node
         # deep-deep gadget therefore interleaves operand halves
         a = EcsArena()
-        u1 = a.union(a.add(payload(1)), a.add(payload(2)))
-        u2 = a.union(a.add(payload(3)), a.add(payload(4)))
+        u1 = a.union(leaf(a, *payload(1)), leaf(a, *payload(2)))
+        u2 = a.union(leaf(a, *payload(3)), leaf(a, *payload(4)))
         top = a.union(u1, u2)
         words = list(enumerate_words(a, top))
         assert words == [
@@ -63,8 +65,8 @@ class TestTreeWalk:
 
     def test_instrumented_enumerator_matches_enumerate_words(self):
         a = EcsArena()
-        u = a.union(a.add(payload(1)), a.add(payload(2)))
-        v = a.prod(u, a.union(a.add(payload(3)), a.add(payload(4))))
+        u = a.union(leaf(a, *payload(1)), leaf(a, *payload(2)))
+        v = a.prod(u, a.union(leaf(a, *payload(3)), leaf(a, *payload(4))))
         en = Enumerator(a, v, instrument=True)
         got = list(en)
         assert got == list(enumerate_words(a, v))
@@ -103,7 +105,7 @@ class TestEpsilonDispatch:
 
     def test_eps_union_empty_word_first(self):
         a = EcsArena()
-        ex = a.union(a.epsilon_node(), a.add(payload(1)))
+        ex = a.union(a.epsilon_node(), leaf(a, *payload(1)))
         assert list(enumerate_words(a, ex)) == [(), (payload(1),)]
 
 
@@ -111,9 +113,9 @@ class TestNoRecursion:
     def test_long_product_chain(self):
         a = EcsArena()
         n = 5_000
-        v = a.add(payload(1))
+        v = leaf(a, *payload(1))
         for i in range(2, n + 1):
-            v = a.prod(v, a.add(payload(i)))
+            v = a.prod(v, leaf(a, *payload(i)))
         en = Enumerator(a, v, instrument=True)
         words = list(en)
         assert len(words) == 1
@@ -126,9 +128,9 @@ class TestNoRecursion:
     def test_long_union_chain(self):
         a = EcsArena()
         n = 3_000
-        v = a.add(payload(0))
+        v = leaf(a, *payload(0))
         for i in range(1, n):
-            v = a.union(v, a.add(payload(i)))
+            v = a.union(v, leaf(a, *payload(i)))
         words = list(enumerate_words(a, v))
         assert len(words) == n
         assert set(words) == {(payload(i),) for i in range(n)}
@@ -139,7 +141,7 @@ class TestInstrumentation:
         rng = random.Random(11)
         a = EcsArena()
         sh = ShadowEcs(a)
-        pool = [sh.add((f"s{i}", i)) for i in range(8)]
+        pool = [sh.add(f"s{i}", i) for i in range(8)]
         for _ in range(40):
             x, y = rng.choice(pool), rng.choice(pool)
             if rng.random() < 0.5 and sh.union_ok(x, y):
@@ -156,9 +158,9 @@ class TestInstrumentation:
 
     def test_gap_accounting(self):
         a = EcsArena()
-        v = a.add(payload(0))
+        v = leaf(a, *payload(0))
         for i in range(1, 30):
-            v = a.union(v, a.add(payload(i)))
+            v = a.union(v, leaf(a, *payload(i)))
         en = Enumerator(a, v, instrument=True)
         words = list(en)
         assert len(words) == 30
@@ -314,7 +316,7 @@ class TestLastCut:
     def test_cuts_of_a_small_arena(self):
         # the empty word, then a shared leaf before a switched one
         a = EcsArena()
-        v = a.prod(a.add(payload(3)), a.union(a.add(payload(1)), a.add(payload(2))))
+        v = a.prod(leaf(a, *payload(3)), a.union(leaf(a, *payload(1)), leaf(a, *payload(2))))
         pairs = words_and_cuts(Enumerator(a, a.union(a.epsilon_node(), v)))
         assert pairs == [((), 0), ((payload(3), payload(1)), 0), ((payload(3), payload(2)), 1)]
 
@@ -332,3 +334,53 @@ class TestLastCut:
         assert len(pairs) == 4_000
         assert_cuts_shared(pairs)
         assert sum(len(word) - cut for word, cut in pairs) <= 3 * 4_000
+
+
+class TestLeafIds:
+    """The enumerator builds words of leaf ids; iterating it decodes them
+    to (out, k) pairs through the arena's packed columns."""
+
+    def test_decoded_words_and_leaf_payloads(self, monkeypatch):
+        # the reference pass names each leaf's (out, k) as it adds it, and
+        # its arena is node for node the compiled pass's
+        given = {}
+
+        def recorded(arena, out, k):
+            v = leaf(arena, out, k)
+            given[v] = (out, k)
+            return v
+
+        monkeypatch.setattr(oracle_helpers, "leaf", recorded)
+        rng = random.Random(30)
+        cases = [(m, doc) for _, m, docs in random_machines() for doc in docs]
+        for _ in range(24):
+            # few states and many transitions, so most documents have results
+            m = random_det_vpt(rng, n_states=3, n_trans=40)
+            cases.append((m, random_well_nested(rng, m.alphabet, rng.randint(4, 14))))
+        cases.append((_bench_vpt(), list(_bench_doc(60, 10))))  # long words that share prefixes
+        words = 0
+        for m, doc in cases:
+            given.clear()
+            try:
+                ref = reference_preprocess(m, doc)
+                got = preprocess(m, doc)
+            except ValueError:  # NestingError, or an arena operand check
+                continue
+            arena = got.arena
+            outputs, lefts, rights = arena.outputs, arena.lefts, arena.rights
+            symbols = [v for v in range(len(arena)) if arena.kinds[v] == SYMBOL]
+            assert symbols == sorted(given)
+            assert all((outputs[lefts[v]], rights[v]) == given[v] for v in symbols)
+            assert got.root == ref.root
+            pairs, ids = Enumerator(arena, got.root, True), Enumerator(arena, got.root, True)
+            seen = [(word, pairs.steps, pairs.last_cut) for word in pairs]
+            leaf_words = [(word, ids.steps, ids.last_cut) for word in ids.leaf_words()]
+            assert all(v in given for word, _, _ in leaf_words for v in word)
+            decoded = [
+                (tuple((outputs[lefts[v]], rights[v]) for v in word), steps, cut)
+                for word, steps, cut in leaf_words
+            ]
+            assert seen == decoded
+            assert (pairs.steps, pairs.gaps, pairs.tree_sizes) == (ids.steps, ids.gaps, ids.tree_sizes)
+            words += len(seen)
+        assert words > 1_000
