@@ -201,22 +201,20 @@ def cmd_run(args) -> int:
             words = _result_rows(writer, result, enum, words)
         write = sys.stdout.write  # one call per result line
         print("#")
-        # lines[i] is the text of the last word's first i symbols: a word
-        # keeps the text of what it shares with the previous one and adds
-        # its new suffix, each leaf formatted once, from its output id
+        # the texts of the symbols each word keeps of the previous one;
+        # only the new suffix is looked up, and each leaf formatted once,
+        # from its output id and position
         outputs, lefts, rights = arena.outputs, arena.lefts, arena.rights
-        lines, texts = [""], {}
+        pieces, texts = [], {}
         for word in words:
             cut = enum.last_cut
-            del lines[cut + 1 :]
-            line = lines[cut]
+            del pieces[cut:]
             for v in word[cut:]:
                 text = texts.get(v)
                 if text is None:
                     text = texts[v] = f"{outputs[lefts[v]]}@{rights[v]}"
-                line = f"{line} {text}" if line else text
-                lines.append(line)
-            write((line or "ε") + "\n")
+                pieces.append(text)
+            write((" ".join(pieces) or "ε") + "\n")
         print("#")
     return EXIT_OK
 

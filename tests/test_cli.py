@@ -320,6 +320,30 @@ class TestRun:
                     tracemalloc.stop()
         assert peaks[8_000] - peaks[2_000] < 128 * 1024, peaks
 
+    def test_long_word_costs_linear_memory(self, tmp_path):
+        # a relabelling machine makes one word as long as the document;
+        # its line is joined once from one text per symbol, so the peak
+        # grows by a few hundred bytes a symbol, where keeping the text
+        # of every prefix of the word would grow it by tens of kilobytes
+        machine = tmp_path / "relabel.vpt"
+        machine.write_text(
+            "states: q\ninitial: q\nfinal: q\noutputs: o\nneutral a q -> q out o\n", encoding="utf-8"
+        )
+        peaks = {}
+        for n in (2_500, 5_000):
+            doc = tmp_path / f"d{n}.txt"
+            doc.write_text("a " * n + "\n", encoding="utf-8")
+            sink = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    assert main(["run", "-t", str(machine), "-d", str(doc)]) == EXIT_OK
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sink.getvalue() == "#\n" + " ".join(f"o@{k}" for k in range(1, n + 1)) + "\n#\n"
+        assert peaks[5_000] - peaks[2_500] < 2_500 * 2048, peaks
+
     def test_output_rows_are_the_instrumented_gaps(self, capsys, files, tmp_path):
         # the streamed rows give what Enumerator(instrument=True) records
         t = files("m.vpt", CHOICE_VPT)
