@@ -251,18 +251,11 @@ def cmd_spanner(args) -> int:
     with _document(args.document, vpeg.alphabet) as doc:
         # the pass reads and checks the whole document, so --limit 0
         # still refuses a bad one
-        result = spanner.preprocess(vpeg, doc)
-    arena = result.arena
-    layout = spanner.SpanLayout(vpeg.variables)
-    # the layout's checked fill reads each leaf's output id and position
-    # off the arena and its slots off a table by output id, with no
-    # decoded (out, k) word and no SpanMapping
-    slots = [layout.compile(out) for out in arena.outputs]
-    lefts, rights = arena.lefts, arena.rights
-    fill, template = layout.fill, layout.template
+        layout, bounds = spanner.span_bounds(vpeg, doc)
+    template = layout.template
     write = sys.stdout.write  # one call per result line
-    for word in islice(Enumerator(arena, result.root).leaf_words(), args.limit):
-        write(template % fill(word, lefts, rights, slots) + "\n")
+    for each in islice(bounds, args.limit):
+        write(template % each + "\n")
     return EXIT_OK
 
 
@@ -299,8 +292,6 @@ def _bench_vpt() -> Vpt:
 
 
 def _bench_doc(length: int, choices: int):
-    if length < choices + 2:
-        raise ValueError(f"bench length {length} too short for {choices} choices")
     yield Token(TokenKind.OPEN, "r")
     yield from repeat(Token(TokenKind.NEUTRAL, "b"), choices)
     yield from repeat(Token(TokenKind.NEUTRAL, "c"), length - choices - 2)
@@ -322,7 +313,7 @@ def cmd_bench(args) -> int:
         for length in args.lengths:
             result = engine.preprocess(vpt, _bench_doc(length, args.choices), _symbol_rows(writer, length))
             enum = Enumerator(result.arena, result.root)
-            for _ in _result_rows(writer, result, enum, islice(enum, args.limit), length):
+            for _ in _result_rows(writer, result, enum, islice(enum.leaf_words(), args.limit), length):
                 pass
     finally:
         if dest is not sys.stdout:

@@ -18,8 +18,8 @@ into) yields one output word per span assignment.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, repeat
 
 from vptenum.nested import FrozenRecord, InputError, Span, StructuredAlphabet, Token, TokenKind, _set
 from vptenum import engine
@@ -28,7 +28,7 @@ from vptenum.vpt import ResourceCapError, Vpt, is_io_deterministic, level_reach,
 
 END_MARKER = "#"
 MAX_VPATHS = 100_000  # the most marker chains evpa_to_vpt expands
-# evaluate_spanner's own end marker: no document token can name it, so
+# span_bounds's own end marker: no document token can name it, so
 # the pass refuses END_MARKER in a document like any foreign letter
 _END = object()
 
@@ -528,29 +528,35 @@ def compile_vpeg(vpeg: Vpeg, end_letter=END_MARKER) -> Vpt:
     return evpa_to_vpt(evpa, vpeg.variables, end_letter=end_letter)
 
 
-def preprocess(vpeg: Vpeg, tokens) -> engine.PreprocessResult:
-    """The grammar's single pass over the document, with a synthetic
-    end marker appended; the result's words are its span assignments.
+def span_bounds(vpeg: Vpeg, tokens) -> tuple[SpanLayout, Iterator[tuple]]:
+    """The grammar's layout, and the bounds of each of its span
+    assignments over the document, filled and checked by
+    ``SpanLayout.fill`` as each is pulled, from its leaves' output ids
+    and positions and a slot table by output id compiled once.
 
-    The pass checks the letters against the grammar's alphabet where it
-    first meets each one, so a foreign symbol, END_MARKER included, is
-    refused before any result. Structurally deterministic compilations
-    run as-is; anything else goes through determinization first, which
-    also squeezes out duplicate results that grammar-level ambiguity
-    would produce.
+    The single pass runs when this is called, with a synthetic end
+    marker appended, and checks each letter against the grammar's
+    alphabet where it first meets it: a foreign symbol, END_MARKER
+    included, is refused before any result. A compilation that is not
+    structurally deterministic is determinized first, which also
+    squeezes out duplicates that grammar-level ambiguity would produce.
     """
     vpt = compile_vpeg(vpeg, end_letter=_END)
     doc = chain(tokens, [Token(TokenKind.NEUTRAL, _END)])
     mode = "trust" if is_io_deterministic(vpt) else "determinize"
     try:
-        return engine.preprocess(engine.resolve_mode(vpt, mode), doc, alphabet=vpt.alphabet)
+        result = engine.preprocess(engine.resolve_mode(vpt, mode), doc, alphabet=vpt.alphabet)
     except engine.SymbolError as exc:
         raise GrammarError(f"document symbol {exc.token.name!r} not in grammar alphabet") from None
+    arena = result.arena
+    layout = SpanLayout(vpeg.variables)
+    slots = [layout.compile(out) for out in arena.outputs]
+    words = Enumerator(arena, result.root).leaf_words()
+    return layout, map(layout.fill, words, repeat(arena.lefts), repeat(arena.rights), repeat(slots))
 
 
 def evaluate_spanner(vpeg: Vpeg, tokens) -> Iterator[SpanMapping]:
     """The grammar's span assignments over the document, one mapping
-    per result. The pass (``preprocess``) runs when this is called, as
-    in `engine.evaluate`; each result is decoded as it is pulled."""
-    result = preprocess(vpeg, tokens)
-    return map(SpanLayout(vpeg.variables).decode, Enumerator(result.arena, result.root))
+    per result; the pass runs when this is called (see ``span_bounds``)."""
+    layout, bounds = span_bounds(vpeg, tokens)
+    return map(partial(SpanMapping, layout), bounds)

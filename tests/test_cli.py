@@ -35,7 +35,7 @@ from vptenum.cli import (
 from vptenum.ecs import EMPTY
 from vptenum.enumtree import Enumerator
 from vptenum.formats import parse_vpt, serialize_vpt
-from vptenum.nested import BLOCK_CHARS, tokenize
+from vptenum.nested import BLOCK_CHARS, Token, TokenKind, tokenize
 from vptenum.spanner import evaluate_spanner, parse_vpeg
 from vptenum.vpt import is_io_deterministic
 
@@ -571,11 +571,11 @@ class TestSpanner:
         assert len(out) == limit
         assert len(calls) == decoded
 
-    def test_lines_are_those_of_evaluate_spanner(self, capsys, files):
-        # the command fills each layout from the arena's output ids; the
-        # library decodes (out, k) words into SpanMappings, and its checked
-        # SpanLayout.decode accepts every result: the same lines, in order
-        # (a document with a letter the grammar file lacks is refused by both)
+    def test_lines_are_those_of_decoded_words(self, capsys, files):
+        # the command fills each layout from the arena's output ids; here
+        # the same pass is read as Enumerator's (out, k) words, and the
+        # checked SpanLayout.decode accepts every one: the same lines, in
+        # order (a document with a letter the grammar file lacks is refused)
         rng = random.Random(3030)
         lines = refused = 0
         for i in range(24):
@@ -584,16 +584,21 @@ class TestSpanner:
             g = parse_vpeg(text)
             assert vpeg_text(g) == text
             gpath = files("g.vpeg", text)
+            vpt = spanner.compile_vpeg(g, end_letter=spanner._END)
+            vpt = engine.resolve_mode(vpt, "trust" if is_io_deterministic(vpt) else "determinize")
+            end = Token(TokenKind.NEUTRAL, spanner._END)
             docs = [random_doc_for_vpeg(rng, g, 16) for _ in range(4)]
             docs += [random_well_nested(rng, drawn.alphabet, rng.randint(0, 12)) for _ in range(2)]
             for doc in (d for d in docs if d is not None):
                 code, out, err = run_main(capsys, ["spanner", "-g", gpath, "-d", files("d.txt", serialize(doc))])
                 try:
-                    want = [m.render() for m in evaluate_spanner(g, doc)]
-                except spanner.GrammarError:
+                    result = engine.preprocess(vpt, [*doc, end], alphabet=vpt.alphabet)
+                except engine.SymbolError:
                     assert (code, out) == (EXIT_INPUT, [])
                     refused += 1
                     continue
+                layout = spanner.SpanLayout(g.variables)
+                want = [layout.decode(w).render() for w in Enumerator(result.arena, result.root)]
                 assert (code, err) == (EXIT_OK, [])
                 assert out == want
                 lines += len(out)

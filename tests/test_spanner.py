@@ -728,6 +728,21 @@ class TestEvaluateSpanner:
         with pytest.raises(GrammarError, match=f"{tok.name!r} not in grammar alphabet"):
             list(evaluate_spanner(g, [tok, tok_open("a")]))
 
+    @pytest.mark.parametrize(
+        "doc, error, message",
+        [
+            ([tok_open("a"), tok_neutral("c")], NestingError, "unbalanced open"),
+            ([tok_neutral("z")], GrammarError, "'z' not in grammar alphabet"),
+            ([tok_neutral(END_MARKER)], GrammarError, f"{END_MARKER!r} not in grammar alphabet"),
+        ],
+        ids=["unbalanced", "foreign", "end-marker"],
+    )
+    def test_pass_runs_when_called(self, doc, error, message):
+        # the call itself refuses the document, before any result is pulled
+        g = parse_vpeg(ELEMENT_GRAMMAR)
+        with pytest.raises(error, match=message):
+            evaluate_spanner(g, doc)
+
     def test_not_functional_surfaces(self):
         g = parse_vpeg("var x\nstart S\nS -> eps")
         with pytest.raises(NotFunctionalError):
