@@ -606,14 +606,8 @@ def resolve_mode(vpt: Vpt, mode: str) -> Vpt:
     return vpt
 
 
-def evaluate(
-    vpt: Vpt,
-    tokens,
-    mode: str = "check",
-    alphabet: StructuredAlphabet | None = None,
-) -> Iterator[OutputWord]:
-    """Evaluate vpt on the document and stream the distinct results;
-    ``alphabet`` is checked as by ``preprocess``."""
+def evaluate(vpt: Vpt, tokens, mode: str = "check") -> Iterator[OutputWord]:
+    """Evaluate vpt on the document and stream the distinct results."""
     vpt = resolve_mode(vpt, mode)
-    result = preprocess(vpt, tokens, alphabet=alphabet)
+    result = preprocess(vpt, tokens)
     return iter(Enumerator(result.arena, result.root))

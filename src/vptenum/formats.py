@@ -16,9 +16,14 @@ transition each:
 acceptor) omits the ``outputs:`` header and writes ``out -`` on every
 transition line. Comments are lines whose first nonblank character is
 ``#`` (symbols may legally contain ``#``, so there are no trailing
-comments). The letter classes are inferred from the transition lines;
-open and close lines share the bracket letter (that sharing is the
-pairing convention), but a bracket letter may not double as a neutral.
+comments). A letter class is read off the transition lines, plus the
+optional ``opens:``, ``closes:`` and ``neutrals:`` headers, which
+``serialize_vpt`` writes only for letters no transition of the class
+uses. Open and close lines share the bracket letter (that sharing is
+the pairing convention), but a bracket letter may not double as a
+neutral. An error names the first bad line in file order, save that a
+malformed line is reported before a fault of the headers, and that
+before an undeclared name on a transition line.
 """
 
 from __future__ import annotations
@@ -31,16 +36,17 @@ class FormatError(InputError):
     """The machine file does not follow the format."""
 
 
-_HEADERS = ("states", "initial", "final", "stack", "outputs")
+_HEADERS = ("states", "initial", "final", "stack", "outputs", "opens", "closes", "neutrals")
 
 
-def _parse_lines(text: str):
+def _fail(lineno, msg):
+    raise FormatError(f"line {lineno}: {msg}")
+
+
+def parse_vpt(text: str) -> Vpt:
     headers: dict[str, list[str]] = {}
     opens, closes, neutrals = [], [], []
-
-    def fail(lineno, msg):
-        raise FormatError(f"line {lineno}: {msg}")
-
+    checks = []  # (line number, source, target, stack symbol, output) of each transition, in file order
     for lineno, raw in enumerate(text.split("\n"), start=1):  # only "\n" ends a line, as in documents
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -49,26 +55,28 @@ def _parse_lines(text: str):
         head = parts[0].rstrip(":")
         if parts[0].endswith(":") and head in _HEADERS:
             if head in headers:
-                fail(lineno, f"duplicate {head}: header")
+                _fail(lineno, f"duplicate {head}: header")
             headers[head] = parts[1:]
-            continue
-        if parts[0] == "open":
+        elif parts[0] == "open":
             if len(parts) != 9 or parts[3] != "->" or parts[5] != "push" or parts[7] != "out":
-                fail(lineno, f"malformed open transition: {line!r}")
+                _fail(lineno, f"malformed open transition: {line!r}")
             out = None if parts[8] == "-" else parts[8]
-            opens.append((lineno, parts[1], parts[2], out, parts[4], parts[6]))
+            opens.append((parts[2], parts[1], out, parts[4], parts[6]))
+            checks.append((lineno, parts[2], parts[4], parts[6], out))
         elif parts[0] == "close":
             if len(parts) != 9 or parts[3] != "pop" or parts[5] != "->" or parts[7] != "out":
-                fail(lineno, f"malformed close transition: {line!r}")
+                _fail(lineno, f"malformed close transition: {line!r}")
             out = None if parts[8] == "-" else parts[8]
-            closes.append((lineno, parts[1], parts[2], out, parts[4], parts[6]))
+            closes.append((parts[2], parts[1], out, parts[4], parts[6]))
+            checks.append((lineno, parts[2], parts[6], parts[4], out))
         elif parts[0] == "neutral":
             if len(parts) != 7 or parts[3] != "->" or parts[5] != "out":
-                fail(lineno, f"malformed neutral transition: {line!r}")
+                _fail(lineno, f"malformed neutral transition: {line!r}")
             out = None if parts[6] == "-" else parts[6]
-            neutrals.append((lineno, parts[1], parts[2], out, parts[4]))
+            neutrals.append((parts[2], parts[1], out, parts[4]))
+            checks.append((lineno, parts[2], parts[4], None, out))
         else:
-            fail(lineno, f"unrecognized line: {line!r}")
+            _fail(lineno, f"unrecognized line: {line!r}")
 
     for required in ("states", "initial", "final"):
         if required not in headers:
@@ -76,84 +84,58 @@ def _parse_lines(text: str):
     states = frozenset(headers["states"])
     initial = frozenset(headers["initial"])
     final = frozenset(headers["final"])
-    stack = frozenset(headers.get("stack", []))
-    outputs = frozenset(headers.get("outputs", []))
+    stack = frozenset(headers.get("stack", ()))
+    outputs = frozenset(headers.get("outputs", ()))
     for head, named in (("initial", initial), ("final", final)):
         if not named <= states:
             raise FormatError(f"{head}: header names undeclared state(s) {' '.join(sorted(named - states))}")
 
-    open_letters = {a for _, a, *_ in opens}
-    close_letters = {a for _, a, *_ in closes}
-    neutral_letters = {a for _, a, *_ in neutrals}
-    overlap = (open_letters | close_letters) & neutral_letters
-    if overlap:
-        raise FormatError(
-            f"letters used both as bracket and neutral: {', '.join(sorted(overlap))}"
-        )
-
-    def check(lineno, cond, msg):
-        if not cond:
-            raise FormatError(f"line {lineno}: {msg}")
-
-    for lineno, a, q, out, q2, x in opens:
-        check(lineno, q in states and q2 in states, f"undeclared state in {q!r} -> {q2!r}")
-        check(lineno, x in stack, f"undeclared stack symbol {x!r}")
-        check(lineno, out is None or out in outputs, f"undeclared output {out!r}")
-    for lineno, a, q, out, x, q2 in closes:
-        check(lineno, q in states and q2 in states, f"undeclared state in {q!r} -> {q2!r}")
-        check(lineno, x in stack, f"undeclared stack symbol {x!r}")
-        check(lineno, out is None or out in outputs, f"undeclared output {out!r}")
-    for lineno, a, q, out, q2 in neutrals:
-        check(lineno, q in states and q2 in states, f"undeclared state in {q!r} -> {q2!r}")
-        check(lineno, out is None or out in outputs, f"undeclared output {out!r}")
-
     alphabet = StructuredAlphabet(
-        opens=frozenset(open_letters),
-        closes=frozenset(close_letters),
-        neutrals=frozenset(neutral_letters),
+        opens={t[1] for t in opens}.union(headers.get("opens", ())),
+        closes={t[1] for t in closes}.union(headers.get("closes", ())),
+        neutrals={t[1] for t in neutrals}.union(headers.get("neutrals", ())),
     )
-    return states, alphabet, stack, outputs, opens, closes, neutrals, initial, final
+    overlap = (alphabet.opens | alphabet.closes) & alphabet.neutrals
+    if overlap:
+        raise FormatError(f"letters used both as bracket and neutral: {', '.join(sorted(overlap))}")
 
+    for lineno, q, q2, x, out in checks:
+        if q not in states or q2 not in states:
+            _fail(lineno, f"undeclared state in {q!r} -> {q2!r}")
+        if x is not None and x not in stack:
+            _fail(lineno, f"undeclared stack symbol {x!r}")
+        if out is not None and out not in outputs:
+            _fail(lineno, f"undeclared output {out!r}")
 
-def parse_vpt(text: str) -> Vpt:
-    states, alphabet, stack, outputs, opens, closes, neutrals, initial, final = _parse_lines(text)
     return Vpt(
         states=states,
         alphabet=alphabet,
         stack_symbols=stack,
         output_symbols=outputs,
-        opens=frozenset((q, a, out, q2, x) for _, a, q, out, q2, x in opens),
-        closes=frozenset((q, a, out, x, q2) for _, a, q, out, x, q2 in closes),
-        neutrals=frozenset((q, a, out, q2) for _, a, q, out, q2 in neutrals),
+        opens=frozenset(opens),
+        closes=frozenset(closes),
+        neutrals=frozenset(neutrals),
         initial=initial,
         final=final,
     )
 
 
-def _check_symbols(*groups):
-    for group in groups:
-        for sym in group:
-            if not isinstance(sym, str) or not sym or any(c.isspace() for c in sym):
-                raise FormatError(
-                    f"symbol {sym!r} is not a plain word; this machine cannot "
-                    "be written in the text format"
-                )
+def _refuse(why):
+    raise FormatError(f"{why}; this machine cannot be written in the text format")
 
 
 def serialize_vpt(vpt: Vpt) -> str:
-    _check_symbols(
-        vpt.states,
-        vpt.stack_symbols,
-        vpt.output_symbols,
-        vpt.alphabet.opens,
-        vpt.alphabet.closes,
-        vpt.alphabet.neutrals,
-    )
+    letters = vpt.alphabet
+    groups = (vpt.states, vpt.stack_symbols, vpt.output_symbols, letters.opens, letters.closes, letters.neutrals)
+    for group in groups:
+        for sym in group:
+            if not isinstance(sym, str) or not sym or any(c.isspace() for c in sym):
+                _refuse(f"symbol {sym!r} is not a plain word")
     if "-" in vpt.output_symbols:
-        raise FormatError(
-            "output symbol '-' would read back as no output; this machine "
-            "cannot be written in the text format"
-        )
+        _refuse("output symbol '-' would read back as no output")
+    overlap = (letters.opens | letters.closes) & letters.neutrals
+    if overlap:
+        _refuse(f"letters used both as bracket and neutral: {', '.join(sorted(overlap))}")
     lines = [
         "states: " + " ".join(sorted(vpt.states)),
         "initial: " + " ".join(sorted(vpt.initial)),
@@ -162,6 +144,11 @@ def serialize_vpt(vpt: Vpt) -> str:
     ]
     if vpt.output_symbols:
         lines.append("outputs: " + " ".join(sorted(vpt.output_symbols)))
+    # a letter class is read off its transition lines, so only its unused letters need a header
+    for head, moves in (("opens", vpt.opens), ("closes", vpt.closes), ("neutrals", vpt.neutrals)):
+        unused = getattr(letters, head).difference(t[1] for t in moves)
+        if unused:
+            lines.append(f"{head}: " + " ".join(sorted(unused)))
     for q, a, out, q2, x in sorted(vpt.opens, key=repr):
         lines.append(f"open {a} {q} -> {q2} push {x} out {out or '-'}")
     for q, a, out, x, q2 in sorted(vpt.closes, key=repr):

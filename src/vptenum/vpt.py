@@ -202,27 +202,15 @@ def is_io_deterministic(vpt: Vpt) -> bool:
 
     Requires a single initial state and, per transition class, at most
     one successor for each key that includes the output symbol (and the
-    popped symbol at closes).
+    popped symbol at closes): no two transitions share the prefix
+    before their target.
     """
-    if len(vpt.initial) != 1:
-        return False
-    seen: set = set()
-    for q, a, out, q2, x in vpt.opens:
-        key = ("o", q, a, out)
-        if key in seen:
-            return False
-        seen.add(key)
-    for q, a, out, x, q2 in vpt.closes:
-        key = ("c", q, a, out, x)
-        if key in seen:
-            return False
-        seen.add(key)
-    for q, a, out, q2 in vpt.neutrals:
-        key = ("n", q, a, out)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return (
+        len(vpt.initial) == 1
+        and len({t[:3] for t in vpt.opens}) == len(vpt.opens)
+        and len({t[:4] for t in vpt.closes}) == len(vpt.closes)
+        and len({t[:3] for t in vpt.neutrals}) == len(vpt.neutrals)
+    )
 
 
 def level_reach(initial, neutral, opens, closes) -> dict:

@@ -648,6 +648,18 @@ class TestDeterminize:
         assert out == []
         assert is_io_deterministic(parse_vpt(dest.read_text()))
 
+    def test_unused_letter_survives(self, capsys, files, tmp_path):
+        # only an unreachable state reads d, so the determinized machine
+        # has no d transition; its file still declares the letter
+        t = files(
+            "m.vpt", "states: q0 q1 q9\ninitial: q0\nfinal: q1\nneutral c q0 -> q1 out -\nneutral d q9 -> q9 out -\n"
+        )
+        det = str(tmp_path / "det.vpt")
+        assert main(["determinize", "-t", t, "-o", det]) == EXIT_OK
+        d = files("d.txt", "c d")
+        codes = [run_main(capsys, ["run", "-t", machine, "-d", d])[0] for machine in (t, det)]
+        assert codes == [EXIT_OK, EXIT_OK]
+
     def test_state_cap(self, capsys, files):
         t = files("m.vpt", AMBIGUOUS_VPT)
         code, _, err = run_main(capsys, ["determinize", "-t", t, "--max-states", "1"])

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from oracle_helpers import random_det_vpt, random_vpa, replaced
+from oracle_helpers import random_det_vpt, random_nondet_vpt, random_vpa, replaced
 from vptenum.formats import FormatError, parse_vpt, serialize_vpt
 from vptenum.spanner import compile_vpeg, parse_vpeg
 from vptenum.nested import StructuredAlphabet
-from vptenum.vpt import Vpt
+from vptenum.vpt import Vpt, io_determinize
 
 
 def one_state(q) -> Vpt:
@@ -174,6 +174,34 @@ class TestParse:
         with pytest.raises(FormatError, match="both as bracket and neutral: a"):
             parse_vpt(bad)
 
+    def test_first_bad_line_in_file_order(self):
+        bad = (
+            "states: q0\ninitial: q0\nfinal: q0\nstack: X\n"
+            "neutral c q0 -> q9 out -\nopen a q0 -> q0 push Y out -\n"
+        )
+        with pytest.raises(FormatError, match="^line 5: undeclared state"):
+            parse_vpt(bad)
+
+    @pytest.mark.parametrize(
+        "full", ["open a q0 -> q0 push X out -", "close a q0 pop X -> q0 out -", "neutral c q0 -> q0 out -"]
+    )
+    def test_truncated_transition(self, full):
+        words = (full + " extra").split()
+        kind = words[0]
+        for n in range(1, 9):
+            if n == len(words) - 1:
+                continue  # the whole neutral line
+            text = "states: q0\ninitial: q0\nfinal: q0\nstack: X\n" + " ".join(words[:n]) + "\n"
+            with pytest.raises(FormatError, match=f"^line 5: malformed {kind} transition"):
+                parse_vpt(text)
+
+    def test_letter_headers(self):
+        # header letters join the letters of the transition lines
+        vpa = parse_vpt(VPA_TEXT + "opens: b\ncloses: b e\nneutrals: c d\n")
+        assert vpa.alphabet == StructuredAlphabet(opens={"a", "b"}, closes={"a", "b", "e"}, neutrals={"c", "d"})
+        with pytest.raises(FormatError, match="both as bracket and neutral: b"):
+            parse_vpt(VPA_TEXT + "opens: b\nneutrals: b\n")
+
     def test_shared_open_close_letter_is_the_pairing(self):
         # <a ... a> uses one letter for both faces of the bracket
         vpa = parse_vpt(VPA_TEXT)
@@ -218,6 +246,25 @@ class TestSerialize:
                 vpa.initial,
                 vpa.final,
             )
+
+    @pytest.mark.parametrize("make", [random_det_vpt, random_nondet_vpt, random_vpa])
+    def test_unused_letters_round_trip(self, make):
+        rng = random.Random(6)
+        for _ in range(20):
+            m = make(rng)
+            letters = m.alphabet
+            m = replaced(
+                m,
+                alphabet=StructuredAlphabet(letters.opens | {"e"}, letters.closes | {"f"}, letters.neutrals | {"g"}),
+            )
+            for machine in (m, io_determinize(m)):
+                assert parse_vpt(serialize_vpt(machine)) == machine
+
+    def test_bracket_neutral_letter_cannot_serialize(self):
+        letters = StructuredAlphabet(opens={"a"}, closes={"b"}, neutrals={"a", "b", "c"})
+        vpt = replaced(one_state("q"), alphabet=letters)
+        with pytest.raises(FormatError, match="neutral: a, b; this machine cannot be written in the text format"):
+            serialize_vpt(vpt)
 
     def test_structured_outputs_cannot_serialize(self):
         # compiled spanners emit marker sets, which are not plain words
